@@ -68,9 +68,12 @@ def _window_budget() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise ValidationError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from exc
+    if budget < 1:
+        raise ValidationError(f"{BUDGET_ENV} must be at least 1, got {budget}")
+    return budget
 
 
 def build_parser() -> argparse.ArgumentParser:

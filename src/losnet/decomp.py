@@ -249,10 +249,22 @@ def ptas_shift_count(epsilon: Fraction, d: int) -> int:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
-    h = 1
-    while (1 + Fraction(1, h)) ** (d - 1) > 1 + epsilon:
-        h += 1
-    return h
+
+    def too_small(h: int) -> bool:
+        return (1 + Fraction(1, h)) ** (d - 1) > 1 + epsilon
+
+    # The test is monotone in h: double past the answer, then bisect.
+    hi = 1
+    while too_small(hi):
+        hi *= 2
+    lo = hi // 2  # too small, or 0 when hi == 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if too_small(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def solve_ptas(
@@ -318,8 +330,11 @@ def _ptas_level(
         )
         return _translate(sub_coords, offsets)
 
+    # From shift ceil(extent/k) on, the leading block covers the whole axis:
+    # later shifts rebuild that same block and cannot win the strict ">".
+    last_shift = min(h, -(-inst.params.extents[axis] // k))
     best: tuple[Fraction, int, list[Coords], list[Fraction]] | None = None
-    for shift in range(h + 1):
+    for shift in range(last_shift + 1):
         dec = make_blocks(inst, h, shift, axis, k)
         if threads > 1 and dec.blocks:
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -211,15 +211,27 @@ def parse_solution_json(text: str) -> Solution:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad solution JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError("solution JSON must be an object")
     for key in ("algorithm", "weight", "vertices"):
         if key not in raw:
             raise ValidationError(f"solution JSON missing {key!r}")
-    vertices = tuple(tuple(int(x) for x in c) for c in raw["vertices"])
+    vertices = raw["vertices"]
+    if not isinstance(vertices, list):
+        raise ValidationError("solution 'vertices' must be a list of coordinate lists")
+    for c in vertices:
+        if not isinstance(c, list):
+            raise ValidationError(f"solution vertex {c!r} is not a coordinate list")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in c):
+            raise ValidationError(f"solution vertex {c!r} has a non-integer coordinate")
+    meta = raw.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValidationError("solution 'meta' must be an object")
     return Solution(
         str(raw["algorithm"]),
-        vertices,
+        tuple(tuple(c) for c in vertices),
         parse_weight(str(raw["weight"])),
-        dict(raw.get("meta", {})),
+        dict(meta),
     )
 
 

@@ -8,6 +8,11 @@ windows chain when the tail of the first equals the head of the second, so
 each step extends the best chain by one column and charges exactly the weight
 picked up in the newly exposed column.
 
+The table runs on Python ints, the weights scaled by the least common
+multiple of their denominators; answers come back as exact ``Fraction``s.
+The windows and the transition caches are built once per (rows, omega)
+shape and process and shared by every DP of that shape.
+
 Window counts are exponential in the row count, so every entry point takes an
 enumeration budget and refuses (``CapacityError``) rather than degrade.
 """
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -165,6 +171,20 @@ class FeasibleWindow:
         return self.key < other.key
 
 
+def _check_window_budget(
+    rows: tuple[Coords, ...], omega: int, budget: int | None
+) -> None:
+    """Refuse when the raw enumeration size (omega+1)^rows exceeds ``budget``."""
+    if budget is None:
+        budget = DEFAULT_WINDOW_BUDGET
+    size = (omega + 1) ** len(rows)
+    if size > budget:
+        raise CapacityError(
+            f"window enumeration size (omega+1)^rows = {size} exceeds "
+            f"budget {budget} (rows={len(rows)}, omega={omega})"
+        )
+
+
 def enumerate_windows(
     row_spec, omega: int, budget: int | None = None
 ) -> list[FeasibleWindow]:
@@ -174,16 +194,14 @@ def enumerate_windows(
     (see ``normalize_rows``).  Refuses when the raw enumeration size
     (omega+1)^rows exceeds ``budget`` (default ``DEFAULT_WINDOW_BUDGET``).
     """
-    if budget is None:
-        budget = DEFAULT_WINDOW_BUDGET
     rows = normalize_rows(row_spec)
-    conflicts = _row_structure(rows, omega)
-    size = (omega + 1) ** len(rows)
-    if size > budget:
-        raise CapacityError(
-            f"window enumeration size (omega+1)^rows = {size} exceeds "
-            f"budget {budget} (rows={len(rows)}, omega={omega})"
-        )
+    _check_window_budget(rows, omega, budget)
+    return list(_transitions(rows, omega).windows)
+
+
+def _enumerate_windows(
+    rows: tuple[Coords, ...], omega: int, conflicts: tuple[int, ...]
+) -> list[FeasibleWindow]:
     out: list[FeasibleWindow] = []
     nrows = len(rows)
     positions = [NONE_POS] * nrows
@@ -348,6 +366,86 @@ def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
     )
 
 
+class _Transitions:
+    """Windows and DP transitions of one (rows, omega) shape.
+
+    One instance per shape and process (see ``_transitions``), shared by
+    every ``NarrowDp`` of that shape: semi-online phases, strips and PTAS
+    blocks all reuse the windows and the successor caches built before them.
+    The caches fill lazily, with only the transitions the pushed columns
+    reach.
+    """
+
+    __slots__ = ("omega", "windows", "conflicts", "_succ_cache", "_indep_cache")
+
+    def __init__(self, rows: tuple[Coords, ...], omega: int) -> None:
+        self.omega = omega
+        self.conflicts = _row_structure(rows, omega)
+        self.windows = tuple(_enumerate_windows(rows, omega, self.conflicts))
+        self._succ_cache: dict = {}
+        self._indep_cache: dict[int, tuple[int, ...]] = {}
+
+    def indep_submasks(self, avail: int) -> tuple[int, ...]:
+        """All conflict-free submasks of ``avail`` (rows placeable together)."""
+        cached = self._indep_cache.get(avail)
+        if cached is not None:
+            return cached
+        if avail == 0:
+            result: tuple[int, ...] = (0,)
+        else:
+            low = avail & -avail
+            r = low.bit_length() - 1
+            rest = avail & (avail - 1)
+            without = self.indep_submasks(rest)
+            with_r = tuple(
+                low | s for s in self.indep_submasks(rest & ~self.conflicts[r])
+            )
+            result = without + with_r
+        self._indep_cache[avail] = result
+        return result
+
+    def successors(
+        self, wpos: tuple[int, ...], occ_mask: int
+    ) -> list[tuple[tuple[int, ...], int]]:
+        """(successor positions, placed-row mask) pairs for one source window.
+
+        The successor keeps the source's tail shifted left one column; rows
+        left empty by the shift may gain an entry in the new last column,
+        provided the cell is occupied and the placed rows are conflict-free.
+        Results are cached per (source window, column occupancy) so repeated
+        support patterns along a long instance are computed once.
+        """
+        key = (wpos, occ_mask)
+        cached = self._succ_cache.get(key)
+        if cached is not None:
+            return cached
+        shifted = tuple((p - 1) if p >= 2 else NONE_POS for p in wpos)
+        elig = occ_mask
+        for r, p in enumerate(shifted):
+            if p:
+                elig &= ~(1 << r)
+        out = []
+        omega = self.omega
+        for smask in self.indep_submasks(elig):
+            if smask:
+                spos = list(shifted)
+                m = smask
+                while m:
+                    low = m & -m
+                    spos[low.bit_length() - 1] = omega
+                    m ^= low
+                out.append((tuple(spos), smask))
+            else:
+                out.append((shifted, 0))
+        self._succ_cache[key] = out
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _transitions(rows: tuple[Coords, ...], omega: int) -> _Transitions:
+    return _Transitions(rows, omega)
+
+
 class NarrowDp:
     """Incremental column-at-a-time evaluator of the window DP.
 
@@ -357,6 +455,17 @@ class NarrowDp:
     newest column (rolling); per-column predecessor keys and the per-column
     argmax are kept so any prefix's winning placement can be unwound without
     re-solving.
+
+    The table holds Python ints: weights scaled by the least common multiple
+    of the denominators pushed so far.  A column that brings a new
+    denominator multiplies the live table up to the new scale, so streamed
+    columns need no pass over the input first.  Only the per-column best is
+    converted back to ``Fraction``; comparisons of scaled ints order exactly
+    as the rationals do.
+
+    ``windows`` and the transition caches are shared by every evaluator of
+    the same (rows, omega) shape in the process; the window budget is still
+    checked for each evaluator.
 
     Determinism: windows are visited in ascending canonical key order and
     ties are broken toward the smallest key, both for predecessors and for
@@ -372,74 +481,17 @@ class NarrowDp:
     ) -> None:
         self.rows = normalize_rows(row_spec)
         self.omega = int(omega)
-        self.windows = enumerate_windows(self.rows, self.omega, budget)
-        self._conflicts = _row_structure(self.rows, self.omega)
+        _check_window_budget(self.rows, self.omega, budget)
+        self._shape = _transitions(self.rows, self.omega)
+        self.windows = self._shape.windows
         self._zero = (NONE_POS,) * len(self.rows)
-        self._cur: dict[tuple[int, ...], Fraction] = {self._zero: Fraction(0)}
+        self._scale = 1
+        self._cur: dict[tuple[int, ...], int] = {self._zero: 0}
         self._preds: list[dict[tuple[int, ...], tuple[int, ...]]] = []
         self._bests: list[tuple[Fraction, tuple[int, ...]]] = []
-        self._succ_cache: dict = {}
-        self._indep_cache: dict[int, tuple[int, ...]] = {}
         self._weights_log: list[dict[tuple[int, ...], Fraction]] | None = (
             [] if keep_weights else None
         )
-
-    # -- successor machinery -------------------------------------------------
-
-    def _indep_submasks(self, avail: int) -> tuple[int, ...]:
-        """All conflict-free submasks of ``avail`` (rows placeable together)."""
-        cached = self._indep_cache.get(avail)
-        if cached is not None:
-            return cached
-        if avail == 0:
-            result: tuple[int, ...] = (0,)
-        else:
-            low = avail & -avail
-            r = low.bit_length() - 1
-            rest = avail & (avail - 1)
-            without = self._indep_submasks(rest)
-            with_r = tuple(
-                low | s for s in self._indep_submasks(rest & ~self._conflicts[r])
-            )
-            result = without + with_r
-        self._indep_cache[avail] = result
-        return result
-
-    def _successors(
-        self, wpos: tuple[int, ...], occ_mask: int
-    ) -> list[tuple[tuple[int, ...], int]]:
-        """(successor positions, placed-row mask) pairs for one source window.
-
-        The successor keeps the source's tail shifted left one column; rows
-        left empty by the shift may gain an entry in the new last column,
-        provided the cell is occupied and the placed rows are conflict-free.
-        Results are cached per (shifted tail, eligible occupancy) so repeated
-        support patterns along a long instance are computed once.
-        """
-        shifted = tuple((p - 1) if p >= 2 else NONE_POS for p in wpos)
-        elig = occ_mask
-        for r, p in enumerate(shifted):
-            if p:
-                elig &= ~(1 << r)
-        key = (shifted, elig)
-        cached = self._succ_cache.get(key)
-        if cached is not None:
-            return cached
-        out = []
-        omega = self.omega
-        for smask in self._indep_submasks(elig):
-            if smask:
-                spos = list(shifted)
-                m = smask
-                while m:
-                    low = m & -m
-                    spos[low.bit_length() - 1] = omega
-                    m ^= low
-                out.append((tuple(spos), smask))
-            else:
-                out.append((shifted, 0))
-        self._succ_cache[key] = out
-        return out
 
     # -- column pushing -------------------------------------------------------
 
@@ -449,22 +501,32 @@ class NarrowDp:
 
     def push_column(self, col: Mapping[int, Fraction]) -> None:
         """Advance the table by one column (row index -> weight of its cells)."""
+        scale = self._scale
         occ_mask = 0
-        for ridx in col:
+        for ridx, w in col.items():
             occ_mask |= 1 << ridx
-        nxt: dict[tuple[int, ...], Fraction] = {}
+            den = w.denominator
+            if scale % den:
+                grown = scale // math.gcd(scale, den) * den
+                factor = grown // scale
+                self._cur = {pos: v * factor for pos, v in self._cur.items()}
+                scale = self._scale = grown
+        icol = {ridx: w.numerator * (scale // w.denominator) for ridx, w in col.items()}
+        cur = self._cur
+        successors = self._shape.successors
+        nxt: dict[tuple[int, ...], int] = {}
         pred: dict[tuple[int, ...], tuple[int, ...]] = {}
-        gains: dict[int, Fraction] = {0: Fraction(0)}
-        for wpos in sorted(self._cur):
-            base = self._cur[wpos]
-            for spos, smask in self._successors(wpos, occ_mask):
+        gains: dict[int, int] = {0: 0}
+        for wpos in sorted(cur):
+            base = cur[wpos]
+            for spos, smask in successors(wpos, occ_mask):
                 gain = gains.get(smask)
                 if gain is None:
-                    gain = Fraction(0)
+                    gain = 0
                     m = smask
                     while m:
                         low = m & -m
-                        gain += col[low.bit_length() - 1]
+                        gain += icol[low.bit_length() - 1]
                         m ^= low
                     gains[smask] = gain
                 cand = base + gain
@@ -474,16 +536,13 @@ class NarrowDp:
                     pred[spos] = wpos
         self._cur = nxt
         self._preds.append(pred)
-        best_w: Fraction | None = None
-        best_pos: tuple[int, ...] | None = None
-        for pos in sorted(nxt):
-            v = nxt[pos]
-            if best_w is None or v > best_w:
-                best_w, best_pos = v, pos
-        assert best_w is not None and best_pos is not None
-        self._bests.append((best_w, best_pos))
+        best = max(nxt.values())
+        best_pos = min(pos for pos, v in nxt.items() if v == best)
+        self._bests.append((Fraction(best, scale), best_pos))
         if self._weights_log is not None:
-            self._weights_log.append(dict(nxt))
+            self._weights_log.append(
+                {pos: Fraction(v, scale) for pos, v in nxt.items()}
+            )
 
     # -- retrieval -------------------------------------------------------------
 

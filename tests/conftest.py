@@ -32,7 +32,8 @@ def small_instances(draw, max_n=8, max_k=3, max_d=3, max_vertices=14):
     chosen = draw(
         st.lists(st.sampled_from(all_cells), unique=True, max_size=max_vertices)
     ) if all_cells else []
+    # Denominators up to 4 exercise the DP's rescaling of its integer table.
     weights = {
-        c: Fraction(draw(st.integers(1, 5))) for c in chosen
+        c: Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 4))) for c in chosen
     }
     return LosInstance(params, weights)

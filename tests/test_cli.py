@@ -166,6 +166,35 @@ class TestSolve:
         monkeypatch.setenv("LOS_WINDOW_BUDGET", "zzz")
         assert run(capsys, "solve", "exact-narrow", str(losn_file))[0] == 2
 
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_window_budget_below_one_is_invalid(
+        self, losn_file, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("LOS_WINDOW_BUDGET", value)
+        code, _, err = run(capsys, "solve", "exact-narrow", str(losn_file))
+        assert code == 2
+        assert "LOS_WINDOW_BUDGET" in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"algorithm": "x", "weight": "1", "vertices": 5}',
+            '{"algorithm": "x", "weight": "1", "vertices": [5]}',
+            '{"algorithm": "x", "weight": "1", "vertices": [[1, "a"]]}',
+            '{"algorithm": "x", "weight": "1", "vertices": [[1, 1.5]]}',
+            '[1, 2]',
+        ],
+    )
+    def test_verify_malformed_solution_json(
+        self, losn_file, tmp_path, capsys, payload
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code, _, err = run(capsys, "verify", str(losn_file), str(bad))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestBench:
     def test_empty_seed_range_header_only(self, capsys):

@@ -179,8 +179,28 @@ class TestPtasShiftCount:
         with pytest.raises(ValidationError):
             ptas_shift_count(Fraction(0), 2)
 
+    def test_matches_linear_search(self):
+        def linear(eps, d):
+            h = 1
+            while (1 + Fraction(1, h)) ** (d - 1) > 1 + eps:
+                h += 1
+            return h
+
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4),
+                    Fraction(3, 10), Fraction(1, 100), Fraction(7, 3)):
+            for d in (2, 3, 4):
+                assert ptas_shift_count(eps, d) == linear(eps, d), (eps, d)
+
 
 class TestPtas:
+    def test_tiny_epsilon_returns_optimum(self):
+        # h is about 10^9 here; only the shifts up to ceil(extent/k) differ.
+        cfg = GenConfig(InstanceParams(2, (7, 4), 3), Fraction(1, 2), "uniform:1:5", 2)
+        inst = generate(cfg)
+        sol = solve_ptas(inst, Fraction(1, 10**9), 0)
+        assert sol.meta["h"] == 10**9
+        assert sol.total_weight == brute_mis(inst).total_weight
+
     def test_instance_inside_one_block_exact(self):
         cfg = GenConfig(InstanceParams(2, (10, 2), 3), Fraction(3, 5), "uniform:1:5", 4)
         inst = generate(cfg)

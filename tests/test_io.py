@@ -129,3 +129,19 @@ def test_solution_json_errors(tmp_path):
     p = tmp_path / "sol.json"
     p.write_text('{"algorithm": "x", "weight": "3", "vertices": [[1, 1]]}')
     assert load_solution(p).total_weight == 3
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ('"x"', "object"),
+        ('{"algorithm": "x", "weight": "1", "vertices": {"a": 1}}', "list"),
+        ('{"algorithm": "x", "weight": "1", "vertices": [[1], 2]}', "list"),
+        ('{"algorithm": "x", "weight": "1", "vertices": [["1", 2]]}', "integer"),
+        ('{"algorithm": "x", "weight": "1", "vertices": [[true, 2]]}', "integer"),
+        ('{"algorithm": "x", "weight": "1", "vertices": [], "meta": [1]}', "meta"),
+    ],
+)
+def test_solution_json_malformed_refused(text, match):
+    with pytest.raises(ValidationError, match=match):
+        parse_solution_json(text)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from losnet import (
+    CapacityError,
     GenConfig,
     InstanceParams,
     NarrowArray,
@@ -216,6 +217,29 @@ class TestDpTableInvariants:
                 assert preds, "every stored window must have a predecessor"
                 assert val >= max(preds)
             prev_layer = layer
+
+    def test_budget_checked_after_shared_cache_filled(self):
+        # The windows of a (rows, omega) shape are shared across evaluators;
+        # a smaller budget must still refuse once a larger one built them.
+        dp = NarrowDp((3, 3), 4, budget=10**7)
+        assert len(dp.windows) > 100
+        with pytest.raises(CapacityError):
+            NarrowDp((3, 3), 4, budget=100)
+
+    def test_rescaled_table_matches_fraction_weights(self):
+        # Each column brings a new denominator, so the integer table is
+        # multiplied up several times mid-run.
+        inst = make_inst(
+            (6, 2), 3,
+            {(1, 1): Fraction(1, 2), (2, 2): Fraction(2, 3), (3, 1): Fraction(3, 4),
+             (4, 2): Fraction(4, 5), (5, 1): Fraction(5, 7), (6, 2): 3},
+        )
+        a, dp = self.make_dp(inst, keep_weights=True)
+        assert dp.best_weight == brute_mis(inst).total_weight
+        assert all(
+            isinstance(v, Fraction) for j in range(1, a.n + 1)
+            for v in dp.weights_at(j).values()
+        )
 
     def test_rolling_weights_not_kept_by_default(self):
         inst = unit_inst((4, 1), 2, [(1, 1)])

@@ -1,17 +1,22 @@
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from losnet import (
     CapacityError,
+    InstanceParams,
+    LosInstance,
     Solution,
+    are_adjacent,
     brute_mis,
     brute_windows,
     exhaustive_mis,
     is_independent,
     verify,
 )
+from losnet.oracle import VerifyReport
 from conftest import make_inst, small_instances, unit_inst
 
 
@@ -102,6 +107,65 @@ class TestVerify:
         inst = unit_inst((400, 1), 2, coords)
         sol = Solution("x", tuple(coords), Fraction(len(coords)), {})
         assert verify(inst, sol).independent
+
+
+def quadratic_verify(inst, sol) -> VerifyReport:
+    """Reference checker: every pair of the solution, in list order."""
+    violations = []
+    known = []
+    seen = set()
+    for c in sol.vertices:
+        c = tuple(c)
+        if c in seen:
+            violations.append(f"duplicate coordinate {c}")
+            continue
+        seen.add(c)
+        if c not in inst:
+            violations.append(f"unknown coordinate {c}")
+        else:
+            known.append(c)
+    omega = inst.params.omega
+    for i in range(len(known)):
+        for j in range(i + 1, len(known)):
+            if are_adjacent(known[i], known[j], omega):
+                violations.append(f"adjacent pair {known[i]} {known[j]}")
+    recomputed = sum((inst.weight_of(c) for c in known), Fraction(0))
+    if recomputed != sol.total_weight:
+        violations.append(
+            f"weight mismatch: claimed {sol.total_weight}, recomputed {recomputed}"
+        )
+    return VerifyReport(not violations, sol.total_weight, recomputed, violations)
+
+
+@st.composite
+def claimed_solutions(draw):
+    """An instance at d=2..4 and a vertex list with duplicates, unknown
+    coordinates (outside the instance or the box) and adjacent pairs."""
+    from itertools import product
+
+    d = draw(st.integers(2, 4))
+    extents = tuple(draw(st.integers(1, 7 if d == 2 else 4)) for _ in range(d))
+    omega = draw(st.integers(2, 4))
+    box = list(product(*(range(1, e + 1) for e in extents)))
+    cells = draw(st.lists(st.sampled_from(box), unique=True, max_size=30))
+    inst = LosInstance(
+        InstanceParams(d, extents, omega),
+        {c: Fraction(draw(st.integers(1, 5))) for c in cells},
+    )
+    outside = [tuple(e + 1 for e in extents), (0,) * d]
+    picks = draw(st.lists(st.sampled_from(box + outside), max_size=25))
+    weight = draw(st.one_of(
+        st.just(sum((inst.weight_of(c) for c in set(picks) if c in inst), Fraction(0))),
+        st.integers(0, 30).map(Fraction),
+    ))
+    return inst, Solution("x", tuple(picks), weight, {})
+
+
+@given(claimed_solutions())
+@settings(max_examples=200, deadline=None)
+def test_verify_matches_quadratic_reference(case):
+    inst, sol = case
+    assert verify(inst, sol) == quadratic_verify(inst, sol)
 
 
 @given(small_instances(max_vertices=10))
