@@ -8,18 +8,20 @@ picks.
 
 This is the same column DP as the independent-set solver with one change:
 rows (clients) never constrain each other pairwise, only through the shared
-per-column capacity ``l``.
+per-column capacity ``l``, so the schedule runs on ``NarrowDp`` itself with
+that capacity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from .core import Solution
 from .errors import CapacityError, ValidationError
-from .narrow import DEFAULT_WINDOW_BUDGET, NONE_POS
+from .narrow import DEFAULT_WINDOW_BUDGET, NarrowDp
 
 
 @dataclass(frozen=True)
@@ -79,51 +81,37 @@ def count_ads_windows(k_clients: int, omega: int, l: int) -> int:
     """Number of width-``omega`` schedule stencils: one entry per client row,
     at most ``l`` entries per column.
 
-    Counted by assigning clients one at a time; completions depend only on
-    the multiset of remaining column capacities, which keeps the recursion
-    polynomial even when the stencil count itself is huge.
+    Counted column by column: ``ways[u]`` is the number of fillings of the
+    columns so far that place u distinct clients, and a column takes any s
+    <= ``l`` of the clients still free.  The work is polynomial even when
+    the stencil count itself is huge.
     """
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def rec(clients_left: int, caps: tuple[int, ...]) -> int:
-        if clients_left == 0:
-            return 1
-        key = (clients_left, caps)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = rec(clients_left - 1, caps)  # client stays empty
-        for cap_value, multiplicity in _multiplicities(caps):
-            if cap_value > 0:
-                reduced = _reduce_one(caps, cap_value)
-                total += multiplicity * rec(clients_left - 1, reduced)
-        memo[key] = total
-        return total
-
-    return rec(k_clients, tuple([min(l, k_clients)] * omega))
+    ways = [1] + [0] * k_clients
+    for _ in range(omega):
+        ways = [
+            sum(
+                ways[u - s] * math.comb(k_clients - u + s, s)
+                for s in range(min(l, u) + 1)
+            )
+            for u in range(k_clients + 1)
+        ]
+    return sum(ways)
 
 
-def _multiplicities(caps: tuple[int, ...]) -> list[tuple[int, int]]:
-    out: dict[int, int] = {}
-    for c in caps:
-        out[c] = out.get(c, 0) + 1
-    return sorted(out.items())
-
-
-def _reduce_one(caps: tuple[int, ...], value: int) -> tuple[int, ...]:
-    caps_list = list(caps)
-    caps_list[caps_list.index(value)] = value - 1
-    return tuple(sorted(caps_list))
+def _client_rows(k_clients: int) -> tuple[tuple[int, int], ...]:
+    """DP rows of the clients: client c is row (c, c).  Diagonal rows differ
+    in two coordinates, so no two share a line of sight and only the column
+    capacity constrains them."""
+    return tuple((c, c) for c in range(1, k_clients + 1))
 
 
 def solve_adssched(ads: AdsInstance, budget: int | None = None) -> Solution:
     """Optimal airing schedule via the column DP.
 
-    State: per-client position of its latest pick inside the trailing
-    ``omega`` slots (0 when none).  A transition shifts every position left
-    and optionally places up to ``l`` newly-freed available clients in the
-    new slot.  Same chaining, tie-breaking, and retrieval discipline as the
-    independent-set DP.
+    One ``NarrowDp`` row per client, capacity ``l``: a window records each
+    client's latest pick inside the trailing ``omega`` slots, and each slot
+    places up to ``l`` newly-freed available clients.  Chaining,
+    tie-breaking and retrieval are the independent-set DP's own.
     """
     if budget is None:
         budget = DEFAULT_WINDOW_BUDGET
@@ -134,67 +122,15 @@ def solve_adssched(ads: AdsInstance, budget: int | None = None) -> Solution:
             f"schedule window count {size} exceeds budget {budget} "
             f"(clients={k}, omega={omega}, l={cap})"
         )
-    zero = (NONE_POS,) * k
-    cur: dict[tuple[int, ...], Fraction] = {zero: Fraction(0)}
-    preds: list[dict[tuple[int, ...], tuple[int, ...]]] = []
-    bests: list[tuple[Fraction, tuple[int, ...]]] = []
+    dp = NarrowDp(_client_rows(k), omega, capacity=cap)
     for t in range(1, n + 1):
-        avail = [c for c in range(k) if ads.available[c][t - 1]]
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        pred: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for wpos in sorted(cur):
-            base = cur[wpos]
-            shifted = tuple((p - 1) if p >= 2 else NONE_POS for p in wpos)
-            eligible = [c for c in avail if shifted[c] == NONE_POS]
-            for smask_rows in _subsets_upto(eligible, cap):
-                if smask_rows:
-                    spos = list(shifted)
-                    gain = Fraction(0)
-                    for c in smask_rows:
-                        spos[c] = omega
-                        gain += ads.weight_at(c + 1, t)
-                    spos = tuple(spos)
-                else:
-                    spos, gain = shifted, Fraction(0)
-                cand = base + gain
-                prev = nxt.get(spos)
-                if prev is None or cand > prev:
-                    nxt[spos] = cand
-                    pred[spos] = wpos
-        cur = nxt
-        preds.append(pred)
-        bw: Fraction | None = None
-        bpos: tuple[int, ...] | None = None
-        for pos in sorted(nxt):
-            v = nxt[pos]
-            if bw is None or v > bw:
-                bw, bpos = v, pos
-        assert bw is not None and bpos is not None
-        bests.append((bw, bpos))
-    picks: list[tuple[int, int]] = []
-    if n:
-        weight, pos = bests[-1]
-        for t in range(n, 0, -1):
-            for c, p in enumerate(pos):
-                if p == omega:
-                    picks.append((c + 1, t))
-            pos = preds[t - 1][pos]
-        if pos != zero:
-            raise RuntimeError("schedule chain did not close on the empty state")
-    else:  # pragma: no cover - n >= 1 enforced by AdsInstance
-        weight = Fraction(0)
+        dp.push_column(
+            {c: ads.weight_at(c + 1, t) for c in range(k) if ads.available[c][t - 1]}
+        )
+    weight = dp.best_weight
+    picks = [(row[0], t) for row, t in dp.placements()]
     resum = sum((ads.weight_at(c, t) for c, t in picks), Fraction(0))
     if resum != weight:
         raise RuntimeError(f"schedule re-sum {resum} != table weight {weight}")
     meta = {"clients": k, "times": n, "omega": omega, "l": cap}
     return Solution("adssched", tuple(sorted(picks)), weight, meta)
-
-
-def _subsets_upto(items: list[int], cap: int) -> list[tuple[int, ...]]:
-    """All subsets of ``items`` with size <= cap, deterministic order."""
-    out: list[tuple[int, ...]] = [()]
-    for x in items:
-        out.extend(
-            s + (x,) for s in list(out) if len(s) < cap
-        )
-    return out

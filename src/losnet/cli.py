@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--json", action="store_true", help="full report on stdout")
     solve.add_argument("--float", action="store_true", dest="with_float")
     solve.add_argument("--trace-phases", action="store_true")
-    solve.add_argument("--threads", type=int, default=1)
 
     ver = sub.add_parser("verify", help="recheck a solution JSON against an instance")
     ver.add_argument("instance")
@@ -210,7 +209,6 @@ def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
                 "algo": args.algo,
                 "epsilon": str(epsilon) if epsilon is not None else None,
                 "long_axis": long_axis,
-                "threads": args.threads,
                 "window_budget": budget if budget is not None else DEFAULT_WINDOW_BUDGET,
             },
             "solution": solution_dict(sol, args.with_float),
@@ -239,16 +237,10 @@ def _run_algo(
     if args.algo == "brute":
         return oracle.brute_mis(inst), None
     if args.algo == "strip2":
-        return (
-            decomp.solve_strip2(inst, long_axis, budget, threads=args.threads),
-            long_axis,
-        )
+        return decomp.solve_strip2(inst, long_axis, budget), long_axis
     if args.algo == "ptas":
         assert epsilon is not None
-        return (
-            decomp.solve_ptas(inst, epsilon, long_axis, budget, threads=args.threads),
-            long_axis,
-        )
+        return decomp.solve_ptas(inst, epsilon, long_axis, budget), long_axis
     if args.algo == "semionline":
         assert epsilon is not None
         on_phase = _phase_tracer() if args.trace_phases else None

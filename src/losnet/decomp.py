@@ -15,7 +15,6 @@ narrow solver can handle, then recombine:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -114,7 +113,6 @@ def solve_strip2(
     inst: LosInstance,
     long_axis: int | None = None,
     budget: int | None = None,
-    threads: int = 1,
 ) -> Solution:
     """2-approximation by odd/even strips of width omega-1.
 
@@ -141,11 +139,7 @@ def solve_strip2(
         return _translate(sol.vertices, offsets)
 
     indices = sorted(by_strip)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_one, indices))
-    else:
-        solved = [solve_one(i) for i in indices]
+    solved = [solve_one(i) for i in indices]
 
     unions: dict[int, list[Coords]] = {0: [], 1: []}
     for index, coords in zip(indices, solved):
@@ -272,7 +266,6 @@ def solve_ptas(
     epsilon: Fraction,
     long_axis: int | None = None,
     budget: int | None = None,
-    threads: int = 1,
 ) -> Solution:
     """(1+epsilon)-approximation by shifted blocks, any dimension.
 
@@ -294,7 +287,7 @@ def solve_ptas(
     h = ptas_shift_count(epsilon, p.d)
     cut_axes = [a for a in range(p.d) if a != long_axis]
     coords, shift, block_weights = _ptas_level(
-        inst, cut_axes, long_axis, h, k, budget, threads
+        inst, cut_axes, long_axis, h, k, budget
     )
     meta = {
         "epsilon": str(epsilon),
@@ -314,7 +307,6 @@ def _ptas_level(
     h: int,
     k: int,
     budget: int | None,
-    threads: int = 1,
 ) -> tuple[list[Coords], int, list[Fraction]]:
     if not cut_axes:
         sol = solve_exact_narrow(inst, long_axis=long_axis, budget=budget)
@@ -336,14 +328,9 @@ def _ptas_level(
     best: tuple[Fraction, int, list[Coords], list[Fraction]] | None = None
     for shift in range(last_shift + 1):
         dec = make_blocks(inst, h, shift, axis, k)
-        if threads > 1 and dec.blocks:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                solved = list(pool.map(solve_block, dec.blocks))
-        else:
-            solved = [solve_block(b) for b in dec.blocks]
         coords: list[Coords] = []
         weights: list[Fraction] = []
-        for block_coords in solved:
+        for block_coords in map(solve_block, dec.blocks):
             coords.extend(block_coords)
             weights.append(set_weight(inst, block_coords))
         total = sum(weights, Fraction(0))

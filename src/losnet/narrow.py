@@ -10,8 +10,13 @@ picked up in the newly exposed column.
 
 The table runs on Python ints, the weights scaled by the least common
 multiple of their denominators; answers come back as exact ``Fraction``s.
-The windows and the transition caches are built once per (rows, omega)
-shape and process and shared by every DP of that shape.
+The windows and the transition caches are built once per (rows, omega,
+capacity) shape and process and shared by every DP of that shape.
+
+A per-column capacity, the most entries one column may hold, is the one
+knob that adapts the DP to other problems: airing schedules (``adssched``)
+run it over mutually non-conflicting client rows with capacity ``l``.  The
+independent-set DP's capacity is its row count, which never binds.
 
 Window counts are exponential in the row count, so every entry point takes an
 enumeration budget and refuses (``CapacityError``) rather than degrade.
@@ -157,9 +162,6 @@ class FeasibleWindow:
         rows = normalize_rows(row_spec)
         return cls(rows, omega, (NONE_POS,) * len(rows))
 
-    def position_of(self, row: Coords) -> int:
-        return self.positions[self.rows.index(tuple(row))]
-
     def as_grid(self) -> tuple[tuple[int, ...], ...]:
         """Rows x omega 0/1 grid (handy for array-level comparisons)."""
         return tuple(
@@ -196,24 +198,30 @@ def enumerate_windows(
     """
     rows = normalize_rows(row_spec)
     _check_window_budget(rows, omega, budget)
-    return list(_transitions(rows, omega).windows)
+    return [
+        FeasibleWindow(rows, omega, pos)
+        for pos in _transitions(rows, omega, len(rows)).windows
+    ]
 
 
 def _enumerate_windows(
-    rows: tuple[Coords, ...], omega: int, conflicts: tuple[int, ...]
-) -> list[FeasibleWindow]:
-    out: list[FeasibleWindow] = []
-    nrows = len(rows)
+    nrows: int, omega: int, conflicts: tuple[int, ...], capacity: int
+) -> list[tuple[int, ...]]:
+    """Positions of every window, ascending: no two conflicting rows and at
+    most ``capacity`` rows in one column."""
+    out: list[tuple[int, ...]] = []
     positions = [NONE_POS] * nrows
     col_masks = [0] * (omega + 1)
 
     def rec(r: int) -> None:
         if r == nrows:
-            out.append(FeasibleWindow(rows, omega, tuple(positions)))
+            out.append(tuple(positions))
             return
         bit = 1 << r
         for p in range(omega + 1):
-            if p and (col_masks[p] & conflicts[r]):
+            if p and (
+                col_masks[p] & conflicts[r] or col_masks[p].bit_count() >= capacity
+            ):
                 continue
             positions[r] = p
             if p:
@@ -339,11 +347,6 @@ class NarrowArray:
         return tuple(c)
 
 
-def array_sum(a: NarrowArray) -> Fraction:
-    """Sum of all cells of the array."""
-    return a.array_sum()
-
-
 def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
     """Flatten ``inst`` into column-major form along ``long_axis``.
 
@@ -367,41 +370,61 @@ def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
 
 
 class _Transitions:
-    """Windows and DP transitions of one (rows, omega) shape.
+    """Windows and DP transitions of one (rows, omega, capacity) shape.
 
-    One instance per shape and process (see ``_transitions``), shared by
-    every ``NarrowDp`` of that shape: semi-online phases, strips and PTAS
-    blocks all reuse the windows and the successor caches built before them.
-    The caches fill lazily, with only the transitions the pushed columns
-    reach.
+    A column of a window may hold at most ``capacity`` entries, and never
+    two in conflicting rows; a capacity of at least the row count never
+    binds.  One instance per shape and process (see ``_transitions``),
+    shared by every ``NarrowDp`` of that shape: semi-online phases, strips,
+    PTAS blocks and schedules all reuse the caches built before them.  The
+    caches fill lazily, with only the transitions the pushed columns reach;
+    the window list is built on first use.
     """
 
-    __slots__ = ("omega", "windows", "conflicts", "_succ_cache", "_indep_cache")
+    __slots__ = (
+        "omega", "capacity", "conflicts", "_windows", "_succ_cache", "_indep_cache"
+    )
 
-    def __init__(self, rows: tuple[Coords, ...], omega: int) -> None:
+    def __init__(self, rows: tuple[Coords, ...], omega: int, capacity: int) -> None:
         self.omega = omega
+        self.capacity = capacity
         self.conflicts = _row_structure(rows, omega)
-        self.windows = tuple(_enumerate_windows(rows, omega, self.conflicts))
+        self._windows: tuple[tuple[int, ...], ...] | None = None
         self._succ_cache: dict = {}
-        self._indep_cache: dict[int, tuple[int, ...]] = {}
+        self._indep_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def indep_submasks(self, avail: int) -> tuple[int, ...]:
-        """All conflict-free submasks of ``avail`` (rows placeable together)."""
-        cached = self._indep_cache.get(avail)
+    @property
+    def windows(self) -> tuple[tuple[int, ...], ...]:
+        """Positions of every feasible window, ascending."""
+        if self._windows is None:
+            self._windows = tuple(
+                _enumerate_windows(
+                    len(self.conflicts), self.omega, self.conflicts, self.capacity
+                )
+            )
+        return self._windows
+
+    def indep_submasks(self, avail: int, cap: int | None = None) -> tuple[int, ...]:
+        """Conflict-free submasks of ``avail`` with at most ``cap`` rows
+        (default: the capacity), i.e. the rows one column may take together."""
+        cap = min(self.capacity if cap is None else cap, avail.bit_count())
+        key = (avail, cap)
+        cached = self._indep_cache.get(key)
         if cached is not None:
             return cached
-        if avail == 0:
+        if cap == 0:
             result: tuple[int, ...] = (0,)
         else:
             low = avail & -avail
             r = low.bit_length() - 1
             rest = avail & (avail - 1)
-            without = self.indep_submasks(rest)
+            without = self.indep_submasks(rest, cap)
             with_r = tuple(
-                low | s for s in self.indep_submasks(rest & ~self.conflicts[r])
+                low | s
+                for s in self.indep_submasks(rest & ~self.conflicts[r], cap - 1)
             )
             result = without + with_r
-        self._indep_cache[avail] = result
+        self._indep_cache[key] = result
         return result
 
     def successors(
@@ -411,7 +434,8 @@ class _Transitions:
 
         The successor keeps the source's tail shifted left one column; rows
         left empty by the shift may gain an entry in the new last column,
-        provided the cell is occupied and the placed rows are conflict-free.
+        provided the cell is occupied and the placed rows are conflict-free
+        and within the capacity.
         Results are cached per (source window, column occupancy) so repeated
         support patterns along a long instance are computed once.
         """
@@ -442,8 +466,8 @@ class _Transitions:
 
 
 @functools.lru_cache(maxsize=None)
-def _transitions(rows: tuple[Coords, ...], omega: int) -> _Transitions:
-    return _Transitions(rows, omega)
+def _transitions(rows: tuple[Coords, ...], omega: int, capacity: int) -> _Transitions:
+    return _Transitions(rows, omega, capacity)
 
 
 class NarrowDp:
@@ -463,8 +487,15 @@ class NarrowDp:
     converted back to ``Fraction``; comparisons of scaled ints order exactly
     as the rationals do.
 
-    ``windows`` and the transition caches are shared by every evaluator of
-    the same (rows, omega) shape in the process; the window budget is still
+    ``capacity`` caps the entries of one column (default: the row count,
+    which never binds).  Without it the evaluator refuses when
+    (omega+1)^rows exceeds ``budget``; a capacity-limited caller counts its
+    windows exactly and checks them against its budget itself, as
+    ``solve_adssched`` does with ``count_ads_windows``.
+
+    ``windows`` (the positions of every feasible window, built on first use)
+    and the transition caches are shared by every evaluator of the same
+    (rows, omega, capacity) shape in the process; the window budget is still
     checked for each evaluator.
 
     Determinism: windows are visited in ascending canonical key order and
@@ -478,13 +509,16 @@ class NarrowDp:
         omega: int,
         budget: int | None = None,
         keep_weights: bool = False,
+        capacity: int | None = None,
     ) -> None:
         self.rows = normalize_rows(row_spec)
         self.omega = int(omega)
-        _check_window_budget(self.rows, self.omega, budget)
-        self._shape = _transitions(self.rows, self.omega)
-        self.windows = self._shape.windows
-        self._zero = (NONE_POS,) * len(self.rows)
+        nrows = len(self.rows)
+        if capacity is None:
+            _check_window_budget(self.rows, self.omega, budget)
+            capacity = nrows
+        self._shape = _transitions(self.rows, self.omega, min(capacity, nrows))
+        self._zero = (NONE_POS,) * nrows
         self._scale = 1
         self._cur: dict[tuple[int, ...], int] = {self._zero: 0}
         self._preds: list[dict[tuple[int, ...], tuple[int, ...]]] = []
@@ -494,6 +528,10 @@ class NarrowDp:
         )
 
     # -- column pushing -------------------------------------------------------
+
+    @property
+    def windows(self) -> tuple[tuple[int, ...], ...]:
+        return self._shape.windows
 
     @property
     def columns_pushed(self) -> int:
@@ -610,29 +648,28 @@ class NarrowDp:
 def successors(
     w: FeasibleWindow, array: NarrowArray, j: int
 ) -> list[FeasibleWindow]:
-    """All feasible windows chainable after ``w`` and supported at column j.
+    """All feasible windows chainable after ``w`` and supported at column j,
+    ascending.
 
     Support means every entry of the successor sits on an occupied cell of
     the array columns j-omega+1..j (entries are placements, so they may only
-    land where vertices exist).
+    land where vertices exist).  These are the DP's own transitions: the
+    ones it takes from ``w`` at column j, or none when an entry ``w`` carries
+    over sits on an empty cell.
     """
     if w.rows != array.rows or w.omega != array.omega:
         raise ValidationError("window/array shape mismatch")
     if not 1 <= j <= array.n:
         raise ValidationError(f"column {j} outside 1..{array.n}")
     omega = array.omega
-    out = []
-    for cand in enumerate_windows(array.rows, omega):
-        if not consistent(w, cand):
-            continue
-        supported = True
-        for r, p in enumerate(cand.positions):
-            if p and array.weight(array.rows[r], j - omega + p) == 0:
-                supported = False
-                break
-        if supported:
-            out.append(cand)
-    return out
+    for r, p in enumerate(w.positions):
+        if p >= 2 and array.weight(array.rows[r], j - omega + p - 1) == 0:
+            return []
+    shape = _transitions(array.rows, omega, len(array.rows))
+    return sorted(
+        FeasibleWindow(array.rows, omega, spos)
+        for spos, _ in shape.successors(w.positions, array.occupied_mask(j))
+    )
 
 
 def solve_mis_narrow(

@@ -24,9 +24,11 @@ from typing import Callable, Iterator
 from .core import Coords, LosInstance, Solution
 from .errors import ValidationError
 from .io import LOSN_HEADER, parse_losn_params, parse_vertex_line
-from .narrow import NarrowArray, NarrowDp, build_array
+from .narrow import NarrowArray, NarrowDp, build_array, rows_for
 
-_LOG2_SQ = math.log(2) ** 2
+# (ln 2)^2 as the exact value of its float, so the round cap needs no float
+# division (a float 1/epsilon overflows or divides by zero for a tiny epsilon).
+_LOG2_SQ = Fraction(math.log(2) ** 2)
 
 
 def max_lookahead(k: int, d: int, epsilon: Fraction, omega: int) -> int:
@@ -44,19 +46,61 @@ def max_lookahead(k: int, d: int, epsilon: Fraction, omega: int) -> int:
         raise ValidationError(
             f"need k >= 1, d >= 2, omega >= 2; got k={k}, d={d}, omega={omega}"
         )
-    rounds = math.ceil((1 + 1 / float(epsilon)) * (k ** (d - 1)) / _LOG2_SQ)
+    rounds = math.ceil((1 + 1 / epsilon) * k ** (d - 1) / _LOG2_SQ)
     return rounds * omega + omega
 
 
 def _growth_cap(epsilon: Fraction, ratio: Fraction) -> int:
-    """Smallest c >= 0 with (1+epsilon)^c >= ratio."""
-    c = 0
-    acc = Fraction(1)
-    grow = 1 + epsilon
-    while acc < ratio:
-        acc *= grow
-        c += 1
+    """Smallest c >= 0 with (1+epsilon)^c >= ratio.
+
+    A tiny epsilon makes c huge, so (1+epsilon)^c is never built whole: the
+    powers (1+epsilon)^(2^i) are squared up until one reaches ``ratio``, then
+    c-1 is assembled from its top bit down, keeping each bit while the
+    product stays below ``ratio``.  Every comparison is exact, made on lower
+    and upper bounds of ``prec`` bits; when the bounds straddle ``ratio`` the
+    search reruns at twice the precision.  Bounds that fit in ``prec`` bits
+    are the exact values, so the reruns end.
+    """
+    if ratio <= 1:
+        return 0
+    prec = 64 + (1 + epsilon).denominator.bit_length()
+    while (c := _growth_cap_at(1 + epsilon, ratio, prec)) is None:
+        prec *= 2
     return c
+
+
+def _growth_cap_at(grow: Fraction, ratio: Fraction, prec: int) -> int | None:
+    def mul(x, y):
+        return _bound(x[0] * y[0], prec, False), _bound(x[1] * y[1], prec, True)
+
+    def below(x) -> bool | None:  # None: the bounds straddle ratio
+        return True if x[1] < ratio else False if x[0] >= ratio else None
+
+    powers = [mul((grow, grow), (1, 1))]
+    while b := below(powers[-1]):
+        powers.append(mul(powers[-1], powers[-1]))
+    if b is None:
+        return None
+    acc, below_count = (1, 1), 0
+    for i in reversed(range(len(powers))):
+        cand = mul(acc, powers[i])
+        if (b := below(cand)) is None:
+            return None
+        if b:
+            acc, below_count = cand, below_count + (1 << i)
+    return below_count + 1
+
+
+def _bound(x: Fraction, prec: int, up: bool) -> Fraction:
+    """``x`` when it fits in ``prec`` bits, else ``x`` rounded to a
+    ``prec``-bit binary mantissa, up or down."""
+    n, d = x.numerator, x.denominator
+    if max(n.bit_length(), d.bit_length()) <= prec:
+        return x
+    shift = prec - n.bit_length() + d.bit_length()
+    num, den = (n << shift, d) if shift >= 0 else (n, d << -shift)
+    m = -(-num // den) if up else num // den
+    return Fraction(m, 1 << shift) if shift >= 0 else Fraction(m << -shift)
 
 
 class _StreamBase:
@@ -161,9 +205,7 @@ class FileColumnStream(_StreamBase):
         self.omega = self._params.omega
         self.n = self._params.extents[0]
         self.row_extents = tuple(self._params.extents[1:])
-        self._rows = {}
-        for i, row in enumerate(_row_iter(self.row_extents)):
-            self._rows[row] = i
+        self._rows = {row: i for i, row in enumerate(rows_for(self.row_extents))}
         self._buffer: dict[int, dict[int, Fraction]] = {}
         self._pending: tuple[int, int, Fraction] | None = None
         self._last_col = 0
@@ -213,12 +255,6 @@ class FileColumnStream(_StreamBase):
         super().consume_through(j)
         for col in [c for c in self._buffer if c < self.cursor]:
             del self._buffer[col]
-
-
-def _row_iter(row_extents: tuple[int, ...]) -> Iterator[Coords]:
-    from itertools import product
-
-    return product(*(range(1, e + 1) for e in row_extents))
 
 
 @dataclass

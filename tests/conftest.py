@@ -1,8 +1,16 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 
+import losnet
 from losnet import InstanceParams, LosInstance
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this losnet."""
+    return dict(os.environ, PYTHONPATH=str(Path(losnet.__file__).parent.parent))
 
 
 def make_inst(extents, omega, cells) -> LosInstance:

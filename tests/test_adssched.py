@@ -2,16 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losnet import (
     AdsInstance,
     CapacityError,
+    NarrowDp,
     ValidationError,
     brute_adssched,
     solve_adssched,
     verify_ads,
 )
-from losnet.adssched import count_ads_windows
+from losnet.adssched import _client_rows, count_ads_windows
 
 
 def full(k, n):
@@ -74,6 +77,20 @@ class TestSolve:
         with pytest.raises(CapacityError, match="budget"):
             solve_adssched(ads, budget=100)
 
+    def test_budget_counts_schedule_windows_not_raw_stencils(self):
+        # The budget bounds the capacity-limited windows; the raw
+        # (omega+1)^k count of the independent-set DP does not apply.
+        ads = AdsInstance(6, 8, 3, 1, full(6, 8))
+        size = count_ads_windows(6, 3, 1)
+        assert size < (3 + 1) ** 6
+        assert solve_adssched(ads, budget=size).total_weight == 8
+        with pytest.raises(CapacityError, match="budget"):
+            solve_adssched(ads, budget=size - 1)
+
+    def test_wide_gap_beyond_byte_window_keys(self):
+        ads = AdsInstance(2, 9, 300, 1, full(2, 9))
+        assert solve_adssched(ads).total_weight == 2
+
     def test_random_sweep_matches_oracle(self):
         rnd = random.Random(0)
         for _ in range(60):
@@ -96,12 +113,43 @@ class TestSolve:
         report = verify_ads(ads, sol)
         assert report.independent, report.violations
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_exactly(self, data):
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 6))
+        omega = data.draw(st.integers(2, 4))
+        cap = data.draw(st.integers(1, k + 1))
+        avail = tuple(
+            tuple(data.draw(st.integers(0, 1)) for _ in range(n)) for _ in range(k)
+        )
+        weights = {
+            (c + 1, t + 1): Fraction(
+                data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+            )
+            for c in range(k)
+            for t in range(n)
+            if avail[c][t]
+        }
+        ads = AdsInstance(k, n, omega, cap, avail, weights)
+        sol = solve_adssched(ads)
+        assert sol.total_weight == brute_adssched(ads, cap=k * n).total_weight
+        report = verify_ads(ads, sol)
+        assert report.independent, report.violations
+
 
 class TestWindowCount:
     def test_small_counts_by_hand(self):
         assert count_ads_windows(1, 2, 1) == 3  # none, slot 1, slot 2
         assert count_ads_windows(2, 2, 1) == 7  # 9 maps minus 2 same-column
         assert count_ads_windows(2, 2, 2) == 9  # capacity never binds
+
+    def test_schedule_dp_windows_match_count(self):
+        for k in range(1, 6):
+            for omega in (2, 3, 4):
+                for cap in range(1, k + 2):
+                    dp = NarrowDp(_client_rows(k), omega, capacity=cap)
+                    assert len(dp.windows) == count_ads_windows(k, omega, cap)
 
 
 class TestBruteCaps:

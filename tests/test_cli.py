@@ -1,15 +1,26 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from losnet.cli import main
+from conftest import child_env
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, timeout=60):
+    """``losnet`` in a fresh interpreter, as a user runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "losnet.cli", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=timeout,
+    )
 
 
 @pytest.fixture()
@@ -194,6 +205,31 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestTinyEpsilon:
+    def gen(self, tmp_path, capsys, weights):
+        path = tmp_path / "t.losn"
+        code, _, _ = run(
+            capsys, "gen", "--d", "2", "--extents", "12,2", "--omega", "3",
+            "--density", "0.4", "--weights", weights, "--seed", "2",
+            "-o", str(path),
+        )
+        assert code == 0
+        return path
+
+    def test_semionline_weighted_returns(self, tmp_path, capsys):
+        path = self.gen(tmp_path, capsys, "uniform:1:5")
+        proc = run_process("solve", "semionline", str(path), "--epsilon", "1e-9")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_semionline_unit_epsilon_below_float_range(self, tmp_path, capsys):
+        path = self.gen(tmp_path, capsys, "const:1")
+        eps = "1/1" + "0" * 400
+        proc = run_process("solve", "semionline", str(path), "--epsilon", eps)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestBench:

@@ -111,11 +111,6 @@ class TestStrip2:
         assert is_independent(inst, sol.vertices)
         assert sol.meta["strips"] >= 2
 
-    def test_threads_do_not_change_output(self):
-        cfg = GenConfig(InstanceParams(2, (40, 6), 3), Fraction(1, 2), "uniform:1:5", 3)
-        inst = generate(cfg)
-        assert solve_strip2(inst, 0, threads=1) == solve_strip2(inst, 0, threads=4)
-
 
 class TestMakeBlocks:
     def test_worked_layout(self):
@@ -248,10 +243,3 @@ class TestPtas:
         inst = make_inst((4, 2), 2, {})
         with pytest.raises(ValidationError):
             solve_ptas(inst, Fraction(-1, 2), 0)
-
-    def test_threads_do_not_change_output(self):
-        cfg = GenConfig(InstanceParams(2, (20, 5), 3), Fraction(1, 2), "const:1", 2)
-        inst = generate(cfg)
-        a = solve_ptas(inst, Fraction(1, 2), 0, threads=1)
-        b = solve_ptas(inst, Fraction(1, 2), 0, threads=3)
-        assert a == b

@@ -10,7 +10,6 @@ from losnet import (
     NarrowArray,
     NarrowDp,
     ValidationError,
-    array_sum,
     brute_mis,
     build_array,
     consistent,
@@ -30,14 +29,14 @@ class TestBuildArray:
         a = build_array(inst, 0)
         assert a.num_cols == 5
         assert a.n == 3
-        assert array_sum(a) == 0
+        assert a.array_sum() == 0
 
     def test_single_vertex(self):
         inst = make_inst((5, 1), 2, {(4, 1): 2})
         a = build_array(inst, 0)
         assert a.weight((1,), 4) == 2
         assert a.column_sum(4) == 2
-        assert array_sum(a) == 2
+        assert a.array_sum() == 2
         assert a.weight((1,), 3) == 0
         assert a.weight((1,), 0) == 0  # padding column
 
@@ -274,7 +273,7 @@ def test_solution_induces_array_of_equal_sum():
         8,
         {((c[1],), c[0]): inst.weight_of(c) for c in sol.vertices},
     )
-    assert array_sum(chosen) == sol.total_weight
+    assert chosen.array_sum() == sol.total_weight
 
 
 def test_runtime_grows_linearly_quickcheck():

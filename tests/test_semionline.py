@@ -1,4 +1,5 @@
 import math
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from losnet import (
     solve_semionline,
     verify,
 )
+from losnet.semionline import _growth_cap
 from conftest import unit_inst
 
 
@@ -39,11 +41,60 @@ class TestMaxLookahead:
         expected_rounds = math.ceil(2 / ln2sq * (1 + 1e-9))
         assert max_lookahead(2, 2, Fraction(10**9), 3) == expected_rounds * 3 + 3
 
+    @pytest.mark.parametrize(
+        "eps",
+        [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 10),
+         Fraction(1, 1000)],
+    )
+    def test_matches_float_formula(self, eps):
+        # The exact computation keeps every limit the float formula gave.
+        ln2sq = math.log(2) ** 2
+        for k in range(1, 7):
+            for d in (2, 3, 4):
+                for omega in (2, 3, 5):
+                    rounds = math.ceil((1 + 1 / float(eps)) * k ** (d - 1) / ln2sq)
+                    assert max_lookahead(k, d, eps, omega) == rounds * omega + omega
+
+    def test_epsilon_below_float_range(self):
+        eps = Fraction(1, 10**400)
+        # Far below float range the round cap still tends to (1/eps)/(ln 2)^2.
+        rounds = (max_lookahead(1, 2, eps, 2) - 2) // 2
+        scaled = rounds * eps * Fraction(math.log(2) ** 2)
+        assert abs(scaled - 1) < Fraction(1, 10**9)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             max_lookahead(2, 2, Fraction(0), 3)
         with pytest.raises(ValidationError):
             max_lookahead(0, 2, Fraction(1), 3)
+
+
+def linear_growth_cap(eps: Fraction, ratio: Fraction) -> int:
+    c, acc = 0, Fraction(1)
+    while acc < ratio:
+        acc *= 1 + eps
+        c += 1
+    return c
+
+
+class TestGrowthCap:
+    def test_matches_linear_search(self):
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 10),
+                    Fraction(1, 100), Fraction(7, 3)):
+            ratios = [Fraction(1), Fraction(1, 2), Fraction(5, 4), Fraction(50),
+                      Fraction(97, 3)]
+            # exact powers sit on the boundary: (1+eps)^c == ratio
+            ratios += [(1 + eps) ** c for c in (1, 2, 7, 40)]
+            for ratio in ratios:
+                assert _growth_cap(eps, ratio) == linear_growth_cap(eps, ratio)
+
+    def test_tiny_epsilon_returns_at_once(self):
+        # c = ceil(ln 50 / ln(1 + 1e-9)), from 50-digit logarithms.
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = Decimal(50).ln() / (1 + Decimal(10) ** -9).ln()
+            expected = int(exact.to_integral_value(rounding=ROUND_CEILING))
+        assert _growth_cap(Fraction(1, 10**9), Fraction(50)) == expected
 
 
 def prefix_weight(array: NarrowArray, j0: int, upto: int) -> Fraction:

@@ -197,14 +197,17 @@ class TestSuccessors:
     def test_matches_oracle_on_random_supports(self):
         from losnet import GenConfig, InstanceParams, build_array, generate
 
-        for seed in range(6):
-            cfg = GenConfig(
-                InstanceParams(2, (6, 2), 3), Fraction(1, 2), "const:1", seed
-            )
-            array = build_array(generate(cfg), 0)
-            ws = enumerate_windows(array.rows, 3)
-            for j in (1, 3, 6):
-                for w in ws[:5]:
-                    assert sorted(successors(w, array, j)) == sorted(
-                        oracle_successors(w, array, j)
-                    )
+        # Every window at every column, so carried-over entries land on
+        # empty cells too (where the DP's transitions say: no successor).
+        for extents, omega in (((6, 2), 3), ((6, 3), 2), ((5, 2, 2), 3)):
+            for seed in range(2):
+                cfg = GenConfig(
+                    InstanceParams(len(extents), extents, omega),
+                    Fraction(1, 2), "const:1", seed,
+                )
+                array = build_array(generate(cfg), 0)
+                for w in enumerate_windows(array.rows, omega):
+                    for j in range(1, array.n + 1):
+                        assert successors(w, array, j) == oracle_successors(
+                            w, array, j
+                        )
