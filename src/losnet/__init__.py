@@ -13,73 +13,94 @@ The package provides:
 All weights are exact rationals; all solvers are deterministic.
 """
 
-from .adssched import AdsInstance, solve_adssched
-from .core import (
-    Coords,
-    GenConfig,
-    InstanceParams,
-    LosInstance,
-    Solution,
-    Vertex,
-    are_adjacent,
-    default_long_axis,
-    generate,
-    is_independent,
-    set_weight,
-    shares_line_of_sight,
-)
-from .decomp import (
-    BlockDecomposition,
-    StripIndex,
-    make_blocks,
-    parity_cut,
-    ptas_shift_count,
-    solve_ptas,
-    solve_strip2,
-    strip_of,
-)
-from .errors import CapacityError, LosError, UnknownCoordinateError, ValidationError
-from .io import (
-    load_ads,
-    load_instance,
-    load_solution,
-    parse_ads,
-    parse_instance,
-    save_instance,
-    serialize_ads,
-    serialize_instance,
-    solution_to_json,
-)
-from .narrow import (
-    DEFAULT_WINDOW_BUDGET,
-    FeasibleWindow,
-    normalize_rows,
-    NarrowArray,
-    NarrowDp,
-    build_array,
-    consistent,
-    enumerate_windows,
-    solve_exact_narrow,
-    solve_mis_narrow,
-    successors,
-)
-from .oracle import (
-    VerifyReport,
-    brute_adssched,
-    brute_mis,
-    brute_windows,
-    exhaustive_mis,
-    verify,
-    verify_ads,
-)
-from .semionline import (
-    ColumnStream,
-    FileColumnStream,
-    PhaseState,
-    max_lookahead,
-    run_phase,
-    solve_semionline,
-)
+import importlib
+
+# Public name -> defining submodule.  Names resolve on first access (PEP 562),
+# so a command imports only the solver modules it runs.
+_EXPORTS = {
+    "adssched": ("AdsInstance", "solve_adssched"),
+    "core": (
+        "Coords",
+        "GenConfig",
+        "InstanceParams",
+        "LosInstance",
+        "Solution",
+        "Vertex",
+        "are_adjacent",
+        "default_long_axis",
+        "generate",
+        "is_independent",
+        "set_weight",
+        "shares_line_of_sight",
+    ),
+    "decomp": (
+        "BlockDecomposition",
+        "StripIndex",
+        "make_blocks",
+        "parity_cut",
+        "ptas_shift_count",
+        "solve_ptas",
+        "solve_strip2",
+        "strip_of",
+    ),
+    "errors": ("CapacityError", "LosError", "UnknownCoordinateError", "ValidationError"),
+    "io": (
+        "load_ads",
+        "load_instance",
+        "load_solution",
+        "parse_ads",
+        "parse_instance",
+        "save_instance",
+        "serialize_ads",
+        "serialize_instance",
+        "solution_to_json",
+    ),
+    "narrow": (
+        "DEFAULT_WINDOW_BUDGET",
+        "FeasibleWindow",
+        "normalize_rows",
+        "NarrowArray",
+        "NarrowDp",
+        "build_array",
+        "consistent",
+        "enumerate_windows",
+        "solve_exact_narrow",
+        "solve_mis_narrow",
+        "successors",
+    ),
+    "oracle": (
+        "VerifyReport",
+        "brute_adssched",
+        "brute_mis",
+        "brute_windows",
+        "exhaustive_mis",
+        "verify",
+        "verify_ads",
+    ),
+    "semionline": (
+        "ColumnStream",
+        "FileColumnStream",
+        "PhaseState",
+        "max_lookahead",
+        "run_phase",
+        "solve_semionline",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "0.1.0"
 

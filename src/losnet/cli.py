@@ -15,10 +15,17 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import decomp, oracle, semionline
-from .adssched import solve_adssched
-from .core import GenConfig, InstanceParams, LosInstance, Solution, generate
+from . import oracle
+from .core import (
+    GenConfig,
+    InstanceParams,
+    LosInstance,
+    Solution,
+    default_long_axis,
+    generate,
+)
 from .errors import CapacityError, LosError, ValidationError
 from .io import (
     ADS_HEADER,
@@ -32,6 +39,9 @@ from .io import (
     solution_dict,
 )
 from .narrow import DEFAULT_WINDOW_BUDGET, solve_exact_narrow
+
+if TYPE_CHECKING:
+    from .semionline import PhaseState
 
 ALGOS = ("exact-narrow", "brute", "strip2", "ptas", "semionline", "adssched")
 SUITES = ("linearity", "ratio")
@@ -176,6 +186,8 @@ def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
 
     if args.algo == "adssched":
+        from .adssched import solve_adssched
+
         if header != ADS_HEADER:
             raise ValidationError(
                 f"adssched needs an .ads file (first line {ADS_HEADER!r})"
@@ -227,8 +239,6 @@ def _run_algo(
     epsilon: Fraction | None,
     budget: int | None,
 ) -> tuple[Solution, int | None]:
-    from .core import default_long_axis
-
     long_axis = args.long_axis
     if long_axis is None and args.algo != "brute":
         long_axis = default_long_axis(inst.params)
@@ -237,14 +247,20 @@ def _run_algo(
     if args.algo == "brute":
         return oracle.brute_mis(inst), None
     if args.algo == "strip2":
-        return decomp.solve_strip2(inst, long_axis, budget), long_axis
+        from .decomp import solve_strip2
+
+        return solve_strip2(inst, long_axis, budget), long_axis
     if args.algo == "ptas":
+        from .decomp import solve_ptas
+
         assert epsilon is not None
-        return decomp.solve_ptas(inst, epsilon, long_axis, budget), long_axis
+        return solve_ptas(inst, epsilon, long_axis, budget), long_axis
     if args.algo == "semionline":
+        from .semionline import solve_semionline
+
         assert epsilon is not None
         on_phase = _phase_tracer() if args.trace_phases else None
-        sol = semionline.solve_semionline(
+        sol = solve_semionline(
             inst, epsilon, long_axis=long_axis, budget=budget, on_phase=on_phase
         )
         return sol, long_axis
@@ -252,7 +268,7 @@ def _run_algo(
 
 
 def _phase_tracer():
-    def trace(ph: semionline.PhaseState) -> None:
+    def trace(ph: PhaseState) -> None:
         line = json.dumps(
             {
                 "j0": ph.j0,
@@ -323,6 +339,8 @@ def _bench_linearity(seeds: range, budget: int | None) -> list[str]:
 
 
 def _bench_ratio(seeds: range, budget: int | None) -> list[str]:
+    from . import decomp, semionline
+
     rows = []
     for seed in seeds:
         params = InstanceParams(2, (12, 3), 3)

@@ -77,6 +77,18 @@ def default_long_axis(params: InstanceParams) -> int:
     return max(range(params.d), key=lambda a: (params.extents[a], -a))
 
 
+def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Fraction]:
+    """(coords, weight) normalised and checked as ``Vertex`` does."""
+    coords = tuple(map(int, coords))
+    if type(weight) is not Fraction:
+        weight = _as_weight(weight)
+    if weight <= 0:
+        raise ValidationError(
+            f"vertex weight must be positive, got {weight} at {coords}"
+        )
+    return coords, weight
+
+
 @dataclass(frozen=True)
 class Vertex:
     """A grid point with a positive rational weight."""
@@ -85,12 +97,9 @@ class Vertex:
     weight: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        object.__setattr__(self, "weight", _as_weight(self.weight))
-        if self.weight <= 0:
-            raise ValidationError(
-                f"vertex weight must be positive, got {self.weight} at {self.coords}"
-            )
+        coords, weight = _valid_cell(self.coords, self.weight)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "weight", weight)
 
 
 class LosInstance:
@@ -103,23 +112,39 @@ class LosInstance:
         params: InstanceParams,
         vertices: Iterable[Vertex] | Mapping[Coords, Fraction] = (),
     ) -> None:
+        # Mapping input is validated here cell by cell, as ``Vertex`` would:
+        # coordinates through int(), weights to a positive Fraction.
         cells: dict[Coords, Fraction] = {}
         if isinstance(vertices, Mapping):
-            items: Iterable[Vertex] = (
-                Vertex(c, w) for c, w in vertices.items()
+            items: Iterable[tuple[Coords, Fraction]] = (
+                _valid_cell(c, w) for c, w in vertices.items()
             )
         else:
-            items = iter(vertices)
-        for v in items:
-            if not params.in_box(v.coords):
+            items = ((v.coords, v.weight) for v in vertices)
+        for coords, w in items:
+            if not params.in_box(coords):
                 raise ValidationError(
-                    f"coordinates {v.coords} outside box extents={params.extents}"
+                    f"coordinates {coords} outside box extents={params.extents}"
                 )
-            if v.coords in cells:
-                raise ValidationError(f"duplicate vertex at {v.coords}")
-            cells[v.coords] = v.weight
+            if coords in cells:
+                raise ValidationError(f"duplicate vertex at {coords}")
+            cells[coords] = w
         self.params = params
         object.__setattr__(self, "_cells", cells)
+
+    @classmethod
+    def _trusted(
+        cls, params: InstanceParams, cells: dict[Coords, Fraction]
+    ) -> "LosInstance":
+        """Wrap cells taken from a validated instance, without checking them.
+
+        Only for slices of an existing instance: every key must be an int
+        tuple inside ``params``' box, every value a positive ``Fraction``.
+        """
+        inst = cls.__new__(cls)
+        inst.params = params
+        object.__setattr__(inst, "_cells", cells)
+        return inst
 
     # -- mapping-ish access -------------------------------------------------
 

@@ -15,6 +15,7 @@ narrow solver can handle, then recombine:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -60,13 +61,18 @@ def strip_of(coords: Coords, k: int, cut_axes: Sequence[int]) -> StripIndex:
     return StripIndex.of((coords[a] - 1) // k for a in cut_axes)
 
 
-def _subinstance(
-    inst: LosInstance, ranges: dict[int, tuple[int, int]]
+def _slice(
+    inst: LosInstance,
+    ranges: dict[int, tuple[int, int]],
+    members: Iterable[Coords],
 ) -> tuple[LosInstance, tuple[int, ...]]:
-    """Restrict ``inst`` to per-axis coordinate ranges, translated to 1-based.
+    """Sub-instance of ``members``, translated so ``ranges`` start at 1.
 
-    Returns the sub-instance and the per-axis offsets to add back to its
-    coordinates to recover positions in ``inst``.
+    ``members`` must be exactly the vertices of ``inst`` inside the per-axis
+    coordinate ranges (axes not named keep their full extent); the caller
+    has them grouped already.  ``inst`` validated them, so they are not
+    checked again.  Returns the sub-instance and the per-axis offsets to add
+    back to its coordinates to recover positions in ``inst``.
     """
     p = inst.params
     extents = []
@@ -75,17 +81,10 @@ def _subinstance(
         lo, hi = ranges.get(a, (1, p.extents[a]))
         extents.append(hi - lo + 1)
         offsets.append(lo - 1)
-    cells = {}
-    for coords, w in inst.vertices.items():
-        if all(
-            ranges.get(a, (1, p.extents[a]))[0]
-            <= coords[a]
-            <= ranges.get(a, (1, p.extents[a]))[1]
-            for a in range(p.d)
-        ):
-            cells[tuple(c - o for c, o in zip(coords, offsets))] = w
-    sub = LosInstance(InstanceParams(p.d, tuple(extents), p.omega), cells)
-    return sub, tuple(offsets)
+    weights = inst.vertices
+    cells = {tuple(map(operator.sub, c, offsets)): weights[c] for c in members}
+    params = InstanceParams(p.d, tuple(extents), p.omega)
+    return LosInstance._trusted(params, cells), tuple(offsets)
 
 
 def _translate(coords: Iterable[Coords], offsets: tuple[int, ...]) -> list[Coords]:
@@ -128,13 +127,14 @@ def solve_strip2(
     cut_axes = [a for a in range(p.d) if a != long_axis]
     by_strip: dict[tuple[int, ...], list[Coords]] = {}
     for coords in inst.vertices:
-        by_strip.setdefault(strip_of(coords, k, cut_axes).index, []).append(coords)
+        index = tuple([(coords[a] - 1) // k for a in cut_axes])
+        by_strip.setdefault(index, []).append(coords)
 
     def solve_one(index: tuple[int, ...]) -> list[Coords]:
         ranges = {}
         for a, i in zip(cut_axes, index):
             ranges[a] = (k * i + 1, min(k * (i + 1), p.extents[a]))
-        sub, offsets = _subinstance(inst, ranges)
+        sub, offsets = _slice(inst, ranges, by_strip[index])
         sol = solve_exact_narrow(sub, long_axis=long_axis, budget=budget)
         return _translate(sol.vertices, offsets)
 
@@ -216,13 +216,19 @@ def make_blocks(
         hi = min(pos + h * k - 1, extent)
         segments.append((pos, hi, True))
         pos = hi + 1
-    members: dict[int, list[Coords]] = {i: [] for i in range(len(segments))}
+    # Past the leading block the pattern repeats every (h+1)*k coordinates:
+    # a width-k boundary strip, then a width-h*k block.
+    lead = shift * k
+    first = 1 if shift else 0
+    period = (h + 1) * k
+    members: list[list[Coords]] = [[] for _ in segments]
     for coords in sorted(inst.vertices):
         c = coords[axis]
-        for i, (lo, hi, _) in enumerate(segments):
-            if lo <= c <= hi:
-                members[i].append(coords)
-                break
+        if c <= lead:
+            members[0].append(coords)
+        else:
+            cycle, r = divmod(c - lead - 1, period)
+            members[first + 2 * cycle + (r >= k)].append(coords)
     blocks, boundary = [], []
     for i, (lo, hi, is_block) in enumerate(segments):
         part = Part(lo, hi, tuple(members[i]))
@@ -313,14 +319,14 @@ def _ptas_level(
         return list(sol.vertices), 0, [sol.total_weight]
     axis = cut_axes[0]
 
-    def solve_block(part: Part) -> list[Coords]:
+    def solve_block(part: Part) -> tuple[list[Coords], Fraction]:
         if not part.vertices:
-            return []
-        sub, offsets = _subinstance(inst, {axis: (part.lo, part.hi)})
-        sub_coords, _, _ = _ptas_level(
+            return [], Fraction(0)
+        sub, offsets = _slice(inst, {axis: (part.lo, part.hi)}, part.vertices)
+        sub_coords, _, sub_weights = _ptas_level(
             sub, cut_axes[1:], long_axis, h, k, budget
         )
-        return _translate(sub_coords, offsets)
+        return _translate(sub_coords, offsets), sum(sub_weights, Fraction(0))
 
     # From shift ceil(extent/k) on, the leading block covers the whole axis:
     # later shifts rebuild that same block and cannot win the strict ">".
@@ -330,9 +336,9 @@ def _ptas_level(
         dec = make_blocks(inst, h, shift, axis, k)
         coords: list[Coords] = []
         weights: list[Fraction] = []
-        for block_coords in map(solve_block, dec.blocks):
+        for block_coords, block_weight in map(solve_block, dec.blocks):
             coords.extend(block_coords)
-            weights.append(set_weight(inst, block_coords))
+            weights.append(block_weight)
         total = sum(weights, Fraction(0))
         if best is None or total > best[0]:
             best = (total, shift, coords, weights)

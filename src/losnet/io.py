@@ -27,11 +27,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .adssched import AdsInstance
 from .core import Coords, InstanceParams, LosInstance, Solution
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from .adssched import AdsInstance
 
 LOSN_HEADER = "losn v1"
 ADS_HEADER = "ads v1"
@@ -147,6 +149,8 @@ def serialize_ads(ads: AdsInstance) -> str:
 
 
 def parse_ads(text: str) -> AdsInstance:
+    from .adssched import AdsInstance
+
     lines = [
         ln.strip()
         for ln in text.splitlines()

@@ -292,7 +292,8 @@ class NarrowArray:
                 raise ValidationError(f"row {row} outside extents {self.row_extents}")
             if not 1 <= j <= self.n:
                 raise ValidationError(f"column {j} outside 1..{self.n}")
-            w = Fraction(w)
+            if type(w) is not Fraction:
+                w = Fraction(w)
             if w <= 0:
                 raise ValidationError(f"cell weight must be positive, got {w}")
             col = self._cols.setdefault(j, {})

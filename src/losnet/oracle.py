@@ -12,12 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .adssched import AdsInstance
 from .core import Coords, LosInstance, Solution, are_adjacent
 from .errors import CapacityError
 from .narrow import FeasibleWindow, normalize_rows, _rows_conflict
+
+if TYPE_CHECKING:
+    from .adssched import AdsInstance
 
 BRUTE_MIS_CAP = 24
 EXHAUSTIVE_MIS_CAP = 20

@@ -249,20 +249,26 @@ def test_criterion_7_adssched_exactness():
 def test_criterion_8_runtime_shape():
     started = time.perf_counter()
 
-    def solve_time(n: int, seed: int) -> float:
-        # per-seed time is the best of two runs, which damps scheduler noise
-        cfg = GenConfig(InstanceParams(2, (n, 2), 3), Fraction(1, 2), "const:1", seed)
-        inst = generate(cfg)
-        best = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
+    insts = {
+        (n, seed): generate(
+            GenConfig(InstanceParams(2, (n, 2), 3), Fraction(1, 2), "const:1", seed)
+        )
+        for seed in range(5)
+        for n in (1000, 2000)
+    }
+    solve_exact_narrow(insts[1000, 0], 0)  # warm-up
+    # Per instance, this process's CPU time, best of three rounds: load from
+    # other processes does not count towards it, each round times both sizes
+    # side by side so a slow spell of the host hits both, and the minimum
+    # drops the round it hit.
+    best = dict.fromkeys(insts, float("inf"))
+    for _ in range(3):
+        for key, inst in insts.items():
+            t0 = time.process_time()
             solve_exact_narrow(inst, 0)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    solve_time(1000, 0)  # warm-up
-    t1000 = [solve_time(1000, s) for s in range(5)]
-    t2000 = [solve_time(2000, s) for s in range(5)]
+            best[key] = min(best[key], time.process_time() - t0)
+    t1000 = [best[1000, s] for s in range(5)]
+    t2000 = [best[2000, s] for s in range(5)]
     ratio = statistics.median(t2000) / statistics.median(t1000)
     total = time.perf_counter() - started
     assert total < 120, f"criterion 8 took {total:.1f}s"

@@ -232,6 +232,59 @@ class TestTinyEpsilon:
         assert "Traceback" not in proc.stderr
 
 
+class TestImports:
+    """Each command imports only the solver modules it runs."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from losnet.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('losnet.')]))\n"
+        "sys.exit(code)\n"
+    )
+
+    def loaded(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+    def test_exact_narrow_leaves_other_solvers_unloaded(self, losn_file):
+        loaded = self.loaded("solve", "exact-narrow", str(losn_file), "--json")
+        assert "losnet.narrow" in loaded
+        assert not loaded & {"losnet.decomp", "losnet.semionline", "losnet.adssched"}
+
+    def test_ptas_loads_decomp_only(self, losn_file):
+        loaded = self.loaded("solve", "ptas", str(losn_file), "--epsilon", "1")
+        assert "losnet.decomp" in loaded
+        assert not loaded & {"losnet.semionline", "losnet.adssched"}
+
+    def test_star_import_binds_all(self):
+        script = (
+            "import losnet\n"
+            "names = {}\n"
+            "exec('from losnet import *', names)\n"
+            "missing = [n for n in losnet.__all__ if n not in names]\n"
+            "assert not missing, missing\n"
+            "assert len(losnet.__all__) == len(set(losnet.__all__))\n"
+            "assert set(losnet.__all__) == set(losnet._MODULE_OF)\n"
+            "assert set(losnet.__all__) <= set(dir(losnet))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_unknown_name_is_attribute_error(self):
+        import losnet
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            losnet.no_such_name
+
+
 class TestBench:
     def test_empty_seed_range_header_only(self, capsys):
         code, out, _ = run(capsys, "bench", "--suite", "linearity", "--seeds", "5..4")

@@ -134,6 +134,56 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LosInstance(params, [Vertex((1, 1)), Vertex((1, 1))])
 
+    # (cells, exception, message): one bad cell per case.  Coordinates go
+    # through int(), so a non-integer string fails there, with ValueError.
+    REFUSALS = [
+        ({("a", 1): 1}, ValueError, "invalid literal for int() with base 10: 'a'"),
+        ({("1.5", 1): 1}, ValueError, "invalid literal for int() with base 10: '1.5'"),
+        ({(1, 1): 0}, ValidationError, "vertex weight must be positive, got 0 at (1, 1)"),
+        (
+            {(1, 2): Fraction(-1, 2)},
+            ValidationError,
+            "vertex weight must be positive, got -1/2 at (1, 2)",
+        ),
+        ({(1, 1): "-3"}, ValidationError, "vertex weight must be positive, got -3 at (1, 1)"),
+        ({(1, 1): "x"}, ValidationError, "not a rational weight: 'x'"),
+        ({(1, 1): "1/2/3"}, ValidationError, "not a rational weight: '1/2/3'"),
+        ({(1, 1): None}, ValidationError, "not a rational weight: None"),
+        ({(4, 1): 1}, ValidationError, "coordinates (4, 1) outside box extents=(3, 2)"),
+        ({(1, 0): 1}, ValidationError, "coordinates (1, 0) outside box extents=(3, 2)"),
+        ({(1, 1, 1): 1}, ValidationError, "coordinates (1, 1, 1) outside box extents=(3, 2)"),
+        ({(1,): 1}, ValidationError, "coordinates (1,) outside box extents=(3, 2)"),
+        ({(1, 1): 2, ("1", 1): 3}, ValidationError, "duplicate vertex at (1, 1)"),
+    ]
+
+    @pytest.mark.parametrize("cells, error, message", REFUSALS)
+    @pytest.mark.parametrize("form", ["mapping", "vertices"])
+    def test_instance_refusals(self, cells, error, message, form):
+        params = InstanceParams(2, (3, 2), 2)
+        with pytest.raises(error) as info:
+            if form == "mapping":
+                LosInstance(params, cells)
+            else:
+                LosInstance(params, (Vertex(c, w) for c, w in cells.items()))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_instance_normalises_like_vertex(self):
+        params = InstanceParams(2, (3, 2), 2)
+        raw = {("2", 1): "3/6", (True, 2): 2, (3, 2): 1.5, (1, 1): Fraction(7, 3)}
+        inst = LosInstance(params, raw)
+        assert inst == LosInstance(params, [Vertex(c, w) for c, w in raw.items()])
+        assert dict(inst.vertices) == {
+            (2, 1): Fraction(1, 2),
+            (1, 2): Fraction(2),
+            (3, 2): Fraction(3, 2),
+            (1, 1): Fraction(7, 3),
+        }
+        assert all(type(w) is Fraction for w in inst.vertices.values())
+        assert all(
+            type(x) is int for coords in inst.vertices for x in coords
+        )
+
     def test_narrowness_is_derived(self):
         params = InstanceParams(3, (9, 2, 3), 2)
         assert params.is_narrow(0, 3)

@@ -1,11 +1,18 @@
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+
+from losnet import decomp
 
 from losnet import (
     GenConfig,
     InstanceParams,
+    LosInstance,
+    Solution,
     StripIndex,
     ValidationError,
     brute_mis,
@@ -243,3 +250,104 @@ class TestPtas:
         inst = make_inst((4, 2), 2, {})
         with pytest.raises(ValidationError):
             solve_ptas(inst, Fraction(-1, 2), 0)
+
+
+# -- reference slicing ---------------------------------------------------------
+
+
+def reference_subinstance(inst, ranges):
+    """Restrict ``inst`` to per-axis ranges by scanning every vertex and
+    rebuilding a validated instance: what strips and blocks were built from
+    before they became slices of the caller's groups."""
+    p = inst.params
+    extents, offsets = [], []
+    for a in range(p.d):
+        lo, hi = ranges.get(a, (1, p.extents[a]))
+        extents.append(hi - lo + 1)
+        offsets.append(lo - 1)
+    cells = {}
+    for coords, w in inst.vertices.items():
+        if all(
+            ranges.get(a, (1, p.extents[a]))[0]
+            <= coords[a]
+            <= ranges.get(a, (1, p.extents[a]))[1]
+            for a in range(p.d)
+        ):
+            cells[tuple(c - o for c, o in zip(coords, offsets))] = w
+    sub = LosInstance(InstanceParams(p.d, tuple(extents), p.omega), cells)
+    return sub, tuple(offsets)
+
+
+def reference_block_members(inst, dec):
+    """Part members by scanning every segment for every vertex."""
+    segments = sorted(dec.blocks + dec.boundary, key=lambda part: part.lo)
+    members = {(part.lo, part.hi): [] for part in segments}
+    for coords in sorted(inst.vertices):
+        for part in segments:
+            if part.lo <= coords[dec.axis] <= part.hi:
+                members[(part.lo, part.hi)].append(coords)
+                break
+    return members
+
+
+@st.composite
+def sliceable_instances(draw):
+    """Sparse d=2..4 instances with Fraction(a, b) weights: wide enough on
+    the cut axes that some strips and blocks hold no vertex."""
+    d = draw(st.integers(2, 4))
+    cut_max = 6 if d == 2 else 4 if d == 3 else 3
+    extents = (draw(st.integers(1, 8)),) + tuple(
+        draw(st.integers(1, cut_max)) for _ in range(d - 1)
+    )
+    omega = draw(st.integers(2, 4))
+    cells = list(product(*(range(1, e + 1) for e in extents)))
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=10))
+    weights = {
+        c: Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 6))) for c in chosen
+    }
+    return LosInstance(InstanceParams(d, extents, omega), weights)
+
+
+class TestSlicing:
+    @given(sliceable_instances(), st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    @settings(max_examples=150, deadline=None)
+    def test_parts_equal_reference_subinstances(self, inst, epsilon):
+        built = []
+        real_slice = decomp._slice
+
+        def recording_slice(parent, ranges, members):
+            members = list(members)
+            sub, offsets = real_slice(parent, ranges, members)
+            built.append((parent, dict(ranges), sub, offsets))
+            return sub, offsets
+
+        def no_solve(sub, long_axis=None, budget=None):
+            # Slicing is under test here, not the exact solver, whose window
+            # budget the tall d=4 blocks would exceed.
+            return Solution("exact-narrow", (), Fraction(0))
+
+        with mock.patch.object(decomp, "_slice", recording_slice), mock.patch.object(
+            decomp, "solve_exact_narrow", no_solve
+        ):
+            solve_strip2(inst, 0)
+            strips = len(built)
+            solve_ptas(inst, epsilon, 0)
+        assert sum(len(sub) for _, _, sub, _ in built[:strips]) == len(inst)
+        for parent, ranges, sub, offsets in built:
+            assert (sub, offsets) == reference_subinstance(parent, ranges)
+
+    @given(
+        sliceable_instances(),
+        st.integers(1, 4),
+        st.integers(0, 4),
+        st.integers(1, 3),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_block_members_equal_segment_scan(self, inst, h, shift, k, data):
+        shift = min(shift, h)
+        axis = data.draw(st.integers(0, inst.params.d - 1))
+        dec = make_blocks(inst, h, shift, axis, k)
+        members = reference_block_members(inst, dec)
+        for part in dec.blocks + dec.boundary:
+            assert list(part.vertices) == members[(part.lo, part.hi)]
