@@ -1,8 +1,8 @@
-"""Command-line interface: generate, solve, verify, bench.
+"""Command-line interface: generate, solve, verify.
 
 Exit codes: 0 success, 2 validation error (including bad usage), 3 capacity
 error (an enumeration budget or oracle cap refused the input), 1 anything
-else.  JSON and CSV payloads go to stdout; diagnostics, including wall-clock
+else.  JSON payloads go to stdout; diagnostics, including wall-clock
 times, go to stderr so identical commands produce byte-identical stdout.
 """
 
@@ -44,7 +44,6 @@ if TYPE_CHECKING:
     from .semionline import PhaseState
 
 ALGOS = ("exact-narrow", "brute", "strip2", "ptas", "semionline", "adssched")
-SUITES = ("linearity", "ratio")
 BUDGET_ENV = "LOS_WINDOW_BUDGET"
 
 
@@ -60,17 +59,6 @@ def _parse_extents(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad extents {text!r}") from exc
-
-
-def _parse_seed_range(text: str) -> range:
-    try:
-        if ".." in text:
-            a, b = text.split("..", 1)
-            return range(int(a), int(b) + 1)
-        v = int(text)
-        return range(v, v + 1)
-    except ValueError as exc:
-        raise ValidationError(f"bad seed range {text!r} (want a..b)") from exc
 
 
 def _window_budget() -> int | None:
@@ -115,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("instance")
     ver.add_argument("solution")
 
-    bench = sub.add_parser("bench", help="run a benchmark suite, CSV on stdout")
-    bench.add_argument("--suite", required=True, choices=SUITES)
-    bench.add_argument("--seeds", required=True, help="inclusive range a..b")
-    bench.add_argument("-o", "--output", default=None)
     return parser
 
 
@@ -150,8 +134,6 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
         return _cmd_solve(args, argv)
     if args.command == "verify":
         return _cmd_verify(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     raise ValidationError(f"unknown command {args.command!r}")
 
 
@@ -303,77 +285,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     print(json.dumps(out, indent=2))
     return 0 if report.independent else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    seeds = _parse_seed_range(args.seeds)
-    budget = _window_budget()
-    rows = ["n,k,omega,algo,weight,ratio_vs_exact,ms"]
-    if args.suite == "linearity":
-        rows.extend(_bench_linearity(seeds, budget))
-    else:
-        rows.extend(_bench_ratio(seeds, budget))
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _bench_linearity(seeds: range, budget: int | None) -> list[str]:
-    rows = []
-    for seed in seeds:
-        for n in (250, 500, 1000, 2000):
-            params = InstanceParams(2, (n, 2), 3)
-            inst = generate(GenConfig(params, Fraction(1, 2), "const:1", seed))
-            t0 = time.perf_counter()
-            sol = solve_exact_narrow(inst, 0, budget)
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append(
-                f"{n},2,3,exact-narrow,{sol.total_weight},1,{ms:.3f}"
-            )
-    return rows
-
-
-def _bench_ratio(seeds: range, budget: int | None) -> list[str]:
-    from . import decomp, semionline
-
-    rows = []
-    for seed in seeds:
-        params = InstanceParams(2, (12, 3), 3)
-        inst = generate(GenConfig(params, Fraction(3, 5), "uniform:1:5", seed))
-        t0 = time.perf_counter()
-        exact = solve_exact_narrow(inst, 0, budget)
-        ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(f"12,3,3,exact-narrow,{exact.total_weight},1,{ms:.3f}")
-        runs: list[tuple[str, Solution, float]] = []
-
-        def timed(name, fn) -> None:
-            t0 = time.perf_counter()
-            sol = fn()
-            runs.append((name, sol, (time.perf_counter() - t0) * 1000.0))
-
-        timed("strip2", lambda: decomp.solve_strip2(inst, 0, budget))
-        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
-            timed(f"ptas(e={eps})", lambda e=eps: decomp.solve_ptas(inst, e, 0, budget))
-        for eps in (Fraction(1), Fraction(1, 2)):
-            timed(
-                f"semionline(e={eps})",
-                lambda e=eps: semionline.solve_semionline(
-                    inst, e, long_axis=0, budget=budget
-                ),
-            )
-        for name, sol, ms in runs:
-            ratio = (
-                sol.total_weight / exact.total_weight
-                if exact.total_weight
-                else Fraction(1)
-            )
-            rows.append(f"12,3,3,{name},{sol.total_weight},{ratio},{ms:.3f}")
-    return rows
 
 
 if __name__ == "__main__":

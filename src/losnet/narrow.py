@@ -8,10 +8,18 @@ windows chain when the tail of the first equals the head of the second, so
 each step extends the best chain by one column and charges exactly the weight
 picked up in the newly exposed column.
 
+A column step has two parts.  First every live window shifts left one
+column (its oldest column drops out); windows that shift to the same form
+merge, keeping the best.  Then the column's occupied rows are offered one at
+a time: each entry may also place the row in the new last column, if the
+row is free, no conflicting row is placed there and the column is below its
+capacity.  A step therefore costs live windows x occupied rows; no table of
+transitions is built.  Windows are packed into one int per window, and the
+predecessors of a column are keyed by the shifted window, which every
+window of that column maps back to by clearing its newest column.
+
 The table runs on Python ints, the weights scaled by the least common
 multiple of their denominators; answers come back as exact ``Fraction``s.
-The windows and the transition caches are built once per (rows, omega,
-capacity) shape and process and shared by every DP of that shape.
 
 A per-column capacity, the most entries one column may hold, is the one
 knob that adapts the DP to other problems: airing schedules (``adssched``)
@@ -176,15 +184,21 @@ class FeasibleWindow:
 def _check_window_budget(
     rows: tuple[Coords, ...], omega: int, budget: int | None
 ) -> None:
-    """Refuse when the raw enumeration size (omega+1)^rows exceeds ``budget``."""
+    """Refuse when the raw enumeration size (omega+1)^rows exceeds ``budget``.
+
+    The size is multiplied up one row at a time and stops at the budget, so
+    a huge cross-section is refused without building its unbounded count.
+    """
     if budget is None:
         budget = DEFAULT_WINDOW_BUDGET
-    size = (omega + 1) ** len(rows)
-    if size > budget:
-        raise CapacityError(
-            f"window enumeration size (omega+1)^rows = {size} exceeds "
-            f"budget {budget} (rows={len(rows)}, omega={omega})"
-        )
+    size = 1
+    for _ in rows:
+        size *= omega + 1
+        if size > budget:
+            raise CapacityError(
+                f"window enumeration size (omega+1)^rows exceeds budget "
+                f"{budget} (rows={len(rows)}, omega={omega})"
+            )
 
 
 def enumerate_windows(
@@ -199,8 +213,7 @@ def enumerate_windows(
     rows = normalize_rows(row_spec)
     _check_window_budget(rows, omega, budget)
     return [
-        FeasibleWindow(rows, omega, pos)
-        for pos in _transitions(rows, omega, len(rows)).windows
+        FeasibleWindow(rows, omega, pos) for pos in _windows(rows, omega, len(rows))
     ]
 
 
@@ -233,6 +246,16 @@ def _enumerate_windows(
 
     rec(0)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _windows(
+    rows: tuple[Coords, ...], omega: int, capacity: int
+) -> tuple[tuple[int, ...], ...]:
+    """Every feasible window of one (rows, omega, capacity) shape, ascending."""
+    return tuple(
+        _enumerate_windows(len(rows), omega, _row_structure(rows, omega), capacity)
+    )
 
 
 def consistent(w1: FeasibleWindow, w2: FeasibleWindow) -> bool:
@@ -370,107 +393,6 @@ def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
     )
 
 
-class _Transitions:
-    """Windows and DP transitions of one (rows, omega, capacity) shape.
-
-    A column of a window may hold at most ``capacity`` entries, and never
-    two in conflicting rows; a capacity of at least the row count never
-    binds.  One instance per shape and process (see ``_transitions``),
-    shared by every ``NarrowDp`` of that shape: semi-online phases, strips,
-    PTAS blocks and schedules all reuse the caches built before them.  The
-    caches fill lazily, with only the transitions the pushed columns reach;
-    the window list is built on first use.
-    """
-
-    __slots__ = (
-        "omega", "capacity", "conflicts", "_windows", "_succ_cache", "_indep_cache"
-    )
-
-    def __init__(self, rows: tuple[Coords, ...], omega: int, capacity: int) -> None:
-        self.omega = omega
-        self.capacity = capacity
-        self.conflicts = _row_structure(rows, omega)
-        self._windows: tuple[tuple[int, ...], ...] | None = None
-        self._succ_cache: dict = {}
-        self._indep_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    @property
-    def windows(self) -> tuple[tuple[int, ...], ...]:
-        """Positions of every feasible window, ascending."""
-        if self._windows is None:
-            self._windows = tuple(
-                _enumerate_windows(
-                    len(self.conflicts), self.omega, self.conflicts, self.capacity
-                )
-            )
-        return self._windows
-
-    def indep_submasks(self, avail: int, cap: int | None = None) -> tuple[int, ...]:
-        """Conflict-free submasks of ``avail`` with at most ``cap`` rows
-        (default: the capacity), i.e. the rows one column may take together."""
-        cap = min(self.capacity if cap is None else cap, avail.bit_count())
-        key = (avail, cap)
-        cached = self._indep_cache.get(key)
-        if cached is not None:
-            return cached
-        if cap == 0:
-            result: tuple[int, ...] = (0,)
-        else:
-            low = avail & -avail
-            r = low.bit_length() - 1
-            rest = avail & (avail - 1)
-            without = self.indep_submasks(rest, cap)
-            with_r = tuple(
-                low | s
-                for s in self.indep_submasks(rest & ~self.conflicts[r], cap - 1)
-            )
-            result = without + with_r
-        self._indep_cache[key] = result
-        return result
-
-    def successors(
-        self, wpos: tuple[int, ...], occ_mask: int
-    ) -> list[tuple[tuple[int, ...], int]]:
-        """(successor positions, placed-row mask) pairs for one source window.
-
-        The successor keeps the source's tail shifted left one column; rows
-        left empty by the shift may gain an entry in the new last column,
-        provided the cell is occupied and the placed rows are conflict-free
-        and within the capacity.
-        Results are cached per (source window, column occupancy) so repeated
-        support patterns along a long instance are computed once.
-        """
-        key = (wpos, occ_mask)
-        cached = self._succ_cache.get(key)
-        if cached is not None:
-            return cached
-        shifted = tuple((p - 1) if p >= 2 else NONE_POS for p in wpos)
-        elig = occ_mask
-        for r, p in enumerate(shifted):
-            if p:
-                elig &= ~(1 << r)
-        out = []
-        omega = self.omega
-        for smask in self.indep_submasks(elig):
-            if smask:
-                spos = list(shifted)
-                m = smask
-                while m:
-                    low = m & -m
-                    spos[low.bit_length() - 1] = omega
-                    m ^= low
-                out.append((tuple(spos), smask))
-            else:
-                out.append((shifted, 0))
-        self._succ_cache[key] = out
-        return out
-
-
-@functools.lru_cache(maxsize=None)
-def _transitions(rows: tuple[Coords, ...], omega: int, capacity: int) -> _Transitions:
-    return _Transitions(rows, omega, capacity)
-
-
 class NarrowDp:
     """Incremental column-at-a-time evaluator of the window DP.
 
@@ -480,6 +402,15 @@ class NarrowDp:
     newest column (rolling); per-column predecessor keys and the per-column
     argmax are kept so any prefix's winning placement can be unwound without
     re-solving.
+
+    A push shifts every live window left one column, merging windows that
+    shift to the same form, then offers the column's occupied rows one at a
+    time for the new last column (see the module docstring).  Windows live
+    in the table as packed ints: ``omega.bit_length()`` bits per row, row 0
+    most significant, so int order is the order of the position tuples.
+    Each column's predecessors are keyed by the shifted window, which a
+    window of that column maps back to by clearing its entries at ``omega``.
+    The public methods take and return position tuples.
 
     The table holds Python ints: weights scaled by the least common multiple
     of the denominators pushed so far.  A column that brings a new
@@ -492,16 +423,13 @@ class NarrowDp:
     which never binds).  Without it the evaluator refuses when
     (omega+1)^rows exceeds ``budget``; a capacity-limited caller counts its
     windows exactly and checks them against its budget itself, as
-    ``solve_adssched`` does with ``count_ads_windows``.
+    ``solve_adssched`` does with ``count_ads_windows``.  ``windows`` (the
+    positions of every feasible window) is built only when it is read, once
+    per (rows, omega, capacity) shape and process.
 
-    ``windows`` (the positions of every feasible window, built on first use)
-    and the transition caches are shared by every evaluator of the same
-    (rows, omega, capacity) shape in the process; the window budget is still
-    checked for each evaluator.
-
-    Determinism: windows are visited in ascending canonical key order and
-    ties are broken toward the smallest key, both for predecessors and for
-    the final argmax.
+    Determinism: shifted windows merge toward the smallest source window on
+    equal weights, and the per-column argmax is the smallest window of the
+    best weight.
     """
 
     def __init__(
@@ -518,21 +446,45 @@ class NarrowDp:
         if capacity is None:
             _check_window_budget(self.rows, self.omega, budget)
             capacity = nrows
-        self._shape = _transitions(self.rows, self.omega, min(capacity, nrows))
-        self._zero = (NONE_POS,) * nrows
+        self._capacity = min(capacity, nrows)
+        self._conflicts = _row_structure(self.rows, self.omega)
+        bits = self._bits = self.omega.bit_length()
+        # Bit offset of each row's field, and per field its lowest bit, its
+        # highest bit and the bits below the highest.
+        self._at = tuple(bits * (nrows - 1 - r) for r in range(nrows))
+        self._low = sum(1 << at for at in self._at)
+        self._high = self._low << (bits - 1)
+        self._below = self._high - self._low
         self._scale = 1
-        self._cur: dict[tuple[int, ...], int] = {self._zero: 0}
-        self._preds: list[dict[tuple[int, ...], tuple[int, ...]]] = []
-        self._bests: list[tuple[Fraction, tuple[int, ...]]] = []
+        self._cur: dict[int, int] = {0: 0}
+        self._preds: list[dict[int, int]] = []
+        self._bests: list[tuple[Fraction, int]] = []
         self._weights_log: list[dict[tuple[int, ...], Fraction]] | None = (
             [] if keep_weights else None
         )
+
+    # -- packed windows -------------------------------------------------------
+
+    def _pack(self, positions: tuple[int, ...]) -> int:
+        return sum(p << at for p, at in zip(positions, self._at))
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        field = (1 << self._bits) - 1
+        return tuple((key >> at) & field for at in self._at)
+
+    def _placed(self, key: int) -> int:
+        """The lowest bit of every field of ``key`` that holds omega."""
+        z = key ^ (self._low * self.omega)
+        below = self._below
+        nonzero = ((((z & below) + below) | z) & self._high) >> (self._bits - 1)
+        return self._low ^ nonzero
 
     # -- column pushing -------------------------------------------------------
 
     @property
     def windows(self) -> tuple[tuple[int, ...], ...]:
-        return self._shape.windows
+        """Positions of every feasible window, ascending."""
+        return _windows(self.rows, self.omega, self._capacity)
 
     @property
     def columns_pushed(self) -> int:
@@ -541,46 +493,53 @@ class NarrowDp:
     def push_column(self, col: Mapping[int, Fraction]) -> None:
         """Advance the table by one column (row index -> weight of its cells)."""
         scale = self._scale
-        occ_mask = 0
-        for ridx, w in col.items():
-            occ_mask |= 1 << ridx
+        for w in col.values():
             den = w.denominator
             if scale % den:
                 grown = scale // math.gcd(scale, den) * den
                 factor = grown // scale
-                self._cur = {pos: v * factor for pos, v in self._cur.items()}
+                self._cur = {key: v * factor for key, v in self._cur.items()}
                 scale = self._scale = grown
-        icol = {ridx: w.numerator * (scale // w.denominator) for ridx, w in col.items()}
         cur = self._cur
-        successors = self._shape.successors
-        nxt: dict[tuple[int, ...], int] = {}
-        pred: dict[tuple[int, ...], tuple[int, ...]] = {}
-        gains: dict[int, int] = {0: 0}
-        for wpos in sorted(cur):
-            base = cur[wpos]
-            for spos, smask in successors(wpos, occ_mask):
-                gain = gains.get(smask)
-                if gain is None:
-                    gain = 0
-                    m = smask
-                    while m:
-                        low = m & -m
-                        gain += icol[low.bit_length() - 1]
-                        m ^= low
-                    gains[smask] = gain
-                cand = base + gain
-                prev = nxt.get(spos)
-                if prev is None or cand > prev:
-                    nxt[spos] = cand
-                    pred[spos] = wpos
+        below, high, top = self._below, self._high, self._bits - 1
+        # Shift: drop the oldest column, i.e. subtract one from each nonzero
+        # field (adding ``below`` carries into a field's highest bit exactly
+        # when a lower bit is set; ``_placed`` uses the same test).  On equal
+        # weights the smallest source wins, so sources are visited in
+        # ascending order.
+        shifted: dict[int, int] = {}
+        pred: dict[int, int] = {}
+        for key in sorted(cur):
+            v = cur[key]
+            s = key - (((((key & below) + below) | key) & high) >> top)
+            prev = shifted.get(s)
+            if prev is None or v > prev:
+                shifted[s] = v
+                pred[s] = key
+        # Place: each occupied row may enter the new last column of every
+        # entry where it is free, unblocked and within the capacity.  An
+        # entry's placed rows tell its window apart, so nothing collides.
+        entries = [(s, v, 0) for s, v in shifted.items()]
+        cap, field = self._capacity, (1 << self._bits) - 1
+        for r in sorted(col):
+            at = self._at[r]
+            here, put = field << at, self.omega << at
+            bit, blocked = 1 << r, self._conflicts[r]
+            gain = col[r].numerator * (scale // col[r].denominator)
+            entries += [
+                (key | put, v + gain, placed | bit)
+                for key, v, placed in entries
+                if not (key & here or placed & blocked) and placed.bit_count() < cap
+            ]
+        nxt = {key: v for key, v, _ in entries}
         self._cur = nxt
         self._preds.append(pred)
         best = max(nxt.values())
-        best_pos = min(pos for pos, v in nxt.items() if v == best)
-        self._bests.append((Fraction(best, scale), best_pos))
+        best_key = min(key for key, v in nxt.items() if v == best)
+        self._bests.append((Fraction(best, scale), best_key))
         if self._weights_log is not None:
             self._weights_log.append(
-                {pos: Fraction(v, scale) for pos, v in nxt.items()}
+                {self._unpack(key): Fraction(v, scale) for key, v in nxt.items()}
             )
 
     # -- retrieval -------------------------------------------------------------
@@ -590,21 +549,39 @@ class NarrowDp:
         if layer is None:
             layer = self.columns_pushed
         if layer == 0:
-            return Fraction(0), self._zero
-        return self._bests[layer - 1]
+            return Fraction(0), self._unpack(0)
+        weight, key = self._bests[layer - 1]
+        return weight, self._unpack(key)
 
     @property
     def best_weight(self) -> Fraction:
-        return self.best_at()[0]
+        return self._bests[-1][0] if self._bests else Fraction(0)
 
     def pred_at(self, layer: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-        return self._preds[layer - 1][positions]
+        """Predecessor of a window at ``layer``: the one recorded for its
+        shifted form, which is the window with its entries at omega cleared."""
+        key = self._pack(positions)
+        shifted = key - self._placed(key) * self.omega
+        return self._unpack(self._preds[layer - 1][shifted])
 
     def weights_at(self, layer: int) -> dict[tuple[int, ...], Fraction]:
         """Full weight table at a layer; requires keep_weights=True."""
         if self._weights_log is None:
             raise ValidationError("table built without keep_weights")
         return dict(self._weights_log[layer - 1])
+
+    def _chain(self, layer: int) -> list[tuple[int, int]]:
+        """(packed window, ``_placed`` of it) of the winning windows W_layer,
+        ..., W_1, newest first; see ``pred_at``."""
+        key = self._bests[layer - 1][1]
+        chain = []
+        for j in range(layer, 0, -1):
+            placed = self._placed(key)
+            chain.append((key, placed))
+            key = self._preds[j - 1][key - placed * self.omega]
+        if key:
+            raise RuntimeError("predecessor chain did not close on the empty window")
+        return chain
 
     def placements(self, layer: int | None = None) -> list[tuple[Coords, int]]:
         """(row vector, 1-based column) placements of the winner through ``layer``.
@@ -616,16 +593,11 @@ class NarrowDp:
             layer = self.columns_pushed
         if layer == 0:
             return []
-        _, pos = self._bests[layer - 1]
-        omega = self.omega
         out: list[tuple[Coords, int]] = []
-        for j in range(layer, 0, -1):
-            for r, p in enumerate(pos):
-                if p == omega:
+        for j, (_, placed) in zip(range(layer, 0, -1), self._chain(layer)):
+            for r, at in enumerate(self._at):
+                if placed >> at & 1:
                     out.append((self.rows[r], j))
-            pos = self._preds[j - 1][pos]
-        if pos != self._zero:
-            raise RuntimeError("predecessor chain did not close on the empty window")
         out.reverse()
         return out
 
@@ -635,14 +607,9 @@ class NarrowDp:
             layer = self.columns_pushed
         if layer == 0:
             return []
-        chain: list[tuple[int, ...]] = []
-        _, pos = self._bests[layer - 1]
-        for j in range(layer, 0, -1):
-            chain.append(pos)
-            pos = self._preds[j - 1][pos]
-        chain.reverse()
         return [
-            FeasibleWindow(self.rows, self.omega, p) for p in chain
+            FeasibleWindow(self.rows, self.omega, self._unpack(key))
+            for key, _ in reversed(self._chain(layer))
         ]
 
 
@@ -654,8 +621,8 @@ def successors(
 
     Support means every entry of the successor sits on an occupied cell of
     the array columns j-omega+1..j (entries are placements, so they may only
-    land where vertices exist).  These are the DP's own transitions: the
-    ones it takes from ``w`` at column j, or none when an entry ``w`` carries
+    land where vertices exist).  These are the DP's own transitions: one
+    ``push_column`` from ``w`` alone, or none when an entry ``w`` carries
     over sits on an empty cell.
     """
     if w.rows != array.rows or w.omega != array.omega:
@@ -666,11 +633,12 @@ def successors(
     for r, p in enumerate(w.positions):
         if p >= 2 and array.weight(array.rows[r], j - omega + p - 1) == 0:
             return []
-    shape = _transitions(array.rows, omega, len(array.rows))
-    return sorted(
-        FeasibleWindow(array.rows, omega, spos)
-        for spos, _ in shape.successors(w.positions, array.occupied_mask(j))
-    )
+    dp = NarrowDp(array.rows, omega, capacity=len(array.rows))
+    dp._cur = {dp._pack(w.positions): 0}
+    dp.push_column(array.column(j))
+    return [
+        FeasibleWindow(array.rows, omega, dp._unpack(key)) for key in sorted(dp._cur)
+    ]
 
 
 def solve_mis_narrow(

@@ -232,6 +232,27 @@ class TestTinyEpsilon:
         assert "Traceback" not in proc.stderr
 
 
+class TestHugeCrossSection:
+    """A million rows: (omega+1)^rows has far more than 4300 digits, so the
+    refusal must not format it."""
+
+    @pytest.mark.parametrize(
+        "algo_args", [("exact-narrow",), ("semionline", "--epsilon", "1")]
+    )
+    def test_refused_with_exit_3(self, tmp_path, algo_args):
+        path = tmp_path / "huge.losn"
+        path.write_text(
+            "losn v1\nd=2 omega=3 extents=1000000,1000000\nv 1 1 1\n",
+            encoding="utf-8",
+        )
+        algo, *rest = algo_args
+        proc = run_process("solve", algo, str(path), *rest, timeout=30)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("capacity error:")
+        assert "Traceback" not in proc.stderr
+        assert "rows=1000000" in proc.stderr
+
+
 class TestImports:
     """Each command imports only the solver modules it runs."""
 
@@ -283,44 +304,3 @@ class TestImports:
 
         with pytest.raises(AttributeError, match="no_such_name"):
             losnet.no_such_name
-
-
-class TestBench:
-    def test_empty_seed_range_header_only(self, capsys):
-        code, out, _ = run(capsys, "bench", "--suite", "linearity", "--seeds", "5..4")
-        assert code == 0
-        assert out == "n,k,omega,algo,weight,ratio_vs_exact,ms\n"
-
-    def test_ratio_suite_rows(self, capsys):
-        code, out, _ = run(capsys, "bench", "--suite", "ratio", "--seeds", "0..0")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "n,k,omega,algo,weight,ratio_vs_exact,ms"
-        body = [l.split(",") for l in lines[1:]]
-        assert len(body) == 7  # exact + strip2 + 3 ptas + 2 semionline
-        from fractions import Fraction
-
-        for row in body:
-            ratio = Fraction(row[5])
-            assert ratio <= 1
-            if row[3].startswith("ptas(e="):
-                eps = Fraction(row[3].split("=")[1].rstrip(")"))
-                assert ratio * (1 + eps) >= 1
-            if row[3] == "strip2":
-                assert 2 * ratio >= 1
-
-    def test_unknown_suite_usage_error(self, capsys):
-        assert run(capsys, "bench", "--suite", "nope", "--seeds", "0..1")[0] == 2
-
-    def test_bad_seed_range(self, capsys):
-        assert run(capsys, "bench", "--suite", "ratio", "--seeds", "x..y")[0] == 2
-
-    def test_output_file(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.csv"
-        code, out, _ = run(
-            capsys, "bench", "--suite", "linearity", "--seeds", "1..0",
-            "-o", str(out_path),
-        )
-        assert code == 0
-        assert out == ""
-        assert out_path.read_text().startswith("n,k,omega,algo")

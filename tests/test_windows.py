@@ -199,7 +199,12 @@ class TestSuccessors:
 
         # Every window at every column, so carried-over entries land on
         # empty cells too (where the DP's transitions say: no successor).
-        for extents, omega in (((6, 2), 3), ((6, 3), 2), ((5, 2, 2), 3)):
+        # The four- and five-row shapes offer up to four occupied rows to one
+        # column; at omega=2 rows 1, 3 and 5 enter one column together.
+        most_placed = 0
+        for extents, omega in (
+            ((6, 2), 3), ((6, 3), 2), ((5, 2, 2), 3), ((6, 4), 3), ((4, 5), 2)
+        ):
             for seed in range(2):
                 cfg = GenConfig(
                     InstanceParams(len(extents), extents, omega),
@@ -208,6 +213,10 @@ class TestSuccessors:
                 array = build_array(generate(cfg), 0)
                 for w in enumerate_windows(array.rows, omega):
                     for j in range(1, array.n + 1):
-                        assert successors(w, array, j) == oracle_successors(
-                            w, array, j
+                        succ = successors(w, array, j)
+                        assert succ == oracle_successors(w, array, j)
+                        most_placed = max(
+                            [most_placed]
+                            + [s.positions.count(omega) for s in succ]
                         )
+        assert most_placed >= 3
