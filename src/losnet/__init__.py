@@ -87,6 +87,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
@@ -103,65 +104,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdsInstance",
-    "BlockDecomposition",
-    "CapacityError",
-    "ColumnStream",
-    "Coords",
-    "DEFAULT_WINDOW_BUDGET",
-    "FeasibleWindow",
-    "FileColumnStream",
-    "GenConfig",
-    "InstanceParams",
-    "LosError",
-    "LosInstance",
-    "NarrowArray",
-    "NarrowDp",
-    "PhaseState",
-    "Solution",
-    "StripIndex",
-    "UnknownCoordinateError",
-    "ValidationError",
-    "Vertex",
-    "VerifyReport",
-    "are_adjacent",
-    "brute_adssched",
-    "brute_mis",
-    "brute_windows",
-    "build_array",
-    "consistent",
-    "default_long_axis",
-    "enumerate_windows",
-    "exhaustive_mis",
-    "generate",
-    "is_independent",
-    "load_ads",
-    "load_instance",
-    "load_solution",
-    "make_blocks",
-    "max_lookahead",
-    "normalize_rows",
-    "parity_cut",
-    "parse_ads",
-    "parse_instance",
-    "ptas_shift_count",
-    "run_phase",
-    "save_instance",
-    "serialize_ads",
-    "serialize_instance",
-    "set_weight",
-    "shares_line_of_sight",
-    "solution_to_json",
-    "solve_adssched",
-    "solve_exact_narrow",
-    "solve_mis_narrow",
-    "solve_ptas",
-    "solve_semionline",
-    "solve_strip2",
-    "strip_of",
-    "successors",
-    "verify",
-    "verify_ads",
-]

@@ -9,19 +9,21 @@ picks.
 This is the same column DP as the independent-set solver with one change:
 rows (clients) never constrain each other pairwise, only through the shared
 per-column capacity ``l``, so the schedule runs on ``NarrowDp`` itself with
-that capacity.
+that capacity.  Its window budget therefore bounds the schedule windows,
+counted with the capacity (``count_ads_windows``), not the raw (omega+1)^k
+stencils.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from .core import Solution
-from .errors import CapacityError, ValidationError
-from .narrow import DEFAULT_WINDOW_BUDGET, NarrowDp
+from .errors import ValidationError
+from .narrow import NarrowDp
+from .narrow import count_windows as count_ads_windows  # the schedule windows
 
 
 @dataclass(frozen=True)
@@ -77,27 +79,6 @@ class AdsInstance:
         return self.weights.get((client, time), Fraction(1))
 
 
-def count_ads_windows(k_clients: int, omega: int, l: int) -> int:
-    """Number of width-``omega`` schedule stencils: one entry per client row,
-    at most ``l`` entries per column.
-
-    Counted column by column: ``ways[u]`` is the number of fillings of the
-    columns so far that place u distinct clients, and a column takes any s
-    <= ``l`` of the clients still free.  The work is polynomial even when
-    the stencil count itself is huge.
-    """
-    ways = [1] + [0] * k_clients
-    for _ in range(omega):
-        ways = [
-            sum(
-                ways[u - s] * math.comb(k_clients - u + s, s)
-                for s in range(min(l, u) + 1)
-            )
-            for u in range(k_clients + 1)
-        ]
-    return sum(ways)
-
-
 def _client_rows(k_clients: int) -> tuple[tuple[int, int], ...]:
     """DP rows of the clients: client c is row (c, c).  Diagonal rows differ
     in two coordinates, so no two share a line of sight and only the column
@@ -111,18 +92,11 @@ def solve_adssched(ads: AdsInstance, budget: int | None = None) -> Solution:
     One ``NarrowDp`` row per client, capacity ``l``: a window records each
     client's latest pick inside the trailing ``omega`` slots, and each slot
     places up to ``l`` newly-freed available clients.  Chaining,
-    tie-breaking and retrieval are the independent-set DP's own.
+    tie-breaking, retrieval and the budget check are the independent-set
+    DP's own.
     """
-    if budget is None:
-        budget = DEFAULT_WINDOW_BUDGET
     k, n, omega, cap = ads.k_clients, ads.n_times, ads.omega, ads.l
-    size = count_ads_windows(k, omega, cap)
-    if size > budget:
-        raise CapacityError(
-            f"schedule window count {size} exceeds budget {budget} "
-            f"(clients={k}, omega={omega}, l={cap})"
-        )
-    dp = NarrowDp(_client_rows(k), omega, capacity=cap)
+    dp = NarrowDp(_client_rows(k), omega, budget, capacity=cap)
     for t in range(1, n + 1):
         dp.push_column(
             {c: ads.weight_at(c + 1, t) for c in range(k) if ads.available[c][t - 1]}

@@ -30,6 +30,7 @@ from .errors import CapacityError, LosError, ValidationError
 from .io import (
     ADS_HEADER,
     LOSN_HEADER,
+    content_lines,
     load_ads,
     load_instance,
     load_solution,
@@ -152,11 +153,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _sniff_header(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                return line
-    raise ValidationError(f"{path}: empty file")
+        header = next(content_lines(fh), None)
+    if header is None:
+        raise ValidationError(f"{path}: empty file")
+    return header
 
 
 def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import UnknownCoordinateError, ValidationError
 from .rng import SplitMix64
@@ -169,11 +169,6 @@ class LosInstance:
 
     def coords_sorted(self) -> list[Coords]:
         return sorted(self._cells)
-
-    def iter_vertices(self) -> Iterator[Vertex]:
-        """Vertices in lexicographic coordinate order."""
-        for c in sorted(self._cells):
-            yield Vertex(c, self._cells[c])
 
     def total_weight(self) -> Fraction:
         return sum(self._cells.values(), Fraction(0))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import Coords, InstanceParams, LosInstance, Solution
 from .errors import ValidationError
@@ -48,6 +48,14 @@ def parse_weight(token: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad weight {token!r}") from exc
+
+
+def content_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Each line stripped, skipping blank lines and ``#`` comment lines."""
+    for raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line
 
 
 def _parse_kv_line(line: str, expected: list[str], what: str) -> dict[str, str]:
@@ -104,11 +112,7 @@ def serialize_instance(inst: LosInstance, comments: Iterable[str] = ()) -> str:
 
 
 def parse_instance(text: str) -> LosInstance:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = list(content_lines(text.splitlines()))
     if not lines or lines[0] != LOSN_HEADER:
         raise ValidationError(f"expected first line {LOSN_HEADER!r}")
     if len(lines) < 2:
@@ -151,11 +155,7 @@ def serialize_ads(ads: AdsInstance) -> str:
 def parse_ads(text: str) -> AdsInstance:
     from .adssched import AdsInstance
 
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = list(content_lines(text.splitlines()))
     if not lines or lines[0] != ADS_HEADER:
         raise ValidationError(f"expected first line {ADS_HEADER!r}")
     if len(lines) < 2:

@@ -26,8 +26,9 @@ knob that adapts the DP to other problems: airing schedules (``adssched``)
 run it over mutually non-conflicting client rows with capacity ``l``.  The
 independent-set DP's capacity is its row count, which never binds.
 
-Window counts are exponential in the row count, so every entry point takes an
-enumeration budget and refuses (``CapacityError``) rather than degrade.
+The number of windows is exponential in the row count, so every evaluator
+refuses (``CapacityError``) rather than degrade when the windows of its
+shape, counted by ``count_windows``, exceed its budget.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from typing import Iterable, Mapping
 
 from .core import (
     Coords,
+    InstanceParams,
     LosInstance,
     Solution,
+    are_adjacent,
     default_long_axis,
 )
 from .errors import CapacityError, ValidationError
@@ -52,9 +55,6 @@ DEFAULT_WINDOW_BUDGET = 10_000_000
 # Row position encoding inside a window: 0 = empty row, 1..omega = the
 # window column holding the row's single entry.
 NONE_POS = 0
-
-
-RowSpec = "tuple[int, ...] | tuple[Coords, ...]"
 
 
 def rows_for(row_extents: tuple[int, ...]) -> tuple[Coords, ...]:
@@ -89,30 +89,17 @@ def normalize_rows(row_spec) -> tuple[Coords, ...]:
     return ordered
 
 
-def _rows_conflict(ra: Coords, rb: Coords, omega: int) -> bool:
-    # Rows conflict when they share a line of sight with gap < omega; such
-    # rows may never occupy the same window column.
-    axis = -1
-    for i, (x, y) in enumerate(zip(ra, rb)):
-        if x != y:
-            if axis >= 0:
-                return False
-            axis = i
-    if axis < 0:
-        return False
-    return abs(ra[axis] - rb[axis]) < omega
-
-
 @functools.lru_cache(maxsize=None)
 def _row_structure(
     rows: tuple[Coords, ...], omega: int
 ) -> tuple[int, ...]:
-    """Per row, the bitmask of rows it conflicts with."""
+    """Per row, the bitmask of rows it conflicts with: rows that share a line
+    of sight less than omega apart may never occupy the same window column."""
     masks = []
     for a, ra in enumerate(rows):
         m = 0
         for b, rb in enumerate(rows):
-            if a != b and _rows_conflict(ra, rb, omega):
+            if are_adjacent(ra, rb, omega):
                 m |= 1 << b
         masks.append(m)
     return tuple(masks)
@@ -181,24 +168,56 @@ class FeasibleWindow:
         return self.key < other.key
 
 
-def _check_window_budget(
-    rows: tuple[Coords, ...], omega: int, budget: int | None
-) -> None:
-    """Refuse when the raw enumeration size (omega+1)^rows exceeds ``budget``.
+def count_windows(
+    nrows: int, omega: int, capacity: int, stop: int | None = None
+) -> int:
+    """Windows of ``nrows`` rows that never conflict, at most ``capacity``
+    entries per column: the windows of an airing schedule, and a bound on the
+    windows of any independent-set shape with that many rows.
 
-    The size is multiplied up one row at a time and stops at the budget, so
-    a huge cross-section is refused without building its unbounded count.
+    Counted column by column: ``ways[u]`` is the number of fillings of the
+    columns so far that place u distinct rows, and a column takes any s <=
+    ``capacity`` of the rows still free.  At capacity >= ``nrows`` that is
+    (omega+1)^nrows, multiplied up directly.  With ``stop`` the count ends as
+    soon as it passes ``stop`` and returns a value above it, so no integer
+    far beyond ``stop`` is built.
     """
+    if capacity >= nrows:
+        count = 1
+        for _ in range(nrows):
+            count *= omega + 1
+            if stop is not None and count > stop:
+                break
+        return count
+    ways = [1] + [0] * nrows
+    for _ in range(omega):
+        nxt = []
+        for u in range(nrows + 1):
+            n = sum(
+                ways[u - s] * math.comb(nrows - u + s, s)
+                for s in range(min(capacity, u) + 1)
+            )
+            # ways[u] carries into every later column (s = 0) and into the
+            # total, so the count has already passed ``stop``.
+            if stop is not None and n > stop:
+                return n
+            nxt.append(n)
+        ways = nxt
+    return sum(ways)
+
+
+def _check_window_budget(
+    nrows: int, omega: int, capacity: int, budget: int | None
+) -> None:
+    """Refuse when ``count_windows`` exceeds ``budget`` (default
+    ``DEFAULT_WINDOW_BUDGET``)."""
     if budget is None:
         budget = DEFAULT_WINDOW_BUDGET
-    size = 1
-    for _ in rows:
-        size *= omega + 1
-        if size > budget:
-            raise CapacityError(
-                f"window enumeration size (omega+1)^rows exceeds budget "
-                f"{budget} (rows={len(rows)}, omega={omega})"
-            )
+    if count_windows(nrows, omega, capacity, budget) > budget:
+        raise CapacityError(
+            f"window count exceeds budget {budget} "
+            f"(rows={nrows}, omega={omega}, capacity={capacity})"
+        )
 
 
 def enumerate_windows(
@@ -207,11 +226,11 @@ def enumerate_windows(
     """All feasible windows for the given cross-section, ascending key.
 
     ``row_spec`` is either per-axis extents or an explicit row arrangement
-    (see ``normalize_rows``).  Refuses when the raw enumeration size
-    (omega+1)^rows exceeds ``budget`` (default ``DEFAULT_WINDOW_BUDGET``).
+    (see ``normalize_rows``).  Refuses as ``NarrowDp`` does, when
+    (omega+1)^rows exceeds ``budget``.
     """
     rows = normalize_rows(row_spec)
-    _check_window_budget(rows, omega, budget)
+    _check_window_budget(len(rows), omega, len(rows), budget)
     return [
         FeasibleWindow(rows, omega, pos) for pos in _windows(rows, omega, len(rows))
     ]
@@ -357,18 +376,30 @@ class NarrowArray:
             (w for col in self._cols.values() for w in col.values()), Fraction(0)
         )
 
-    def occupied_mask(self, j: int) -> int:
-        mask = 0
-        if j > 0:
-            for ridx in self._cols.get(j, {}):
-                mask |= 1 << ridx
-        return mask
-
     def coords_of(self, row: Coords, j: int) -> Coords:
         """Instance coordinates of cell (row, j): j re-inserted at long_axis."""
         c = list(row)
         c.insert(self.long_axis, j)
         return tuple(c)
+
+
+def _long_axis(p: InstanceParams, long_axis: int | None) -> int:
+    if long_axis is None:
+        return default_long_axis(p)
+    if not 0 <= long_axis < p.d:
+        raise ValidationError(f"long axis {long_axis} outside 0..{p.d - 1}")
+    return long_axis
+
+
+def check_instance_budget(
+    inst: LosInstance, long_axis: int | None, budget: int | None
+) -> None:
+    """Refuse ``inst`` as its ``NarrowDp`` would, from the extents alone:
+    before a single row or column is built."""
+    p = inst.params
+    long_axis = _long_axis(p, long_axis)
+    nrows = math.prod(p.extents) // p.extents[long_axis]
+    _check_window_budget(nrows, p.omega, nrows, budget)
 
 
 def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
@@ -378,10 +409,7 @@ def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
     extents, and the window budget is what ultimately limits solvability.
     """
     p = inst.params
-    if long_axis is None:
-        long_axis = default_long_axis(p)
-    if not 0 <= long_axis < p.d:
-        raise ValidationError(f"long axis {long_axis} outside 0..{p.d - 1}")
+    long_axis = _long_axis(p, long_axis)
     row_axes = [a for a in range(p.d) if a != long_axis]
     row_extents = tuple(p.extents[a] for a in row_axes)
     cells = {}
@@ -420,12 +448,10 @@ class NarrowDp:
     as the rationals do.
 
     ``capacity`` caps the entries of one column (default: the row count,
-    which never binds).  Without it the evaluator refuses when
-    (omega+1)^rows exceeds ``budget``; a capacity-limited caller counts its
-    windows exactly and checks them against its budget itself, as
-    ``solve_adssched`` does with ``count_ads_windows``.  ``windows`` (the
-    positions of every feasible window) is built only when it is read, once
-    per (rows, omega, capacity) shape and process.
+    which never binds).  The evaluator refuses when ``count_windows`` of its
+    rows, omega and capacity exceeds ``budget``.  ``windows`` (the positions
+    of every feasible window) is built only when it is read, once per (rows,
+    omega, capacity) shape and process.
 
     Determinism: shifted windows merge toward the smallest source window on
     equal weights, and the per-column argmax is the smallest window of the
@@ -443,10 +469,8 @@ class NarrowDp:
         self.rows = normalize_rows(row_spec)
         self.omega = int(omega)
         nrows = len(self.rows)
-        if capacity is None:
-            _check_window_budget(self.rows, self.omega, budget)
-            capacity = nrows
-        self._capacity = min(capacity, nrows)
+        self._capacity = nrows if capacity is None else min(capacity, nrows)
+        _check_window_budget(nrows, self.omega, self._capacity, budget)
         self._conflicts = _row_structure(self.rows, self.omega)
         bits = self._bits = self.omega.bit_length()
         # Bit offset of each row's field, and per field its lowest bit, its
@@ -633,7 +657,7 @@ def successors(
     for r, p in enumerate(w.positions):
         if p >= 2 and array.weight(array.rows[r], j - omega + p - 1) == 0:
             return []
-    dp = NarrowDp(array.rows, omega, capacity=len(array.rows))
+    dp = NarrowDp(array.rows, omega)
     dp._cur = {dp._pack(w.positions): 0}
     dp.push_column(array.column(j))
     return [
@@ -641,11 +665,7 @@ def successors(
     ]
 
 
-def solve_mis_narrow(
-    array: NarrowArray,
-    budget: int | None = None,
-    algorithm: str = "exact-narrow",
-) -> Solution:
+def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
     """Maximum-weight independent set of a narrow array, exactly.
 
     Runs the window DP over all n columns, unwinds the predecessor chain of
@@ -669,7 +689,7 @@ def solve_mis_narrow(
         "n": array.n,
         "windows": len(dp.windows),
     }
-    return Solution(algorithm, tuple(coords), weight, meta)
+    return Solution("exact-narrow", tuple(coords), weight, meta)
 
 
 def solve_exact_narrow(
@@ -678,4 +698,5 @@ def solve_exact_narrow(
     budget: int | None = None,
 ) -> Solution:
     """Exact MIS of an instance via the narrow-array DP along ``long_axis``."""
+    check_instance_budget(inst, long_axis, budget)
     return solve_mis_narrow(build_array(inst, long_axis), budget)

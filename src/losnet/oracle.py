@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .core import Coords, LosInstance, Solution, are_adjacent
 from .errors import CapacityError
-from .narrow import FeasibleWindow, normalize_rows, _rows_conflict
+from .narrow import FeasibleWindow, normalize_rows
 
 if TYPE_CHECKING:
     from .adssched import AdsInstance
@@ -225,9 +225,7 @@ def brute_windows(
                 (r1, c1), (r2, c2) = entries[a], entries[b]
                 if r1 == r2 and c1 != c2 and abs(c1 - c2) < omega:
                     ok = False
-                elif c1 == c2 and r1 != r2 and _rows_conflict(
-                    rows[r1], rows[r2], omega
-                ):
+                elif c1 == c2 and are_adjacent(rows[r1], rows[r2], omega):
                     ok = False
                 if not ok:
                     break

@@ -23,8 +23,14 @@ from typing import Callable, Iterator
 
 from .core import Coords, LosInstance, Solution
 from .errors import ValidationError
-from .io import LOSN_HEADER, parse_losn_params, parse_vertex_line
-from .narrow import NarrowArray, NarrowDp, build_array, rows_for
+from .io import LOSN_HEADER, content_lines, parse_losn_params, parse_vertex_line
+from .narrow import (
+    NarrowArray,
+    NarrowDp,
+    build_array,
+    check_instance_budget,
+    rows_for,
+)
 
 # (ln 2)^2 as the exact value of its float, so the round cap needs no float
 # division (a float 1/epsilon overflows or divides by zero for a tiny epsilon).
@@ -214,10 +220,7 @@ class FileColumnStream(_StreamBase):
     @staticmethod
     def _line_iter(path: Path) -> Iterator[str]:
         with path.open(encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    yield line
+            yield from content_lines(fh)
 
     def _pull_through(self, j: int) -> None:
         if self._pending is not None:
@@ -378,6 +381,7 @@ def solve_semionline(
     if eps <= 0:
         raise ValidationError(f"epsilon must be positive, got {eps}")
     if isinstance(source, LosInstance):
+        check_instance_budget(source, long_axis, budget)
         stream: _StreamBase = ColumnStream.from_instance(source, long_axis)
     elif isinstance(source, NarrowArray):
         stream = ColumnStream(source)

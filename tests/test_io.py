@@ -13,7 +13,7 @@ from losnet import (
     serialize_instance,
     solution_to_json,
 )
-from losnet.io import load_solution, parse_solution_json, parse_weight
+from losnet.io import content_lines, load_solution, parse_solution_json, parse_weight
 from conftest import make_inst, small_instances
 
 
@@ -51,6 +51,17 @@ def test_losn_comments_and_blanks_skipped():
     inst = parse_instance(text)
     assert len(inst) == 1
     assert inst.weight_of((2, 1)) == 1
+
+
+def test_content_lines_strip_and_skip():
+    lines = [" losn v1 \n", "\n", "   \n", "  # note\n", "#\n", "\tv 1 1 1\n"]
+    assert list(content_lines(lines)) == ["losn v1", "v 1 1 1"]
+
+
+def test_ads_comments_and_blanks_skipped():
+    text = "# head\nads v1\n\nclients=1 times=2 omega=2 l=1\n  # c\na 10\n"
+    ads = parse_ads(text)
+    assert ads.available == ((1, 0),)
 
 
 @given(small_instances())

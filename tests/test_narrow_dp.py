@@ -18,8 +18,12 @@ from losnet import (
     is_independent,
     solve_exact_narrow,
     solve_mis_narrow,
+    solve_semionline,
+    successors,
     verify,
 )
+from losnet import narrow
+from losnet.narrow import FeasibleWindow, count_windows
 from conftest import make_inst, small_instances, unit_inst
 
 
@@ -259,6 +263,65 @@ class TestDpTableInvariants:
                     FeasibleWindow(a.rows, a.omega, pred),
                     FeasibleWindow(a.rows, a.omega, pos),
                 )
+
+
+class TestWindowBudget:
+    """One count, ``count_windows``, and one refusal for every evaluator."""
+
+    def test_full_capacity_count_is_raw_stencils(self):
+        for k in range(1, 9):
+            for omega in range(2, 7):
+                for cap in (k, k + 1, k + 2):
+                    assert count_windows(k, omega, cap) == (omega + 1) ** k
+                # The recurrence misses exactly the omega windows that put
+                # all k rows in one column.
+                assert count_windows(k, omega, k - 1) + omega == (omega + 1) ** k
+
+    def test_counting_stops_past_the_limit(self):
+        assert 10**6 < count_windows(10**6, 3, 10**6, stop=10**6) <= 4 * 10**6
+        assert 100 < count_windows(10**4, 3, 2, stop=100) <= 10**4
+
+    @pytest.mark.parametrize(
+        "rows, omega, cap",
+        [
+            ((5,), 3, 1),
+            ((3, 2), 2, 2),
+            (((1, 1), (2, 2), (3, 3), (4, 4)), 4, 3),
+            ((4,), 3, None),
+        ],
+    )
+    def test_budget_edge_with_capacity(self, rows, omega, cap):
+        nrows = len(narrow.normalize_rows(rows))
+        count = count_windows(nrows, omega, nrows if cap is None else cap)
+        NarrowDp(rows, omega, budget=count, capacity=cap)
+        with pytest.raises(CapacityError, match="budget"):
+            NarrowDp(rows, omega, budget=count - 1, capacity=cap)
+
+    def test_box_budget_edge(self):
+        NarrowDp((3, 3), 4, budget=5**9)
+        with pytest.raises(CapacityError) as err:
+            NarrowDp((3, 3), 4, budget=5**9 - 1)
+        for part in ("rows=9", "omega=4", "capacity=9", f"budget {5**9 - 1}"):
+            assert part in str(err.value)
+
+    def test_successors_held_to_default_budget(self):
+        # 4^12 windows exceed the default budget, as for enumerate_windows.
+        array = NarrowArray((12,), 3, 1)
+        with pytest.raises(CapacityError):
+            successors(FeasibleWindow.zero((12,), 3), array, 1)
+        with pytest.raises(CapacityError):
+            enumerate_windows((12,), 3)
+
+    def test_refused_before_rows_are_built(self, monkeypatch):
+        def no_rows(row_extents):
+            raise AssertionError(f"rows built for extents {row_extents}")
+
+        monkeypatch.setattr(narrow, "rows_for", no_rows)
+        inst = make_inst((10**6, 10**6), 3, {(1, 1): 1})
+        with pytest.raises(CapacityError, match="rows=1000000"):
+            solve_exact_narrow(inst)
+        with pytest.raises(CapacityError, match="rows=1000000"):
+            solve_semionline(inst, Fraction(1))
 
 
 def test_solution_induces_array_of_equal_sum():
