@@ -7,7 +7,8 @@ The package provides:
 * a shifted-block (1+epsilon) scheme for any dimension,
 * a phase-based semi-online (1+epsilon) solver with bounded look-ahead,
 * an airing-schedule variant (per-client gaps, per-slot capacity),
-* brute-force oracles and an exact solution verifier,
+* brute-force oracles (``losnet.brute``) and an exact solution verifier
+  (``losnet.oracle``),
 * deterministic instance generation and line-oriented file formats.
 
 All weights are exact rationals; all solvers are deterministic.
@@ -19,6 +20,7 @@ import importlib
 # so a command imports only the solver modules it runs.
 _EXPORTS = {
     "adssched": ("AdsInstance", "solve_adssched"),
+    "brute": ("brute_adssched", "brute_mis", "brute_windows", "exhaustive_mis"),
     "core": (
         "Coords",
         "GenConfig",
@@ -68,15 +70,7 @@ _EXPORTS = {
         "solve_mis_narrow",
         "successors",
     ),
-    "oracle": (
-        "VerifyReport",
-        "brute_adssched",
-        "brute_mis",
-        "brute_windows",
-        "exhaustive_mis",
-        "verify",
-        "verify_ads",
-    ),
+    "oracle": ("VerifyReport", "verify", "verify_ads"),
     "semionline": (
         "ColumnStream",
         "FileColumnStream",

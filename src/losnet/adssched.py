@@ -16,18 +16,16 @@ stencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
-from .core import Solution
+from .core import FrozenRecord, Solution
 from .errors import ValidationError
 from .narrow import NarrowDp
 from .narrow import count_windows as count_ads_windows  # the schedule windows
 
 
-@dataclass(frozen=True)
-class AdsInstance:
+class AdsInstance(FrozenRecord):
     """Availability matrix plus gap and capacity parameters.
 
     ``available[c][t]`` is 1 when client c+1 may air at slot t+1.  Optional
@@ -35,36 +33,40 @@ class AdsInstance:
     ``k_clients`` is legal and simply never binds.
     """
 
+    _fields = ("k_clients", "n_times", "omega", "l", "available", "weights")
     k_clients: int
     n_times: int
     omega: int
     l: int
     available: tuple[tuple[int, ...], ...]
-    weights: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    weights: Mapping[tuple[int, int], Fraction]
 
-    def __post_init__(self) -> None:
-        if self.k_clients < 1:
-            raise ValidationError(f"need k_clients >= 1, got {self.k_clients}")
-        if self.n_times < 1:
-            raise ValidationError(f"need n_times >= 1, got {self.n_times}")
-        if self.omega < 2:
-            raise ValidationError(f"omega must be >= 2, got {self.omega}")
-        if self.l < 1:
-            raise ValidationError(f"capacity l must be >= 1, got {self.l}")
-        rows = tuple(tuple(int(x) for x in row) for row in self.available)
-        object.__setattr__(self, "available", rows)
-        if len(rows) != self.k_clients or any(
-            len(row) != self.n_times for row in rows
-        ):
-            raise ValidationError(
-                f"availability must be {self.k_clients}x{self.n_times}"
-            )
+    def __init__(
+        self,
+        k_clients: int,
+        n_times: int,
+        omega: int,
+        l: int,
+        available,
+        weights: Mapping[tuple[int, int], Fraction] | None = None,
+    ) -> None:
+        if k_clients < 1:
+            raise ValidationError(f"need k_clients >= 1, got {k_clients}")
+        if n_times < 1:
+            raise ValidationError(f"need n_times >= 1, got {n_times}")
+        if omega < 2:
+            raise ValidationError(f"omega must be >= 2, got {omega}")
+        if l < 1:
+            raise ValidationError(f"capacity l must be >= 1, got {l}")
+        rows = tuple(tuple(int(x) for x in row) for row in available)
+        if len(rows) != k_clients or any(len(row) != n_times for row in rows):
+            raise ValidationError(f"availability must be {k_clients}x{n_times}")
         if any(x not in (0, 1) for row in rows for x in row):
             raise ValidationError("availability entries must be 0/1")
-        weights = {}
-        for (c, t), w in dict(self.weights).items():
+        checked = {}
+        for (c, t), w in dict(weights or {}).items():
             w = Fraction(w)
-            if not (1 <= c <= self.k_clients and 1 <= t <= self.n_times):
+            if not (1 <= c <= k_clients and 1 <= t <= n_times):
                 raise ValidationError(f"weight for out-of-range pair ({c}, {t})")
             if not rows[c - 1][t - 1]:
                 raise ValidationError(
@@ -72,8 +74,15 @@ class AdsInstance:
                 )
             if w <= 0:
                 raise ValidationError(f"weight must be positive, got {w}")
-            weights[(c, t)] = w
-        object.__setattr__(self, "weights", weights)
+            checked[(c, t)] = w
+        self._init(
+            k_clients=k_clients,
+            n_times=n_times,
+            omega=omega,
+            l=l,
+            available=rows,
+            weights=checked,
+        )
 
     def weight_at(self, client: int, time: int) -> Fraction:
         return self.weights.get((client, time), Fraction(1))

@@ -9,13 +9,11 @@ times, go to stderr so identical commands produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import oracle
 from .core import (
@@ -41,6 +39,7 @@ from .io import (
 )
 from .narrow import DEFAULT_WINDOW_BUDGET, solve_exact_narrow
 
+TYPE_CHECKING = False  # ``typing.TYPE_CHECKING``, without importing ``typing``
 if TYPE_CHECKING:
     from .semionline import PhaseState
 
@@ -227,7 +226,9 @@ def _run_algo(
     if args.algo == "exact-narrow":
         return solve_exact_narrow(inst, long_axis, budget), long_axis
     if args.algo == "brute":
-        return oracle.brute_mis(inst), None
+        from .brute import brute_mis
+
+        return brute_mis(inst), None
     if args.algo == "strip2":
         from .decomp import solve_strip2
 
@@ -265,7 +266,13 @@ def _phase_tracer():
 
 
 def _digest(canonical_text: str) -> str:
-    return "sha256:" + hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()
+    # The interpreter's built-in SHA-256 gives the same digest as ``hashlib``
+    # without loading OpenSSL, which costs every run more than the hash does.
+    try:
+        from _sha256 import sha256
+    except ImportError:  # Python 3.12 renamed the module; or a build without it
+        from hashlib import sha256
+    return "sha256:" + sha256(canonical_text.encode("utf-8")).hexdigest()
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -14,17 +14,59 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import UnknownCoordinateError, ValidationError
-from .rng import SplitMix64
 
 Coords = tuple[int, ...]
 
 Weight = Fraction
+
+
+class Record:
+    """Plain value class: equality and ``repr`` over the fields named in
+    ``_fields``, which ``__init__`` assigns.
+
+    Records stand in for ``dataclasses``, whose import (it pulls in
+    ``inspect``) would cost every CLI run more than the classes do.  Like a
+    plain dataclass, a record compares equal only to a record of the same
+    class and is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """Immutable, hashable ``Record``: ``__init__`` sets the fields once with
+    ``_init``; assigning or deleting one afterwards raises AttributeError."""
+
+    def _init(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def _as_weight(value) -> Fraction:
@@ -34,8 +76,7 @@ def _as_weight(value) -> Fraction:
         raise ValidationError(f"not a rational weight: {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class InstanceParams:
+class InstanceParams(FrozenRecord):
     """Grid box (dimension, per-axis extents) plus the range parameter.
 
     By convention axis 0 is the long axis of narrow instances, but nothing
@@ -43,22 +84,22 @@ class InstanceParams:
     is always derived from the extents, never stored.
     """
 
+    _fields = ("d", "extents", "omega")
     d: int
     extents: tuple[int, ...]
     omega: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
-        if self.d < 2:
-            raise ValidationError(f"dimension must be >= 2, got {self.d}")
-        if len(self.extents) != self.d:
-            raise ValidationError(
-                f"expected {self.d} extents, got {len(self.extents)}"
-            )
-        if any(e < 1 for e in self.extents):
-            raise ValidationError(f"extents must be positive, got {self.extents}")
-        if self.omega < 2:
-            raise ValidationError(f"omega must be >= 2, got {self.omega}")
+    def __init__(self, d: int, extents: Iterable[int], omega: int) -> None:
+        extents = tuple(int(e) for e in extents)
+        if d < 2:
+            raise ValidationError(f"dimension must be >= 2, got {d}")
+        if len(extents) != d:
+            raise ValidationError(f"expected {d} extents, got {len(extents)}")
+        if any(e < 1 for e in extents):
+            raise ValidationError(f"extents must be positive, got {extents}")
+        if omega < 2:
+            raise ValidationError(f"omega must be >= 2, got {omega}")
+        self._init(d=d, extents=extents, omega=omega)
 
     def in_box(self, coords: Coords) -> bool:
         return len(coords) == self.d and all(
@@ -82,24 +123,23 @@ def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Fraction]:
     coords = tuple(map(int, coords))
     if type(weight) is not Fraction:
         weight = _as_weight(weight)
-    if weight <= 0:
+    if weight.numerator <= 0:
         raise ValidationError(
             f"vertex weight must be positive, got {weight} at {coords}"
         )
     return coords, weight
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(FrozenRecord):
     """A grid point with a positive rational weight."""
 
+    _fields = ("coords", "weight")
     coords: Coords
-    weight: Fraction = Fraction(1)
+    weight: Fraction
 
-    def __post_init__(self) -> None:
-        coords, weight = _valid_cell(self.coords, self.weight)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "weight", weight)
+    def __init__(self, coords: Iterable[int], weight=Fraction(1)) -> None:
+        coords, weight = _valid_cell(coords, weight)
+        self._init(coords=coords, weight=weight)
 
 
 class LosInstance:
@@ -185,18 +225,27 @@ class LosInstance:
         )
 
 
-@dataclass
-class Solution:
+class Solution(Record):
     """Algorithm-tagged vertex set with its exact total weight.
 
     ``meta`` carries free-form diagnostics (shift chosen, phase counts, ...)
-    restricted to JSON-friendly primitives so reports serialize canonically.
+    restricted to JSON-friendly primitives so reports serialize canonically;
+    it defaults to a fresh empty dict.
     """
 
-    algorithm: str
-    vertices: tuple[Coords, ...]
-    total_weight: Fraction
-    meta: dict[str, object] = field(default_factory=dict)
+    _fields = ("algorithm", "vertices", "total_weight", "meta")
+
+    def __init__(
+        self,
+        algorithm: str,
+        vertices: tuple[Coords, ...],
+        total_weight: Fraction,
+        meta: dict[str, object] | None = None,
+    ) -> None:
+        self.algorithm = algorithm
+        self.vertices = vertices
+        self.total_weight = total_weight
+        self.meta = {} if meta is None else meta
 
     @classmethod
     def from_coords(
@@ -303,21 +352,29 @@ def _parse_weight_dist(spec: str) -> tuple[str, tuple]:
     )
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(FrozenRecord):
     """Seeded random-instance recipe; equal configs yield equal instances."""
 
+    _fields = ("params", "density", "weight_dist", "seed")
     params: InstanceParams
     density: Fraction
-    weight_dist: str = "const:1"
-    seed: int = 0
+    weight_dist: str
+    seed: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "density", Fraction(self.density))
-        if not 0 <= self.density <= 1:
-            raise ValidationError(f"density must be in [0,1], got {self.density}")
-        _parse_weight_dist(self.weight_dist)  # validates
-        object.__setattr__(self, "seed", int(self.seed))
+    def __init__(
+        self,
+        params: InstanceParams,
+        density,
+        weight_dist: str = "const:1",
+        seed: int = 0,
+    ) -> None:
+        density = Fraction(density)
+        if not 0 <= density <= 1:
+            raise ValidationError(f"density must be in [0,1], got {density}")
+        _parse_weight_dist(weight_dist)  # validates
+        self._init(
+            params=params, density=density, weight_dist=weight_dist, seed=int(seed)
+        )
 
 
 def generate(cfg: GenConfig) -> LosInstance:
@@ -327,6 +384,8 @@ def generate(cfg: GenConfig) -> LosInstance:
     64-bit splitmix64 value and hosts a vertex when the draw falls below
     the density threshold.  Occupied cells then draw their weight.
     """
+    from .rng import SplitMix64
+
     rng = SplitMix64(cfg.seed)
     threshold = math.ceil(cfg.density * (1 << 64))
     kind, args = _parse_weight_dist(cfg.weight_dist)

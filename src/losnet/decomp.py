@@ -16,12 +16,12 @@ narrow solver can handle, then recombine:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .core import (
     Coords,
+    FrozenRecord,
     InstanceParams,
     LosInstance,
     Solution,
@@ -32,21 +32,20 @@ from .errors import ValidationError
 from .narrow import solve_exact_narrow
 
 
-@dataclass(frozen=True)
-class StripIndex:
+class StripIndex(FrozenRecord):
     """Index vector of a strip across the cut axes, with its parity."""
 
+    _fields = ("index", "parity")
     index: tuple[int, ...]
     parity: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", tuple(int(i) for i in self.index))
-        if any(i < 0 for i in self.index):
-            raise ValidationError(f"strip index entries must be >= 0: {self.index}")
-        if self.parity != sum(self.index) % 2:
-            raise ValidationError(
-                f"parity {self.parity} inconsistent with index {self.index}"
-            )
+    def __init__(self, index: Iterable[int], parity: int) -> None:
+        index = tuple(int(i) for i in index)
+        if any(i < 0 for i in index):
+            raise ValidationError(f"strip index entries must be >= 0: {index}")
+        if parity != sum(index) % 2:
+            raise ValidationError(f"parity {parity} inconsistent with index {index}")
+        self._init(index=index, parity=parity)
 
     @classmethod
     def of(cls, index: Iterable[int]) -> "StripIndex":
@@ -161,17 +160,19 @@ def solve_strip2(
 # -- shifted block partitions -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(FrozenRecord):
     """A maximal coordinate range on the cut axis plus its vertices."""
 
+    _fields = ("lo", "hi", "vertices")
     lo: int
     hi: int
     vertices: tuple[Coords, ...]
 
+    def __init__(self, lo: int, hi: int, vertices: tuple[Coords, ...]) -> None:
+        self._init(lo=lo, hi=hi, vertices=vertices)
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+
+class BlockDecomposition(FrozenRecord):
     """Shifted partition of one axis into solved blocks and discarded strips.
 
     The leading block spans shift*k coordinates; afterwards width-k boundary
@@ -179,12 +180,24 @@ class BlockDecomposition:
     short.  Blocks and boundary partition the vertex set.
     """
 
+    _fields = ("shift", "h", "axis", "k", "blocks", "boundary")
     shift: int
     h: int
     axis: int
     k: int
     blocks: tuple[Part, ...]
     boundary: tuple[Part, ...]
+
+    def __init__(
+        self,
+        shift: int,
+        h: int,
+        axis: int,
+        k: int,
+        blocks: tuple[Part, ...],
+        boundary: tuple[Part, ...],
+    ) -> None:
+        self._init(shift=shift, h=h, axis=axis, k=k, blocks=blocks, boundary=boundary)
 
 
 def make_blocks(

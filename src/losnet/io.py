@@ -25,13 +25,14 @@ elided) so reports never lose precision.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from os import PathLike
 
 from .core import Coords, InstanceParams, LosInstance, Solution
 from .errors import ValidationError
 
+TYPE_CHECKING = False  # ``typing.TYPE_CHECKING``, without importing ``typing``
 if TYPE_CHECKING:
     from .adssched import AdsInstance
 
@@ -40,11 +41,19 @@ ADS_HEADER = "ads v1"
 
 
 def format_weight(w: Fraction) -> str:
-    return str(Fraction(w))
+    return str(w)
 
 
 def parse_weight(token: str) -> Fraction:
+    """Exact weight of a token, as ``Fraction(token)`` reads it.
+
+    A plain run of ASCII digits, the form ``losnet gen`` writes for integer
+    weights, goes through ``int``: same value, without ``Fraction``'s
+    string parser.
+    """
     try:
+        if token.isascii() and token.isdigit():
+            return Fraction(int(token))
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad weight {token!r}") from exc
@@ -92,7 +101,7 @@ def parse_vertex_line(line: str, params: InstanceParams) -> tuple[Coords, Fracti
             f"bad vertex line {line!r} (want 'v <{params.d} coords> <weight>')"
         )
     try:
-        coords = tuple(int(x) for x in parts[1 : 1 + params.d])
+        coords = tuple(map(int, parts[1 : 1 + params.d]))
     except ValueError as exc:
         raise ValidationError(f"bad coordinates in {line!r}") from exc
     return coords, parse_weight(parts[-1])
@@ -105,9 +114,10 @@ def serialize_instance(inst: LosInstance, comments: Iterable[str] = ()) -> str:
         f"d={p.d} omega={p.omega} extents={','.join(map(str, p.extents))}",
     ]
     lines.extend(f"# {c}" for c in comments)
+    weights = inst.vertices
     for coords in inst.coords_sorted():
         cs = " ".join(map(str, coords))
-        lines.append(f"v {cs} {format_weight(inst.vertices[coords])}")
+        lines.append(f"v {cs} {format_weight(weights[coords])}")
     return "\n".join(lines) + "\n"
 
 
@@ -124,17 +134,31 @@ def parse_instance(text: str) -> LosInstance:
         if coords in cells:
             raise ValidationError(f"duplicate vertex at {coords}")
         cells[coords] = w
-    return LosInstance(params, cells)
+    # The cells are distinct int tuples of length d with ``Fraction``
+    # weights.  One scan for what ``LosInstance`` refuses besides (a weight
+    # that is not positive, a cell outside the box) lets a clean file skip
+    # its per-cell checks; a bad cell goes to it for the refusal, which
+    # checks the cells in the same order and so names the same one.
+    for coords, w in cells.items():
+        if w.numerator <= 0 or not params.in_box(coords):
+            return LosInstance(params, cells)
+    return LosInstance._trusted(params, cells)
 
 
-def load_instance(path: str | Path) -> LosInstance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+def _read_text(path: str | PathLike[str]) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def load_instance(path: str | PathLike[str]) -> LosInstance:
+    return parse_instance(_read_text(path))
 
 
 def save_instance(
-    path: str | Path, inst: LosInstance, comments: Iterable[str] = ()
+    path: str | PathLike[str], inst: LosInstance, comments: Iterable[str] = ()
 ) -> None:
-    Path(path).write_text(serialize_instance(inst, comments), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_instance(inst, comments))
 
 
 # -- .ads ---------------------------------------------------------------------
@@ -190,8 +214,8 @@ def parse_ads(text: str) -> AdsInstance:
     return AdsInstance(k, n, omega, cap, tuple(rows), weights)
 
 
-def load_ads(path: str | Path) -> AdsInstance:
-    return parse_ads(Path(path).read_text(encoding="utf-8"))
+def load_ads(path: str | PathLike[str]) -> AdsInstance:
+    return parse_ads(_read_text(path))
 
 
 # -- solution JSON --------------------------------------------------------------
@@ -239,5 +263,5 @@ def parse_solution_json(text: str) -> Solution:
     )
 
 
-def load_solution(path: str | Path) -> Solution:
-    return parse_solution_json(Path(path).read_text(encoding="utf-8"))
+def load_solution(path: str | PathLike[str]) -> Solution:
+    return parse_solution_json(_read_text(path))

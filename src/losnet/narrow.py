@@ -36,12 +36,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .core import (
     Coords,
+    FrozenRecord,
     InstanceParams,
     LosInstance,
     Solution,
@@ -105,8 +105,7 @@ def _row_structure(
     return tuple(masks)
 
 
-@dataclass(frozen=True)
-class FeasibleWindow:
+class FeasibleWindow(FrozenRecord):
     """Width-``omega`` 0/1 stencil admitting an independent witness.
 
     ``positions[r]`` is 0 when row r is empty, else the 1-based window column
@@ -119,34 +118,34 @@ class FeasibleWindow:
     coincide.
     """
 
+    _fields = ("rows", "omega", "positions")
     rows: tuple[Coords, ...]
     omega: int
     positions: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", normalize_rows(self.rows))
-        object.__setattr__(self, "positions", tuple(self.positions))
-        if not 2 <= self.omega <= 255:
+    def __init__(self, rows, omega: int, positions: Iterable[int]) -> None:
+        rows = normalize_rows(rows)
+        positions = tuple(positions)
+        if not 2 <= omega <= 255:
             raise ValidationError(
-                f"omega must be in [2, 255] for byte keys, got {self.omega}"
+                f"omega must be in [2, 255] for byte keys, got {omega}"
             )
-        conflicts = _row_structure(self.rows, self.omega)
-        if len(self.positions) != len(self.rows):
+        conflicts = _row_structure(rows, omega)
+        if len(positions) != len(rows):
             raise ValidationError(
-                f"expected {len(self.rows)} row positions, got {len(self.positions)}"
+                f"expected {len(rows)} row positions, got {len(positions)}"
             )
         col_masks: dict[int, int] = {}
-        for r, p in enumerate(self.positions):
-            if not 0 <= p <= self.omega:
-                raise ValidationError(
-                    f"position {p} out of range 0..{self.omega}"
-                )
+        for r, p in enumerate(positions):
+            if not 0 <= p <= omega:
+                raise ValidationError(f"position {p} out of range 0..{omega}")
             if p:
                 if col_masks.get(p, 0) & conflicts[r]:
                     raise ValidationError(
                         f"no witness: conflicting rows share column {p}"
                     )
                 col_masks[p] = col_masks.get(p, 0) | (1 << r)
+        self._init(rows=rows, omega=omega, positions=positions)
 
     @property
     def key(self) -> bytes:
@@ -206,7 +205,7 @@ def count_windows(
     return sum(ways)
 
 
-def _check_window_budget(
+def check_window_budget(
     nrows: int, omega: int, capacity: int, budget: int | None
 ) -> None:
     """Refuse when ``count_windows`` exceeds ``budget`` (default
@@ -230,7 +229,7 @@ def enumerate_windows(
     (omega+1)^rows exceeds ``budget``.
     """
     rows = normalize_rows(row_spec)
-    _check_window_budget(len(rows), omega, len(rows), budget)
+    check_window_budget(len(rows), omega, len(rows), budget)
     return [
         FeasibleWindow(rows, omega, pos) for pos in _windows(rows, omega, len(rows))
     ]
@@ -399,7 +398,7 @@ def check_instance_budget(
     p = inst.params
     long_axis = _long_axis(p, long_axis)
     nrows = math.prod(p.extents) // p.extents[long_axis]
-    _check_window_budget(nrows, p.omega, nrows, budget)
+    check_window_budget(nrows, p.omega, nrows, budget)
 
 
 def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
@@ -411,14 +410,22 @@ def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
     p = inst.params
     long_axis = _long_axis(p, long_axis)
     row_axes = [a for a in range(p.d) if a != long_axis]
-    row_extents = tuple(p.extents[a] for a in row_axes)
-    cells = {}
-    for coords, w in inst.vertices.items():
-        row = tuple(coords[a] for a in row_axes)
-        cells[(row, coords[long_axis])] = w
-    return NarrowArray(
-        row_extents, p.omega, p.extents[long_axis], cells, long_axis=long_axis
+    array = NarrowArray(
+        [p.extents[a] for a in row_axes],
+        p.omega,
+        p.extents[long_axis],
+        long_axis=long_axis,
     )
+    # ``inst`` validated its cells (positive ``Fraction``s inside the box,
+    # one per coordinate), so they go into the columns unchecked.
+    ridx, cols = array._ridx, array._cols
+    for coords, w in inst.vertices.items():
+        j = coords[long_axis]
+        col = cols.get(j)
+        if col is None:
+            col = cols[j] = {}
+        col[ridx[tuple([coords[a] for a in row_axes])]] = w
+    return array
 
 
 class NarrowDp:
@@ -444,8 +451,8 @@ class NarrowDp:
     of the denominators pushed so far.  A column that brings a new
     denominator multiplies the live table up to the new scale, so streamed
     columns need no pass over the input first.  Only the per-column best is
-    converted back to ``Fraction``; comparisons of scaled ints order exactly
-    as the rationals do.
+    converted back to ``Fraction``, and only when it is read; comparisons of
+    scaled ints order exactly as the rationals do.
 
     ``capacity`` caps the entries of one column (default: the row count,
     which never binds).  The evaluator refuses when ``count_windows`` of its
@@ -470,7 +477,7 @@ class NarrowDp:
         self.omega = int(omega)
         nrows = len(self.rows)
         self._capacity = nrows if capacity is None else min(capacity, nrows)
-        _check_window_budget(nrows, self.omega, self._capacity, budget)
+        check_window_budget(nrows, self.omega, self._capacity, budget)
         self._conflicts = _row_structure(self.rows, self.omega)
         bits = self._bits = self.omega.bit_length()
         # Bit offset of each row's field, and per field its lowest bit, its
@@ -482,7 +489,8 @@ class NarrowDp:
         self._scale = 1
         self._cur: dict[int, int] = {0: 0}
         self._preds: list[dict[int, int]] = []
-        self._bests: list[tuple[Fraction, int]] = []
+        # Per column: (best scaled weight, its scale, argmax window).
+        self._bests: list[tuple[int, int, int]] = []
         self._weights_log: list[dict[tuple[int, ...], Fraction]] | None = (
             [] if keep_weights else None
         )
@@ -560,7 +568,7 @@ class NarrowDp:
         self._preds.append(pred)
         best = max(nxt.values())
         best_key = min(key for key, v in nxt.items() if v == best)
-        self._bests.append((Fraction(best, scale), best_key))
+        self._bests.append((best, scale, best_key))
         if self._weights_log is not None:
             self._weights_log.append(
                 {self._unpack(key): Fraction(v, scale) for key, v in nxt.items()}
@@ -574,12 +582,15 @@ class NarrowDp:
             layer = self.columns_pushed
         if layer == 0:
             return Fraction(0), self._unpack(0)
-        weight, key = self._bests[layer - 1]
-        return weight, self._unpack(key)
+        best, scale, key = self._bests[layer - 1]
+        return Fraction(best, scale), self._unpack(key)
 
     @property
     def best_weight(self) -> Fraction:
-        return self._bests[-1][0] if self._bests else Fraction(0)
+        if not self._bests:
+            return Fraction(0)
+        best, scale, _ = self._bests[-1]
+        return Fraction(best, scale)
 
     def pred_at(self, layer: int, positions: tuple[int, ...]) -> tuple[int, ...]:
         """Predecessor of a window at ``layer``: the one recorded for its
@@ -597,7 +608,7 @@ class NarrowDp:
     def _chain(self, layer: int) -> list[tuple[int, int]]:
         """(packed window, ``_placed`` of it) of the winning windows W_layer,
         ..., W_1, newest first; see ``pred_at``."""
-        key = self._bests[layer - 1][1]
+        key = self._bests[layer - 1][2]
         chain = []
         for j in range(layer, 0, -1):
             placed = self._placed(key)
@@ -677,7 +688,13 @@ def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
         dp.push_column(array.column(j))
     placements = dp.placements()
     weight = dp.best_weight if array.n else Fraction(0)
-    resum = sum((array.weight(row, j) for row, j in placements), Fraction(0))
+    # Placements name rows of the array and columns 1..n, so the cells are
+    # read directly, without ``weight``'s per-call range checks; an empty
+    # cell counts 0 and fails the check.
+    ridx, cols = array._ridx, array._cols
+    resum = sum(
+        (cols.get(j, {}).get(ridx[row], 0) for row, j in placements), Fraction(0)
+    )
     if resum != weight:
         raise RuntimeError(
             f"DP placements re-sum to {resum}, table says {weight}"

@@ -16,12 +16,11 @@ kept sets is within a factor 1+epsilon of the offline optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Iterator
+from os import PathLike
 
-from .core import Coords, LosInstance, Solution
+from .core import Coords, LosInstance, Record, Solution
 from .errors import ValidationError
 from .io import LOSN_HEADER, content_lines, parse_losn_params, parse_vertex_line
 from .narrow import (
@@ -29,6 +28,7 @@ from .narrow import (
     NarrowDp,
     build_array,
     check_instance_budget,
+    check_window_budget,
     rows_for,
 )
 
@@ -194,12 +194,14 @@ class FileColumnStream(_StreamBase):
 
     The format sorts vertices lexicographically, so a single forward pass
     yields columns in increasing order; only the look-ahead span is ever
-    buffered.  Totals are unknown upfront (that is the point).
+    buffered.  Totals are unknown upfront (that is the point).  The
+    cross-section's rows are built on the first read, after
+    ``solve_semionline`` has checked their count against the window budget.
     """
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | PathLike[str]) -> None:
         super().__init__()
-        self._lines = self._line_iter(Path(path))
+        self._lines = self._line_iter(path)
         first = next(self._lines, None)
         if first != LOSN_HEADER:
             raise ValidationError(f"expected first line {LOSN_HEADER!r}")
@@ -211,15 +213,15 @@ class FileColumnStream(_StreamBase):
         self.omega = self._params.omega
         self.n = self._params.extents[0]
         self.row_extents = tuple(self._params.extents[1:])
-        self._rows = {row: i for i, row in enumerate(rows_for(self.row_extents))}
+        self._rows: dict[Coords, int] | None = None
         self._buffer: dict[int, dict[int, Fraction]] = {}
         self._pending: tuple[int, int, Fraction] | None = None
         self._last_col = 0
         self._drained = False
 
     @staticmethod
-    def _line_iter(path: Path) -> Iterator[str]:
-        with path.open(encoding="utf-8") as fh:
+    def _line_iter(path: str | PathLike[str]) -> Iterator[str]:
+        with open(path, encoding="utf-8") as fh:
             yield from content_lines(fh)
 
     def _pull_through(self, j: int) -> None:
@@ -229,6 +231,8 @@ class FileColumnStream(_StreamBase):
                 return
             self._buffer.setdefault(col, {})[ridx] = w
             self._pending = None
+        if self._rows is None:
+            self._rows = {row: i for i, row in enumerate(rows_for(self.row_extents))}
         while not self._drained:
             line = next(self._lines, None)
             if line is None:
@@ -260,17 +264,36 @@ class FileColumnStream(_StreamBase):
             del self._buffer[col]
 
 
-@dataclass
-class PhaseState:
+class PhaseState(Record):
     """Outcome of one phase: anchor column, stopping round, and kept set."""
 
-    j0: int
-    r: int
-    current_weight: Fraction
-    best_set: tuple[Coords, ...]
-    stopped: bool
-    lookahead_used: int
-    degenerate: bool = field(default=False)
+    _fields = (
+        "j0",
+        "r",
+        "current_weight",
+        "best_set",
+        "stopped",
+        "lookahead_used",
+        "degenerate",
+    )
+
+    def __init__(
+        self,
+        j0: int,
+        r: int,
+        current_weight: Fraction,
+        best_set: tuple[Coords, ...],
+        stopped: bool,
+        lookahead_used: int,
+        degenerate: bool = False,
+    ) -> None:
+        self.j0 = j0
+        self.r = r
+        self.current_weight = current_weight
+        self.best_set = best_set
+        self.stopped = stopped
+        self.lookahead_used = lookahead_used
+        self.degenerate = degenerate
 
 
 def run_phase(
@@ -387,6 +410,10 @@ def solve_semionline(
         stream = ColumnStream(source)
     else:
         stream = source
+        # Refuse from the row count alone, before the stream or a phase's
+        # ``NarrowDp`` builds the rows.
+        nrows = math.prod(stream.row_extents)
+        check_window_budget(nrows, stream.omega, nrows, budget)
 
     totals = stream.totals()
     if totals is None:

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -281,6 +283,49 @@ class TestImports:
         loaded = self.loaded("solve", "ptas", str(losn_file), "--epsilon", "1")
         assert "losnet.decomp" in loaded
         assert not loaded & {"losnet.semionline", "losnet.adssched"}
+
+    # Modules a solve must not pay for: ``dataclasses`` pulls in ``inspect``;
+    # ``typing`` and ``pathlib`` cost as much as the code that used them; the
+    # brute oracles only serve ``solve brute`` and the tests.
+    NOT_ON_SOLVE = {"dataclasses", "inspect", "typing", "pathlib", "losnet.brute"}
+
+    def loaded_without_site(self, *argv):
+        """Every module a ``python -S`` child has loaded after running the
+        command: without ``site``, only the interpreter and losnet add any."""
+        script = (
+            "import json, sys\n"
+            "from losnet.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *argv],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+    @pytest.mark.parametrize("algo", ["exact-narrow", "strip2", "adssched"])
+    def test_solve_loads_only_what_it_runs(self, algo, losn_file, ads_file):
+        path = ads_file if algo == "adssched" else losn_file
+        loaded = self.loaded_without_site("solve", algo, str(path), "--json")
+        assert "losnet.oracle" in loaded
+        assert not loaded & self.NOT_ON_SOLVE
+        if importlib.util.find_spec("_sha256") is not None:
+            assert "_hashlib" not in loaded
+
+    def test_brute_loads_the_oracles(self, tmp_path):
+        small = tmp_path / "s.losn"
+        small.write_text("losn v1\nd=2 omega=2 extents=3,2\nv 1 1 1\nv 3 2 2\n")
+        assert "losnet.brute" in self.loaded("solve", "brute", str(small))
+
+    def test_digest_is_hashlib_sha256(self):
+        from losnet.cli import _digest
+
+        for text in ("", "losn v1\n", "v 1 1 \u00bd\n" * 1000):
+            expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert _digest(text) == "sha256:" + expected
 
     def test_star_import_binds_all(self):
         script = (

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losnet import (
     AdsInstance,
@@ -25,6 +26,74 @@ def test_weight_tokens():
         parse_weight("abc")
     with pytest.raises(ValidationError):
         parse_weight("1/0")
+
+
+def _fraction_or_refusal(token: str):
+    """What ``parse_weight`` has always returned for a token: ``Fraction(token)``,
+    or the refusal message when ``Fraction`` refuses it."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return f"bad weight {token!r}"
+
+
+@given(st.one_of(st.from_regex(r"0*[0-9]{1,40}", fullmatch=True), st.text()))
+@settings(max_examples=300)
+def test_parse_weight_reads_tokens_as_fraction_does(token):
+    expected = _fraction_or_refusal(token)
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as info:
+            parse_weight(token)
+        assert str(info.value) == expected
+    else:
+        got = parse_weight(token)
+        assert type(got) is Fraction and got == expected
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        ("007", 7),
+        ("0", 0),  # parses; the instance refuses a weight that is not positive
+        ("-0", 0),
+        ("+3", 3),
+        ("\u0661", 1),  # ARABIC-INDIC DIGIT ONE: Fraction takes Unicode digits
+        ("1e3", 1000),
+        ("3/4", Fraction(3, 4)),
+    ],
+)
+def test_weight_grammar_accepts(token, value):
+    got = parse_weight(token)
+    assert type(got) is Fraction and got == value
+
+
+@pytest.mark.parametrize("token", ["3/0", "nan", "\u00b2"])  # "\u00b2" is "²"
+def test_weight_grammar_refuses(token):
+    with pytest.raises(ValidationError) as info:
+        parse_weight(token)
+    assert str(info.value) == f"bad weight {token!r}"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # Line-level faults come first, in file order, ahead of any cell check.
+        (["v 1 1 0", "v 2 1 x"], "bad weight 'x'"),
+        (["v 9 1 0", "v 1 1 1", "v 1 1 2"], "duplicate vertex at (1, 1)"),
+        # Then each cell in file order: its weight, then its box.
+        (["v 9 1 0", "v 1 1 -1"], "vertex weight must be positive, got 0 at (9, 1)"),
+        (["v 9 1 1", "v 1 1 0"], "coordinates (9, 1) outside box extents=(4, 2)"),
+        (
+            ["v 1 1 1", "v 2 1 -1/2", "v 9 1 1"],
+            "vertex weight must be positive, got -1/2 at (2, 1)",
+        ),
+    ],
+)
+def test_losn_refusal_order(lines, message):
+    text = "losn v1\nd=2 omega=2 extents=4,2\n" + "".join(f"{l}\n" for l in lines)
+    with pytest.raises(ValidationError) as info:
+        parse_instance(text)
+    assert str(info.value) == message
 
 
 def test_losn_layout_and_sorting():

@@ -1,0 +1,207 @@
+"""Value semantics of the plain record classes: equality, hashing and
+immutability of the frozen ones, defaults, refusals and ``repr``."""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from losnet import (
+    AdsInstance,
+    BlockDecomposition,
+    FeasibleWindow,
+    GenConfig,
+    InstanceParams,
+    PhaseState,
+    Solution,
+    StripIndex,
+    ValidationError,
+    VerifyReport,
+    Vertex,
+)
+from losnet.decomp import Part
+
+P = InstanceParams(2, (4, 3), 3)
+
+# One pair of equal-valued instances and one differing instance per class.
+FROZEN = {
+    "InstanceParams": (
+        lambda: InstanceParams(2, [4, 3], 3),
+        lambda: InstanceParams(2, (4, 3), 4),
+    ),
+    "Vertex": (lambda: Vertex((1, 2), 3), lambda: Vertex((1, 2), 4)),
+    "GenConfig": (
+        lambda: GenConfig(P, Fraction(1, 2), "uniform:1:5", 7),
+        lambda: GenConfig(P, Fraction(1, 2), "uniform:1:5", 8),
+    ),
+    "FeasibleWindow": (
+        lambda: FeasibleWindow((2,), 3, (1, 0)),
+        lambda: FeasibleWindow((2,), 3, (0, 1)),
+    ),
+    "AdsInstance": (
+        lambda: AdsInstance(1, 2, 2, 1, ((1, 1),)),
+        lambda: AdsInstance(1, 2, 2, 1, ((1, 0),)),
+    ),
+    "StripIndex": (lambda: StripIndex((1, 2), 1), lambda: StripIndex((1, 1), 0)),
+    "Part": (lambda: Part(1, 2, ((1, 1),)), lambda: Part(1, 3, ((1, 1),))),
+    "BlockDecomposition": (
+        lambda: BlockDecomposition(0, 1, 1, 2, (Part(1, 2, ()),), ()),
+        lambda: BlockDecomposition(1, 1, 1, 2, (Part(1, 2, ()),), ()),
+    ),
+}
+MUTABLE = {
+    "Solution": (
+        lambda: Solution("brute", ((1, 1),), Fraction(2), {"k": 1}),
+        lambda: Solution("brute", ((1, 1),), Fraction(3), {"k": 1}),
+    ),
+    "VerifyReport": (
+        lambda: VerifyReport(True, Fraction(1), Fraction(1), []),
+        lambda: VerifyReport(False, Fraction(1), Fraction(2), ["x"]),
+    ),
+    "PhaseState": (
+        lambda: PhaseState(1, 0, Fraction(1), ((1, 1),), True, 3),
+        lambda: PhaseState(1, 0, Fraction(1), ((1, 1),), True, 3, True),
+    ),
+}
+ALL = {**FROZEN, **MUTABLE}
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_equality_by_fields(name):
+    make, other = ALL[name]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert a != other()
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_never_equal_across_types(name):
+    make, _ = ALL[name]
+    a = make()
+    fields = tuple(getattr(a, f) for f in type(a)._fields)
+    assert a != fields
+    assert a != object()
+    for other_name, (other_make, _) in ALL.items():
+        if other_name != name:
+            assert a != other_make()
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_hash_and_immutability(name):
+    make, other = FROZEN[name]
+    a = make()
+    if name == "AdsInstance":  # its weights are a dict, as with the dataclass
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(make())
+        assert len({a, make(), other()}) == 2
+    field = type(a)._fields[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(a, field, 1)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == make()
+
+
+@pytest.mark.parametrize("name", sorted(MUTABLE))
+def test_mutable_records_are_unhashable_and_assignable(name):
+    make, other = MUTABLE[name]
+    a = make()
+    with pytest.raises(TypeError):
+        hash(a)
+    field = type(a)._fields[0]
+    setattr(a, field, getattr(other(), field))
+    assert getattr(a, field) == getattr(other(), field)
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_repr_names_class_and_fields(name):
+    a = ALL[name][0]()
+    cls = type(a)
+    fields = ", ".join(f"{f}={getattr(a, f)!r}" for f in cls._fields)
+    assert repr(a) == f"{cls.__name__}({fields})"
+
+
+def test_repr_examples():
+    assert repr(P) == "InstanceParams(d=2, extents=(4, 3), omega=3)"
+    assert repr(Vertex((1, 2))) == "Vertex(coords=(1, 2), weight=Fraction(1, 1))"
+    assert repr(Solution("x", (), Fraction(0))) == (
+        "Solution(algorithm='x', vertices=(), total_weight=Fraction(0, 1), meta={})"
+    )
+
+
+def test_defaults():
+    assert Vertex((1, 1)).weight == 1
+    cfg = GenConfig(P, "1/2")
+    assert (cfg.density, cfg.weight_dist, cfg.seed) == (Fraction(1, 2), "const:1", 0)
+    assert AdsInstance(1, 2, 2, 1, [[1, 1]]).weights == {}
+    assert PhaseState(1, 0, Fraction(0), (), True, 1).degenerate is False
+    a = Solution("x", (), Fraction(0))
+    b = Solution("x", (), Fraction(0))
+    a.meta["k"] = 1
+    assert b.meta == {} and Solution("x", (), Fraction(0)).meta == {}
+
+
+def test_fields_are_normalised():
+    assert InstanceParams(2, ["4", 3], 3).extents == (4, 3)
+    v = Vertex([1, 2], "5/2")
+    assert v.coords == (1, 2) and v.weight == Fraction(5, 2)
+    assert type(v.weight) is Fraction
+    assert GenConfig(P, 0.5, seed="3").seed == 3
+    assert FeasibleWindow([2], 3, [1, 0]).rows == ((1,), (2,))
+    assert AdsInstance(1, 2, 2, 1, [[1, True]], {(1, 2): 3}).available == ((1, 1),)
+    assert StripIndex(["1", 2], 1).index == (1, 2)
+
+
+REFUSALS = [
+    (lambda: InstanceParams(1, (4,), 3), "dimension must be >= 2, got 1"),
+    (lambda: InstanceParams(2, (4,), 3), "expected 2 extents, got 1"),
+    (lambda: InstanceParams(2, (4, 0), 3), "extents must be positive, got (4, 0)"),
+    (lambda: InstanceParams(2, (4, 3), 1), "omega must be >= 2, got 1"),
+    (lambda: Vertex((1, 1), 0), "vertex weight must be positive, got 0 at (1, 1)"),
+    (lambda: Vertex((1, 1), "x"), "not a rational weight: 'x'"),
+    (lambda: GenConfig(P, 2), "density must be in [0,1], got 2"),
+    (
+        lambda: GenConfig(P, 1, "bogus"),
+        "weight_dist must be 'const:c' or 'uniform:a:b', got 'bogus'",
+    ),
+    (
+        lambda: FeasibleWindow((2,), 256, (0, 0)),
+        "omega must be in [2, 255] for byte keys, got 256",
+    ),
+    (lambda: FeasibleWindow((2,), 3, (0,)), "expected 2 row positions, got 1"),
+    (lambda: FeasibleWindow((2,), 3, (4, 0)), "position 4 out of range 0..3"),
+    (
+        lambda: FeasibleWindow((2,), 3, (1, 1)),
+        "no witness: conflicting rows share column 1",
+    ),
+    (lambda: AdsInstance(0, 2, 2, 1, ()), "need k_clients >= 1, got 0"),
+    (lambda: AdsInstance(1, 0, 2, 1, ((),)), "need n_times >= 1, got 0"),
+    (lambda: AdsInstance(1, 2, 1, 1, ((1, 1),)), "omega must be >= 2, got 1"),
+    (lambda: AdsInstance(1, 2, 2, 0, ((1, 1),)), "capacity l must be >= 1, got 0"),
+    (lambda: AdsInstance(1, 2, 2, 1, ((1,),)), "availability must be 1x2"),
+    (lambda: AdsInstance(1, 2, 2, 1, ((1, 2),)), "availability entries must be 0/1"),
+    (
+        lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(2, 1): 1}),
+        "weight for out-of-range pair (2, 1)",
+    ),
+    (
+        lambda: AdsInstance(1, 2, 2, 1, ((1, 0),), {(1, 2): 1}),
+        "weight given for unavailable pair (1, 2)",
+    ),
+    (
+        lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(1, 2): 0}),
+        "weight must be positive, got 0",
+    ),
+    (lambda: StripIndex((1, -1), 0), "strip index entries must be >= 0: (1, -1)"),
+    (lambda: StripIndex((1, 1), 1), "parity 1 inconsistent with index (1, 1)"),
+]
+
+
+@pytest.mark.parametrize("build, message", REFUSALS)
+def test_refusals_keep_their_messages(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()

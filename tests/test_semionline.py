@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from losnet import (
+    CapacityError,
     ColumnStream,
     FileColumnStream,
     GenConfig,
@@ -314,6 +315,30 @@ class TestStreams:
         assert mem.total_weight == fil.total_weight
         # file streams cannot know totals upfront, so no limit is recorded
         assert fil.meta["lookahead_limit"] is None
+
+    def test_file_stream_refuses_huge_cross_section_before_building_rows(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "huge.losn"
+        path.write_text(
+            "losn v1\nd=2 omega=3 extents=1000000,1000000\nv 1 1 1\n",
+            encoding="utf-8",
+        )
+
+        def no_rows(row_extents):
+            raise AssertionError(f"rows built for {row_extents}")
+
+        monkeypatch.setattr("losnet.semionline.rows_for", no_rows)
+        with pytest.raises(CapacityError, match="rows=1000000"):
+            solve_semionline(FileColumnStream(path), 1)
+
+    def test_file_stream_budget_is_the_callers(self, tmp_path):
+        cfg = GenConfig(InstanceParams(2, (12, 3), 3), Fraction(1, 2), "const:1", 4)
+        path = tmp_path / "s.losn"
+        save_instance(path, generate(cfg))
+        with pytest.raises(CapacityError, match="budget 63"):
+            solve_semionline(FileColumnStream(path), 1, budget=63)
+        solve_semionline(FileColumnStream(path), 1, budget=64)
 
     def test_file_stream_buffer_stays_bounded(self, tmp_path):
         cfg = GenConfig(InstanceParams(2, (60, 2), 3), Fraction(1, 2), "const:1", 2)
