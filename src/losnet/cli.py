@@ -9,6 +9,7 @@ times, go to stderr so identical commands produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -74,8 +75,20 @@ def _window_budget() -> int | None:
     return budget
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose help is wrapped at 78 columns, the width ``argparse``
+    picks when stdout is not a terminal.  Asking the terminal instead
+    imports ``shutil`` (and with it ``bz2``, ``lzma``, ``fnmatch`` and
+    ``zlib``) on every run.  Subparsers are of the parser's class, so they
+    wrap alike."""
+
+    def __init__(self, **kwargs) -> None:
+        formatter = functools.partial(argparse.HelpFormatter, width=78)
+        super().__init__(formatter_class=formatter, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="losnet",
         description="Solvers for independent sets on line-of-sight grid networks.",
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -130,6 +130,22 @@ def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Fraction]:
     return coords, weight
 
 
+def check_cell(
+    params: InstanceParams, cells: Container[Coords], coords: Iterable[int], weight
+) -> tuple[Coords, Fraction]:
+    """(coords, weight) normalised and checked as ``LosInstance`` checks each
+    cell, in its order: a weight that is not positive, coordinates outside
+    the box, coordinates already in ``cells``."""
+    coords, weight = _valid_cell(coords, weight)
+    if not params.in_box(coords):
+        raise ValidationError(
+            f"coordinates {coords} outside box extents={params.extents}"
+        )
+    if coords in cells:
+        raise ValidationError(f"duplicate vertex at {coords}")
+    return coords, weight
+
+
 class Vertex(FrozenRecord):
     """A grid point with a positive rational weight."""
 
@@ -152,22 +168,13 @@ class LosInstance:
         params: InstanceParams,
         vertices: Iterable[Vertex] | Mapping[Coords, Fraction] = (),
     ) -> None:
-        # Mapping input is validated here cell by cell, as ``Vertex`` would:
-        # coordinates through int(), weights to a positive Fraction.
         cells: dict[Coords, Fraction] = {}
         if isinstance(vertices, Mapping):
-            items: Iterable[tuple[Coords, Fraction]] = (
-                _valid_cell(c, w) for c, w in vertices.items()
-            )
+            items: Iterable[tuple[Iterable[int], object]] = vertices.items()
         else:
             items = ((v.coords, v.weight) for v in vertices)
         for coords, w in items:
-            if not params.in_box(coords):
-                raise ValidationError(
-                    f"coordinates {coords} outside box extents={params.extents}"
-                )
-            if coords in cells:
-                raise ValidationError(f"duplicate vertex at {coords}")
+            coords, w = check_cell(params, cells, coords, w)
             cells[coords] = w
         self.params = params
         object.__setattr__(self, "_cells", cells)

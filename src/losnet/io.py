@@ -83,7 +83,14 @@ def _parse_kv_line(line: str, expected: list[str], what: str) -> dict[str, str]:
     return fields
 
 
-def parse_losn_params(header_line: str) -> InstanceParams:
+def read_losn_header(lines: Iterator[str]) -> InstanceParams:
+    """Parameters of a .losn file from its first two content lines, which
+    it takes from ``lines``; the vertex lines are left to the caller."""
+    if next(lines, None) != LOSN_HEADER:
+        raise ValidationError(f"expected first line {LOSN_HEADER!r}")
+    header_line = next(lines, None)
+    if header_line is None:
+        raise ValidationError("missing losn parameter line")
     fields = _parse_kv_line(header_line, ["d", "omega", "extents"], "losn")
     try:
         d = int(fields["d"])
@@ -122,14 +129,10 @@ def serialize_instance(inst: LosInstance, comments: Iterable[str] = ()) -> str:
 
 
 def parse_instance(text: str) -> LosInstance:
-    lines = list(content_lines(text.splitlines()))
-    if not lines or lines[0] != LOSN_HEADER:
-        raise ValidationError(f"expected first line {LOSN_HEADER!r}")
-    if len(lines) < 2:
-        raise ValidationError("missing losn parameter line")
-    params = parse_losn_params(lines[1])
+    lines = content_lines(text.splitlines())
+    params = read_losn_header(lines)
     cells = {}
-    for line in lines[2:]:
+    for line in lines:
         coords, w = parse_vertex_line(line, params)
         if coords in cells:
             raise ValidationError(f"duplicate vertex at {coords}")

@@ -370,16 +370,40 @@ class NarrowArray:
     def column_sum(self, j: int) -> Fraction:
         return sum(self._cols.get(j, {}).values(), Fraction(0)) if j > 0 else Fraction(0)
 
+    def weights(self) -> list[Fraction]:
+        """Weights of the stored cells."""
+        return [w for col in self._cols.values() for w in col.values()]
+
     def array_sum(self) -> Fraction:
-        return sum(
-            (w for col in self._cols.values() for w in col.values()), Fraction(0)
-        )
+        return sum(self.weights(), Fraction(0))
 
     def coords_of(self, row: Coords, j: int) -> Coords:
         """Instance coordinates of cell (row, j): j re-inserted at long_axis."""
         c = list(row)
         c.insert(self.long_axis, j)
         return tuple(c)
+
+    def _cell(self, coords: Coords) -> tuple[int | None, int]:
+        """(row index or None, column) of instance coordinates ``coords``."""
+        row = list(coords)
+        j = row.pop(self.long_axis)
+        return self._ridx.get(tuple(row)), j
+
+    def __contains__(self, coords: Coords) -> bool:
+        """Whether a cell is stored at instance coordinates ``coords``."""
+        ridx, j = self._cell(coords)
+        return ridx is not None and ridx in self._cols.get(j, ())
+
+    def put(self, coords: Coords, w: Fraction) -> None:
+        """Store weight ``w`` at instance coordinates ``coords``, unchecked:
+        ``core.check_cell`` refuses what does not belong in the box."""
+        ridx, j = self._cell(coords)
+        self._cols.setdefault(j, {})[ridx] = w
+
+    def drop_through(self, j: int) -> None:
+        """Forget the cells of columns 1..j."""
+        for c in [c for c in self._cols if c <= j]:
+            del self._cols[c]
 
 
 def _long_axis(p: InstanceParams, long_axis: int | None) -> int:
@@ -434,9 +458,9 @@ class NarrowDp:
     Push columns left to right; after each push the table holds, per feasible
     window, the best weight of an independent placement of the pushed prefix
     whose trailing stencil is that window.  Weights are kept only for the
-    newest column (rolling); per-column predecessor keys and the per-column
-    argmax are kept so any prefix's winning placement can be unwound without
-    re-solving.
+    newest column (rolling; ``table()`` reads them); per-column predecessor
+    keys and the per-column argmax are kept so any prefix's winning placement
+    can be unwound without re-solving.
 
     A push shifts every live window left one column, merging windows that
     shift to the same form, then offers the column's occupied rows one at a
@@ -470,7 +494,6 @@ class NarrowDp:
         row_spec,
         omega: int,
         budget: int | None = None,
-        keep_weights: bool = False,
         capacity: int | None = None,
     ) -> None:
         self.rows = normalize_rows(row_spec)
@@ -491,9 +514,6 @@ class NarrowDp:
         self._preds: list[dict[int, int]] = []
         # Per column: (best scaled weight, its scale, argmax window).
         self._bests: list[tuple[int, int, int]] = []
-        self._weights_log: list[dict[tuple[int, ...], Fraction]] | None = (
-            [] if keep_weights else None
-        )
 
     # -- packed windows -------------------------------------------------------
 
@@ -569,10 +589,6 @@ class NarrowDp:
         best = max(nxt.values())
         best_key = min(key for key, v in nxt.items() if v == best)
         self._bests.append((best, scale, best_key))
-        if self._weights_log is not None:
-            self._weights_log.append(
-                {self._unpack(key): Fraction(v, scale) for key, v in nxt.items()}
-            )
 
     # -- retrieval -------------------------------------------------------------
 
@@ -599,11 +615,10 @@ class NarrowDp:
         shifted = key - self._placed(key) * self.omega
         return self._unpack(self._preds[layer - 1][shifted])
 
-    def weights_at(self, layer: int) -> dict[tuple[int, ...], Fraction]:
-        """Full weight table at a layer; requires keep_weights=True."""
-        if self._weights_log is None:
-            raise ValidationError("table built without keep_weights")
-        return dict(self._weights_log[layer - 1])
+    def table(self) -> dict[tuple[int, ...], Fraction]:
+        """The newest layer: positions of each live window -> its best weight."""
+        scale = self._scale
+        return {self._unpack(key): Fraction(v, scale) for key, v in self._cur.items()}
 
     def _chain(self, layer: int) -> list[tuple[int, int]]:
         """(packed window, ``_placed`` of it) of the winning windows W_layer,

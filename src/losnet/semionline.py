@@ -11,6 +11,11 @@ consecutive phases non-adjacent by construction.
 For unit weights the growth test and the per-round gain cap together bound
 the rounds per phase, hence the look-ahead any phase needs; the union of the
 kept sets is within a factor 1+epsilon of the offline optimum.
+
+Columns come from one stream class, ``ColumnStream``, over a ``NarrowArray``;
+``FileColumnStream`` fills its array from a .losn file as columns are
+revealed and empties it as they are consumed.  Each phase runs one
+``NarrowDp`` over the columns it reveals.
 """
 
 from __future__ import annotations
@@ -20,16 +25,15 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from os import PathLike
 
-from .core import Coords, LosInstance, Record, Solution
+from .core import Coords, LosInstance, Record, Solution, check_cell
 from .errors import ValidationError
-from .io import LOSN_HEADER, content_lines, parse_losn_params, parse_vertex_line
+from .io import content_lines, parse_vertex_line, read_losn_header
 from .narrow import (
     NarrowArray,
     NarrowDp,
     build_array,
     check_instance_budget,
     check_window_budget,
-    rows_for,
 )
 
 # (ln 2)^2 as the exact value of its float, so the round cap needs no float
@@ -109,25 +113,32 @@ def _bound(x: Fraction, prec: int, up: bool) -> Fraction:
     return Fraction(m, 1 << shift) if shift >= 0 else Fraction(m << -shift)
 
 
-class _StreamBase:
-    """Column metering shared by all stream sources.
+class ColumnStream:
+    """Columns of a narrow array, revealed in increasing order.
 
-    Columns are revealed in increasing order and consumed in blocks; a
-    consumed column is gone for good.  ``lookahead()`` is the span currently
-    held: revealed but not yet consumed.
+    Columns are consumed in blocks; a consumed column is gone for good.
+    ``lookahead()`` is the span currently held: revealed but not yet
+    consumed.  ``array`` holds the cells, and its ``coords_of`` maps a cell
+    back to instance coordinates.
     """
 
-    row_extents: tuple[int, ...]
-    omega: int
-    n: int
-    long_axis: int
-
-    def __init__(self) -> None:
+    def __init__(self, array: NarrowArray) -> None:
+        self.array = array
+        self.row_extents = array.row_extents
+        self.omega = array.omega
+        self.n = array.n
+        self.long_axis = array.long_axis
         self.cursor = 1
         self.max_revealed = 0
 
-    def _column(self, j: int) -> dict[int, Fraction]:  # pragma: no cover
-        raise NotImplementedError
+    @classmethod
+    def from_instance(
+        cls, inst: LosInstance, long_axis: int | None = None
+    ) -> "ColumnStream":
+        return cls(build_array(inst, long_axis))
+
+    def _column(self, j: int) -> dict[int, Fraction]:
+        return self.array.column(j)
 
     def reveal(self, j: int) -> dict[int, Fraction]:
         """Occupied row-index -> weight map of column j (marks it revealed)."""
@@ -149,119 +160,67 @@ class _StreamBase:
     def exhausted(self) -> bool:
         return self.cursor > self.n
 
-    def coords_of(self, row: Coords, j: int) -> Coords:
-        c = list(row)
-        c.insert(self.long_axis, j)
-        return tuple(c)
-
     def totals(self) -> tuple[Fraction, Fraction | None, bool] | None:
         """(total weight, min weight or None, all-unit?) when known upfront."""
-        return None
-
-
-class ColumnStream(_StreamBase):
-    """In-memory stream over a narrow array."""
-
-    def __init__(self, array: NarrowArray) -> None:
-        super().__init__()
-        self._array = array
-        self.row_extents = array.row_extents
-        self.omega = array.omega
-        self.n = array.n
-        self.long_axis = array.long_axis
-
-    @classmethod
-    def from_instance(
-        cls, inst: LosInstance, long_axis: int | None = None
-    ) -> "ColumnStream":
-        return cls(build_array(inst, long_axis))
-
-    def _column(self, j: int) -> dict[int, Fraction]:
-        return self._array.column(j)
-
-    def totals(self) -> tuple[Fraction, Fraction | None, bool]:
-        weights = [
-            w for jj in range(1, self.n + 1) for w in self._array.column(jj).values()
-        ]
+        weights = self.array.weights()
         if not weights:
             return Fraction(0), None, True
         total = sum(weights, Fraction(0))
         return total, min(weights), all(w == 1 for w in weights)
 
 
-class FileColumnStream(_StreamBase):
+class FileColumnStream(ColumnStream):
     """Lazy stream over a .losn file, read in column order along axis 0.
 
     The format sorts vertices lexicographically, so a single forward pass
-    yields columns in increasing order; only the look-ahead span is ever
-    buffered.  Totals are unknown upfront (that is the point).  The
-    cross-section's rows are built on the first read, after
+    yields columns in increasing order; the array holds only the columns not
+    yet consumed, up to the first cell past the newest revealed column.
+    Totals are unknown upfront (that is the point).  The array, and with it
+    the cross-section's rows, is built on the first read, after
     ``solve_semionline`` has checked their count against the window budget.
+
+    The file is refused as ``load_instance`` refuses it, with the same
+    messages, but at the faulty line; vertex lines out of column order are
+    refused as well.
     """
 
     def __init__(self, path: str | PathLike[str]) -> None:
-        super().__init__()
         self._lines = self._line_iter(path)
-        first = next(self._lines, None)
-        if first != LOSN_HEADER:
-            raise ValidationError(f"expected first line {LOSN_HEADER!r}")
-        header = next(self._lines, None)
-        if header is None:
-            raise ValidationError("missing losn parameter line")
-        self._params = parse_losn_params(header)
+        self._params = params = read_losn_header(self._lines)
+        self.array = None  # built on the first read
+        self.row_extents = params.extents[1:]
+        self.omega = params.omega
+        self.n = params.extents[0]
         self.long_axis = 0
-        self.omega = self._params.omega
-        self.n = self._params.extents[0]
-        self.row_extents = tuple(self._params.extents[1:])
-        self._rows: dict[Coords, int] | None = None
-        self._buffer: dict[int, dict[int, Fraction]] = {}
-        self._pending: tuple[int, int, Fraction] | None = None
+        self.cursor = 1
+        self.max_revealed = 0
         self._last_col = 0
-        self._drained = False
 
     @staticmethod
     def _line_iter(path: str | PathLike[str]) -> Iterator[str]:
         with open(path, encoding="utf-8") as fh:
             yield from content_lines(fh)
 
-    def _pull_through(self, j: int) -> None:
-        if self._pending is not None:
-            col, ridx, w = self._pending
-            if col > j:
-                return
-            self._buffer.setdefault(col, {})[ridx] = w
-            self._pending = None
-        if self._rows is None:
-            self._rows = {row: i for i, row in enumerate(rows_for(self.row_extents))}
-        while not self._drained:
-            line = next(self._lines, None)
-            if line is None:
-                self._drained = True
-                return
-            coords, w = parse_vertex_line(line, self._params)
-            col = coords[0]
-            row = coords[1:]
-            if row not in self._rows:
-                raise ValidationError(f"vertex row {row} outside extents")
-            if not 1 <= col <= self.n:
-                raise ValidationError(f"vertex column {col} outside 1..{self.n}")
-            if col < self._last_col:
-                raise ValidationError("vertex lines not sorted by column")
-            self._last_col = col
-            ridx = self._rows[row]
-            if col > j:
-                self._pending = (col, ridx, w)
-                return
-            self._buffer.setdefault(col, {})[ridx] = w
-
     def _column(self, j: int) -> dict[int, Fraction]:
-        self._pull_through(j)
-        return dict(self._buffer.get(j, {}))
+        if self.array is None:
+            self.array = NarrowArray(self.row_extents, self.omega, self.n)
+        array, params = self.array, self._params
+        while self._last_col <= j and (line := next(self._lines, None)) is not None:
+            coords, w = parse_vertex_line(line, params)
+            coords, w = check_cell(params, array, coords, w)
+            if coords[0] < self._last_col:
+                raise ValidationError("vertex lines not sorted by column")
+            self._last_col = coords[0]
+            array.put(coords, w)
+        return array.column(j)
 
     def consume_through(self, j: int) -> None:
         super().consume_through(j)
-        for col in [c for c in self._buffer if c < self.cursor]:
-            del self._buffer[col]
+        if self.array is not None:
+            self.array.drop_through(self.cursor - 1)
+
+    def totals(self) -> None:
+        return None
 
 
 class PhaseState(Record):
@@ -297,17 +256,15 @@ class PhaseState(Record):
 
 
 def run_phase(
-    stream: _StreamBase,
+    stream: ColumnStream,
     epsilon: Fraction,
     budget: int | None = None,
-    debug_resolve: bool = False,
 ) -> PhaseState | None:
     """Run one phase from the stream's cursor; None when exhausted.
 
     An empty anchor column ends the phase immediately and advances a single
     column: the growth test cannot fire on weight zero, and skipping an
-    empty column forfeits nothing.  With ``debug_resolve`` the kept set is
-    re-derived by a from-scratch solve and must match the incremental table.
+    empty column forfeits nothing.
     """
     if stream.exhausted:
         return None
@@ -317,81 +274,47 @@ def run_phase(
     j0 = stream.cursor
     omega = stream.omega
     dp = NarrowDp(stream.row_extents, omega, budget)
-    seen: list[dict[int, Fraction]] = []
 
-    def push(j: int) -> None:
-        col = stream.reveal(j)
-        seen.append(col)
-        dp.push_column(col)
+    def push_through(end: int) -> None:
+        for j in range(j0 + dp.columns_pushed, end + 1):
+            dp.push_column(stream.reveal(j))
 
-    push(j0)
+    push_through(j0)
     w_prev = dp.best_weight
-    if w_prev == 0:
-        la = stream.max_revealed - j0 + 1
-        stream.consume_through(j0)
-        return PhaseState(j0, 0, Fraction(0), (), True, la, degenerate=True)
-
-    r = 0
-    while True:
-        target_end = j0 + (r + 1) * omega - 1
-        if target_end > stream.n:
+    degenerate = w_prev == 0
+    # The phase keeps the set of its first ``keep`` columns and consumes
+    # through column ``end``.
+    r, keep, end, stopped = 0, 1, j0, True
+    while not degenerate:
+        end = j0 + (r + 1) * omega - 1
+        if end > stream.n:
             # Stream ends mid-round: keep the best set over every column the
             # phase could see; nothing follows, so no separator is needed.
-            for j in range(j0 + dp.columns_pushed, stream.n + 1):
-                push(j)
-            weight = dp.best_weight
-            coords = tuple(
-                stream.coords_of(row, j0 + lj - 1) for row, lj in dp.placements()
-            )
-            la = stream.max_revealed - j0 + 1
-            stream.consume_through(stream.n)
-            return PhaseState(j0, r, weight, coords, False, la)
-        for j in range(j0 + dp.columns_pushed, target_end + 1):
-            push(j)
-        w_next = dp.best_weight
-        if w_next < (1 + eps) * w_prev:
-            keep_layer = r * omega if r >= 1 else 1
-            weight, _ = dp.best_at(keep_layer)
-            coords = tuple(
-                stream.coords_of(row, j0 + lj - 1)
-                for row, lj in dp.placements(keep_layer)
-            )
-            if debug_resolve:
-                _check_against_fresh_solve(
-                    stream, dp, seen, keep_layer, weight, budget
-                )
-            la = stream.max_revealed - j0 + 1
-            stream.consume_through(target_end)
-            return PhaseState(j0, r, weight, coords, True, la)
-        w_prev = w_next
+            end, stopped = stream.n, False
+            push_through(end)
+            keep = dp.columns_pushed
+            break
+        push_through(end)
+        if dp.best_weight < (1 + eps) * w_prev:
+            keep = max(r * omega, 1)
+            break
+        w_prev = dp.best_weight
         r += 1
-
-
-def _check_against_fresh_solve(
-    stream: _StreamBase,
-    dp: NarrowDp,
-    seen: list[dict[int, Fraction]],
-    keep_layer: int,
-    weight: Fraction,
-    budget: int | None,
-) -> None:
-    fresh = NarrowDp(stream.row_extents, stream.omega, budget)
-    for col in seen[:keep_layer]:
-        fresh.push_column(col)
-    fresh_weight, _ = fresh.best_at(keep_layer)
-    if fresh_weight != weight or fresh.placements(keep_layer) != dp.placements(
-        keep_layer
-    ):
-        raise RuntimeError("incremental phase DP disagrees with fresh solve")
+    weight, _ = dp.best_at(keep)
+    coords = tuple(
+        stream.array.coords_of(row, j0 + lj - 1) for row, lj in dp.placements(keep)
+    )
+    lookahead_used = stream.max_revealed - j0 + 1
+    stream.consume_through(end)
+    return PhaseState(j0, r, weight, coords, stopped, lookahead_used, degenerate)
 
 
 def solve_semionline(
-    source: _StreamBase | NarrowArray | LosInstance,
+    source: ColumnStream | NarrowArray | LosInstance,
     epsilon: Fraction,
     long_axis: int | None = None,
     budget: int | None = None,
     on_phase: Callable[[PhaseState], None] | None = None,
-    debug_resolve: bool = False,
 ) -> Solution:
     """Union of all phase outputs over the stream.
 
@@ -405,7 +328,7 @@ def solve_semionline(
         raise ValidationError(f"epsilon must be positive, got {eps}")
     if isinstance(source, LosInstance):
         check_instance_budget(source, long_axis, budget)
-        stream: _StreamBase = ColumnStream.from_instance(source, long_axis)
+        stream = ColumnStream.from_instance(source, long_axis)
     elif isinstance(source, NarrowArray):
         stream = ColumnStream(source)
     else:
@@ -434,7 +357,7 @@ def solve_semionline(
     phases = 0
     max_used = 0
     while True:
-        ph = run_phase(stream, eps, budget=budget, debug_resolve=debug_resolve)
+        ph = run_phase(stream, eps, budget=budget)
         if ph is None:
             break
         if limit is not None and ph.lookahead_used > limit:

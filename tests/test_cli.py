@@ -255,6 +255,56 @@ class TestHugeCrossSection:
         assert "rows=1000000" in proc.stderr
 
 
+MAIN_HELP = """\
+usage: losnet [-h] {gen,solve,verify} ...
+
+Solvers for independent sets on line-of-sight grid networks.
+
+positional arguments:
+  {gen,solve,verify}
+    gen               generate a random instance file
+    solve             solve an instance file
+    verify            recheck a solution JSON against an instance
+
+options:
+  -h, --help          show this help message and exit
+"""
+
+SOLVE_HELP = """\
+usage: losnet solve [-h] [--epsilon EPSILON] [--long-axis LONG_AXIS] [--json]
+                    [--float] [--trace-phases]
+                    {exact-narrow,brute,strip2,ptas,semionline,adssched} file
+
+positional arguments:
+  {exact-narrow,brute,strip2,ptas,semionline,adssched}
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --epsilon EPSILON     rational, e.g. 0.5 or 1/2
+  --long-axis LONG_AXIS
+  --json                full report on stdout
+  --float
+  --trace-phases
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["--help"], MAIN_HELP), (["solve", "--help"], SOLVE_HELP)],
+    ids=["losnet", "solve"],
+)
+def test_help_on_a_pipe_is_wrapped_at_78_columns(argv, expected):
+    # The width is fixed, so ``COLUMNS`` does not widen it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "losnet.cli", *argv],
+        capture_output=True, text=True, env=dict(child_env(), COLUMNS="200"),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
 class TestImports:
     """Each command imports only the solver modules it runs."""
 
@@ -286,8 +336,12 @@ class TestImports:
 
     # Modules a solve must not pay for: ``dataclasses`` pulls in ``inspect``;
     # ``typing`` and ``pathlib`` cost as much as the code that used them; the
-    # brute oracles only serve ``solve brute`` and the tests.
-    NOT_ON_SOLVE = {"dataclasses", "inspect", "typing", "pathlib", "losnet.brute"}
+    # brute oracles only serve ``solve brute`` and the tests; ``shutil``
+    # (which ``argparse`` imports to ask the terminal's width) brings ``bz2``,
+    # ``lzma`` and ``zlib`` along.
+    NOT_ON_SOLVE = {
+        "dataclasses", "inspect", "typing", "pathlib", "losnet.brute", "shutil"
+    }
 
     def loaded_without_site(self, *argv):
         """Every module a ``python -S`` child has loaded after running the

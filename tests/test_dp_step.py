@@ -106,13 +106,13 @@ class ReferenceDp:
 
 
 def assert_same_tables(row_spec, omega, capacity, columns):
-    dp = NarrowDp(row_spec, omega, keep_weights=True, capacity=capacity)
+    dp = NarrowDp(row_spec, omega, capacity=capacity)
     ref = ReferenceDp(row_spec, omega, capacity)
     for layer, col in enumerate(columns, 1):
         dp.push_column(col)
         ref.push_column(col)
         assert dp.best_at(layer) == ref.bests[layer - 1], layer
-        assert dp.weights_at(layer) == ref.weights[layer - 1], layer
+        assert dp.table() == ref.weights[layer - 1], layer
         for pos in ref.weights[layer - 1]:
             assert dp.pred_at(layer, pos) == ref.preds[layer - 1][pos], (layer, pos)
         assert dp.placements(layer) == ref.placements(layer), layer

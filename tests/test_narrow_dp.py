@@ -176,17 +176,21 @@ class TestSolveNarrow:
 
 
 class TestDpTableInvariants:
-    def make_dp(self, inst, keep_weights=False):
+    def make_dp(self, inst):
+        """The array, the DP pushed through every column, and the table
+        read after each push (``tables[j - 1]`` after column j)."""
         a = build_array(inst, 0)
-        dp = NarrowDp(a.rows, a.omega, keep_weights=keep_weights)
+        dp = NarrowDp(a.rows, a.omega)
+        tables = []
         for j in range(1, a.n + 1):
             dp.push_column(a.column(j))
-        return a, dp
+            tables.append(dp.table())
+        return a, dp, tables
 
     def test_consistency_chain(self):
         cfg = GenConfig(InstanceParams(2, (10, 2), 3), Fraction(3, 5), "uniform:1:5", 9)
         inst = generate(cfg)
-        a, dp = self.make_dp(inst)
+        a, dp, _ = self.make_dp(inst)
         chain = dp.window_chain()
         assert len(chain) == a.n
         from losnet import FeasibleWindow
@@ -204,12 +208,11 @@ class TestDpTableInvariants:
     def test_monotone_extension(self):
         cfg = GenConfig(InstanceParams(2, (8, 2), 3), Fraction(3, 5), "const:1", 4)
         inst = generate(cfg)
-        a, dp = self.make_dp(inst, keep_weights=True)
+        a, _, tables = self.make_dp(inst)
         from losnet import FeasibleWindow
 
         prev_layer = {(0,) * len(a.rows): Fraction(0)}
-        for j in range(1, a.n + 1):
-            layer = dp.weights_at(j)
+        for layer in tables:
             for pos, val in layer.items():
                 w = FeasibleWindow(a.rows, a.omega, pos)
                 preds = [
@@ -237,27 +240,20 @@ class TestDpTableInvariants:
             {(1, 1): Fraction(1, 2), (2, 2): Fraction(2, 3), (3, 1): Fraction(3, 4),
              (4, 2): Fraction(4, 5), (5, 1): Fraction(5, 7), (6, 2): 3},
         )
-        a, dp = self.make_dp(inst, keep_weights=True)
+        _, dp, tables = self.make_dp(inst)
         assert dp.best_weight == brute_mis(inst).total_weight
         assert all(
-            isinstance(v, Fraction) for j in range(1, a.n + 1)
-            for v in dp.weights_at(j).values()
+            isinstance(v, Fraction) for table in tables for v in table.values()
         )
-
-    def test_rolling_weights_not_kept_by_default(self):
-        inst = unit_inst((4, 1), 2, [(1, 1)])
-        _, dp = self.make_dp(inst)
-        with pytest.raises(ValidationError):
-            dp.weights_at(1)
 
     def test_every_pred_entry_is_consistent_with_its_window(self):
         cfg = GenConfig(InstanceParams(2, (9, 2), 3), Fraction(3, 5), "uniform:1:5", 12)
         inst = generate(cfg)
-        a, dp = self.make_dp(inst, keep_weights=True)
+        a, dp, tables = self.make_dp(inst)
         from losnet import FeasibleWindow
 
-        for j in range(1, a.n + 1):
-            for pos in dp.weights_at(j):
+        for j, table in enumerate(tables, 1):
+            for pos in table:
                 pred = dp.pred_at(j, pos)
                 assert consistent(
                     FeasibleWindow(a.rows, a.omega, pred),

@@ -2,7 +2,9 @@ import math
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from losnet import (
     CapacityError,
@@ -15,6 +17,7 @@ from losnet import (
     build_array,
     generate,
     is_independent,
+    load_instance,
     max_lookahead,
     run_phase,
     save_instance,
@@ -98,33 +101,40 @@ class TestGrowthCap:
         assert _growth_cap(Fraction(1, 10**9), Fraction(50)) == expected
 
 
-def prefix_weight(array: NarrowArray, j0: int, upto: int) -> Fraction:
-    """Exact best weight of the stand-alone subgraph on columns j0..upto."""
+def prefix_solve(array: NarrowArray, j0: int, upto: int):
+    """(vertices, weight) of an exact solve of the stand-alone subgraph on
+    columns j0..upto of an axis-0 array, in the coordinates of its instance."""
     cells = {}
     for j in range(j0, upto + 1):
         for ridx, w in array.column(j).items():
             cells[(array.rows[ridx], j - j0 + 1)] = w
     sub = NarrowArray(array.row_extents, array.omega, upto - j0 + 1, cells)
-    return solve_mis_narrow(sub).total_weight
+    sol = solve_mis_narrow(sub)
+    return tuple((c[0] + j0 - 1, *c[1:]) for c in sol.vertices), sol.total_weight
+
+
+def prefix_weight(array: NarrowArray, j0: int, upto: int) -> Fraction:
+    """Exact best weight of the stand-alone subgraph on columns j0..upto."""
+    return prefix_solve(array, j0, upto)[1]
 
 
 def phase_oracle(array: NarrowArray, j0: int, eps: Fraction):
     """Independent re-derivation of one phase from offline prefix solves.
 
-    Returns (r_star, kept weight, next anchor, stopped_by_rule).
+    Returns (r_star, kept weight, next anchor, stopped_by_rule, degenerate).
     """
     omega = array.omega
     w_prev = prefix_weight(array, j0, j0)
     if w_prev == 0:
-        return 0, Fraction(0), j0 + 1, True
+        return 0, Fraction(0), j0 + 1, True, True
     r = 0
     while True:
         end = j0 + (r + 1) * omega - 1
         if end > array.n:
-            return r, prefix_weight(array, j0, array.n), array.n + 1, False
+            return r, prefix_weight(array, j0, array.n), array.n + 1, False, False
         w_next = prefix_weight(array, j0, end)
         if w_next < (1 + eps) * w_prev:
-            return r, w_prev, end + 1, True
+            return r, w_prev, end + 1, True, False
         w_prev = w_next
         r += 1
 
@@ -134,16 +144,29 @@ def assert_phases_match_oracle(inst, eps):
     stream = ColumnStream(array)
     j0 = 1
     while j0 <= array.n:
-        exp_r, exp_w, exp_next, exp_stopped = phase_oracle(array, j0, eps)
+        exp_r, exp_w, exp_next, exp_stopped, exp_degenerate = phase_oracle(
+            array, j0, eps
+        )
         ph = run_phase(stream, eps)
         assert ph is not None
         assert ph.j0 == j0
         assert ph.r == exp_r
         assert ph.current_weight == exp_w
         assert ph.stopped == exp_stopped
+        assert ph.degenerate == exp_degenerate
+        # A phase reveals every column up to the next anchor and no further.
+        assert ph.lookahead_used == exp_next - j0
         assert stream.cursor == exp_next
         j0 = exp_next
     assert run_phase(stream, eps) is None
+
+
+def kept_columns(ph, n: int, omega: int) -> tuple[int, int]:
+    """First and last column of the set a phase keeps: its anchor alone when
+    degenerate, its last good round when stopped, else the rest of the stream."""
+    if not ph.stopped:
+        return ph.j0, n
+    return ph.j0, ph.j0 + max(ph.r * omega, 1) - 1
 
 
 class TestRunPhase:
@@ -175,7 +198,7 @@ class TestRunPhase:
         }
         array = NarrowArray((1,), 2, 8, cells)
         eps = Fraction(9, 10)
-        exp_r, exp_w, exp_next, exp_stopped = phase_oracle(array, 1, eps)
+        exp_r, exp_w, exp_next, exp_stopped, _ = phase_oracle(array, 1, eps)
         assert exp_r >= 1  # the 1 -> 2-or-better jump satisfies the test
         ph = run_phase(ColumnStream(array), eps)
         assert (ph.r, ph.current_weight, ph.stopped) == (exp_r, exp_w, exp_stopped)
@@ -213,12 +236,20 @@ class TestRunPhase:
             )
             assert_phases_match_oracle(generate(cfg), Fraction(1, 2))
 
-    def test_debug_resolve_agrees(self):
-        cfg = GenConfig(InstanceParams(2, (30, 2), 3), Fraction(1, 2), "const:1", 5)
-        inst = generate(cfg)
-        a = solve_semionline(inst, Fraction(1), long_axis=0, debug_resolve=True)
-        b = solve_semionline(inst, Fraction(1), long_axis=0)
-        assert a == b
+    @pytest.mark.parametrize("weights", ["const:1", "uniform:1:5"])
+    def test_each_phase_matches_a_fresh_solve_of_its_kept_columns(self, weights):
+        # The incremental phase DP keeps exactly the set, and the weight, that
+        # a from-scratch exact solve of the kept columns alone finds.
+        for seed in range(6):
+            cfg = GenConfig(InstanceParams(2, (30, 2), 3), Fraction(1, 2), weights, seed)
+            inst = generate(cfg)
+            array = build_array(inst, 0)
+            phases = []
+            solve_semionline(inst, Fraction(1), long_axis=0, on_phase=phases.append)
+            assert phases
+            for ph in phases:
+                fresh = prefix_solve(array, *kept_columns(ph, array.n, array.omega))
+                assert (tuple(sorted(ph.best_set)), ph.current_weight) == fresh
 
 
 class TestSolveSemionline:
@@ -328,7 +359,7 @@ class TestStreams:
         def no_rows(row_extents):
             raise AssertionError(f"rows built for {row_extents}")
 
-        monkeypatch.setattr("losnet.semionline.rows_for", no_rows)
+        monkeypatch.setattr("losnet.narrow.rows_for", no_rows)
         with pytest.raises(CapacityError, match="rows=1000000"):
             solve_semionline(FileColumnStream(path), 1)
 
@@ -351,4 +382,79 @@ class TestStreams:
             ph = run_phase(stream, Fraction(1))
             if ph is None:
                 break
-            assert len(stream._buffer) <= limit
+            assert len(stream.array._cols) <= limit
+
+
+@st.composite
+def stream_cases(draw):
+    """A small narrow instance along axis 0 (d = 2..3, omega = 2..4, unit or
+    uniform weights) and an epsilon."""
+    d = draw(st.integers(2, 3))
+    cross = tuple(draw(st.integers(1, 3 if d == 2 else 2)) for _ in range(d - 1))
+    params = InstanceParams(d, (draw(st.integers(1, 14)), *cross), draw(st.integers(2, 4)))
+    density = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)]))
+    weights = draw(st.sampled_from(["const:1", "uniform:1:5"]))
+    inst = generate(GenConfig(params, density, weights, draw(st.integers(0, 2**16))))
+    eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]))
+    return inst, eps
+
+
+@given(stream_cases())
+@settings(max_examples=60, deadline=None)
+def test_file_stream_solves_as_memory(tmp_path_factory, case):
+    inst, eps = case
+    path = tmp_path_factory.mktemp("stream") / "s.losn"
+    save_instance(path, inst)
+    mem = solve_semionline(inst, eps, long_axis=0)
+    fil = solve_semionline(FileColumnStream(path), eps)
+    assert fil.vertices == mem.vertices
+    assert fil.total_weight == mem.total_weight
+    for key in ("phases", "lookahead_max_used"):
+        assert fil.meta[key] == mem.meta[key]
+    assert fil.meta["lookahead_limit"] is None
+
+
+HEAD = "losn v1\nd=2 omega=2 extents=6,2\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEAD + "v 1 1 1\nv 3 1 1\nv 3 1 5\n",  # duplicate line
+        HEAD + "v 1 1 1\nv 3 2 0\n",
+        HEAD + "v 1 1 1\nv 3 2 -3\n",
+        HEAD + "v 1 1 1\nv 3 2 3/0\n",
+        HEAD + "v 1 1 1\nv 3 3 1\n",  # row outside the box
+        HEAD + "v 1 1 1\nv 7 1 1\n",  # column outside the box
+        HEAD + "v 1 1 1\nv 3 2\n",  # malformed vertex line
+        "losn v2\nd=2 omega=2 extents=6,2\nv 1 1 1\n",
+        "losn v1\n",  # missing parameter line
+    ],
+)
+def test_file_stream_refuses_as_load_instance(tmp_path, text):
+    path = tmp_path / "bad.losn"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as loaded:
+        load_instance(path)
+    with pytest.raises(ValidationError) as streamed:
+        solve_semionline(FileColumnStream(path), 1)
+    assert str(streamed.value) == str(loaded.value)
+
+
+def test_file_stream_alone_refuses_unsorted_columns(tmp_path):
+    path = tmp_path / "unsorted.losn"
+    path.write_text(HEAD + "v 3 1 1\nv 1 2 1\n", encoding="utf-8")
+    assert len(load_instance(path)) == 2
+    with pytest.raises(ValidationError, match="not sorted by column"):
+        solve_semionline(FileColumnStream(path), 1)
+
+
+def test_file_stream_refuses_at_the_faulty_line(tmp_path):
+    # The duplicate sits in column 6: the phases before it run first.
+    path = tmp_path / "late.losn"
+    path.write_text(HEAD + "v 1 1 1\nv 6 1 1\nv 6 1 2\n", encoding="utf-8")
+    stream = FileColumnStream(path)
+    assert run_phase(stream, Fraction(1)).best_set == ((1, 1),)
+    with pytest.raises(ValidationError, match=r"duplicate vertex at \(6, 1\)"):
+        while run_phase(stream, Fraction(1)) is not None:
+            pass
