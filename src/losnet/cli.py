@@ -1,9 +1,10 @@
 """Command-line interface: generate, solve, verify.
 
-Exit codes: 0 success, 2 validation error (including bad usage), 3 capacity
-error (an enumeration budget or oracle cap refused the input), 1 anything
-else.  JSON payloads go to stdout; diagnostics, including wall-clock
-times, go to stderr so identical commands produce byte-identical stdout.
+Exit codes: 0 success, 2 validation error (including bad usage and a path
+that cannot be opened), 3 capacity error (an enumeration budget or oracle
+cap refused the input), 1 anything else.  JSON payloads go to stdout;
+diagnostics, including wall-clock times, go to stderr so identical commands
+produce byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .core import (
     InstanceParams,
     LosInstance,
     Solution,
-    default_long_axis,
     generate,
+    resolve_long_axis,
 )
 from .errors import CapacityError, LosError, ValidationError
 from .io import (
@@ -138,6 +139,11 @@ def main(argv: list[str] | None = None) -> int:
     except LosError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
@@ -234,8 +240,8 @@ def _run_algo(
     budget: int | None,
 ) -> tuple[Solution, int | None]:
     long_axis = args.long_axis
-    if long_axis is None and args.algo != "brute":
-        long_axis = default_long_axis(inst.params)
+    if args.algo != "brute":
+        long_axis = resolve_long_axis(inst.params, long_axis)
     if args.algo == "exact-narrow":
         return solve_exact_narrow(inst, long_axis, budget), long_axis
     if args.algo == "brute":

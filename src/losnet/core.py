@@ -72,7 +72,7 @@ class FrozenRecord(Record):
 def _as_weight(value) -> Fraction:
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational weight: {value!r}") from exc
 
 
@@ -116,6 +116,15 @@ class InstanceParams(FrozenRecord):
 def default_long_axis(params: InstanceParams) -> int:
     """Axis of maximum extent (smallest index on ties)."""
     return max(range(params.d), key=lambda a: (params.extents[a], -a))
+
+
+def resolve_long_axis(params: InstanceParams, long_axis: int | None) -> int:
+    """``long_axis`` checked against ``params``; ``default_long_axis`` if None."""
+    if long_axis is None:
+        return default_long_axis(params)
+    if not 0 <= long_axis < params.d:
+        raise ValidationError(f"long axis {long_axis} outside 0..{params.d - 1}")
+    return long_axis
 
 
 def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Fraction]:

@@ -25,7 +25,7 @@ from .core import (
     InstanceParams,
     LosInstance,
     Solution,
-    default_long_axis,
+    resolve_long_axis,
     set_weight,
 )
 from .errors import ValidationError
@@ -95,8 +95,7 @@ def parity_cut(
 ) -> tuple[LosInstance, LosInstance]:
     """Split vertices into (odd, even) strip-parity sub-instances."""
     p = inst.params
-    if long_axis is None:
-        long_axis = default_long_axis(p)
+    long_axis = resolve_long_axis(p, long_axis)
     cut_axes = [a for a in range(p.d) if a != long_axis]
     odd, even = {}, {}
     for coords, w in inst.vertices.items():
@@ -120,8 +119,7 @@ def solve_strip2(
     the optimum because the optimum splits across the two parity classes.
     """
     p = inst.params
-    if long_axis is None:
-        long_axis = default_long_axis(p)
+    long_axis = resolve_long_axis(p, long_axis)
     k = p.omega - 1
     cut_axes = [a for a in range(p.d) if a != long_axis]
     by_strip: dict[tuple[int, ...], list[Coords]] = {}
@@ -298,10 +296,7 @@ def solve_ptas(
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     p = inst.params
-    if long_axis is None:
-        long_axis = default_long_axis(p)
-    if not 0 <= long_axis < p.d:
-        raise ValidationError(f"long axis {long_axis} outside 0..{p.d - 1}")
+    long_axis = resolve_long_axis(p, long_axis)
     k = p.omega - 1
     h = ptas_shift_count(epsilon, p.d)
     cut_axes = [a for a in range(p.d) if a != long_axis]

@@ -26,9 +26,10 @@ knob that adapts the DP to other problems: airing schedules (``adssched``)
 run it over mutually non-conflicting client rows with capacity ``l``.  The
 independent-set DP's capacity is its row count, which never binds.
 
-The number of windows is exponential in the row count, so every evaluator
+The number of windows is exponential in the row count, so ``NarrowDp``
 refuses (``CapacityError``) rather than degrade when the windows of its
-shape, counted by ``count_windows``, exceed its budget.
+shape, counted by ``count_windows``, exceed its budget.  It builds a box's
+rows only after that check, and ``NarrowArray`` builds none.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ from fractions import Fraction
 from .core import (
     Coords,
     FrozenRecord,
-    InstanceParams,
     LosInstance,
     Solution,
     are_adjacent,
-    default_long_axis,
+    resolve_long_axis,
 )
 from .errors import CapacityError, ValidationError
 
@@ -57,8 +57,9 @@ DEFAULT_WINDOW_BUDGET = 10_000_000
 NONE_POS = 0
 
 
+@functools.lru_cache(maxsize=None)
 def rows_for(row_extents: tuple[int, ...]) -> tuple[Coords, ...]:
-    """All row vectors of a box cross-section, lexicographic order."""
+    """All row vectors of a box cross-section, lexicographic order (cached)."""
     return tuple(itertools.product(*(range(1, e + 1) for e in row_extents)))
 
 
@@ -301,10 +302,11 @@ class NarrowArray:
 
     Columns 1..n run along the long axis; ``omega`` implicit all-zero columns
     -(omega-1)..0 precede them so the DP can start from the empty window.
-    Only positive cells are stored.
+    Only positive cells are stored, keyed by row index: the row's rank in
+    ``rows`` (lexicographic, built when first read), computed arithmetically.
     """
 
-    __slots__ = ("row_extents", "omega", "n", "long_axis", "rows", "_ridx", "_cols")
+    __slots__ = ("row_extents", "omega", "n", "long_axis", "_cols")
 
     def __init__(
         self,
@@ -324,12 +326,11 @@ class NarrowArray:
         self.omega = int(omega)
         self.n = int(n)
         self.long_axis = int(long_axis)
-        self.rows = rows_for(self.row_extents)
-        self._ridx = {row: i for i, row in enumerate(self.rows)}
         self._cols: dict[int, dict[int, Fraction]] = {}
         for (row, j), w in (cells or {}).items():
             row = tuple(row)
-            if row not in self._ridx:
+            ridx = self._index(row)
+            if ridx is None:
                 raise ValidationError(f"row {row} outside extents {self.row_extents}")
             if not 1 <= j <= self.n:
                 raise ValidationError(f"column {j} outside 1..{self.n}")
@@ -338,10 +339,25 @@ class NarrowArray:
             if w <= 0:
                 raise ValidationError(f"cell weight must be positive, got {w}")
             col = self._cols.setdefault(j, {})
-            ridx = self._ridx[row]
             if ridx in col:
                 raise ValidationError(f"duplicate cell ({row}, {j})")
             col[ridx] = w
+
+    @property
+    def rows(self) -> tuple[Coords, ...]:
+        """Every row vector, in index order."""
+        return rows_for(self.row_extents)
+
+    def _index(self, row) -> int | None:
+        """Index of ``row``; None when it lies outside ``row_extents``."""
+        if len(row) != len(self.row_extents):
+            return None
+        index = 0
+        for c, e in zip(row, self.row_extents):
+            if not 1 <= c <= e:
+                return None
+            index = index * e + c - 1
+        return index
 
     @property
     def num_cols(self) -> int:
@@ -351,7 +367,8 @@ class NarrowArray:
     def weight(self, row: Coords, j: int) -> Fraction:
         """Cell weight; 0 for empty cells and for the padding columns j <= 0."""
         row = tuple(row)
-        if row not in self._ridx:
+        ridx = self._index(row)
+        if ridx is None:
             raise ValidationError(f"row {row} outside extents {self.row_extents}")
         if not -(self.omega - 1) <= j <= self.n:
             raise ValidationError(
@@ -359,7 +376,7 @@ class NarrowArray:
             )
         if j <= 0:
             return Fraction(0)
-        return self._cols.get(j, {}).get(self._ridx[row], Fraction(0))
+        return self._cols.get(j, {}).get(ridx, Fraction(0))
 
     def column(self, j: int) -> dict[int, Fraction]:
         """Occupied row-index -> weight map of column j ({} off the grid)."""
@@ -387,7 +404,7 @@ class NarrowArray:
         """(row index or None, column) of instance coordinates ``coords``."""
         row = list(coords)
         j = row.pop(self.long_axis)
-        return self._ridx.get(tuple(row)), j
+        return self._index(row), j
 
     def __contains__(self, coords: Coords) -> bool:
         """Whether a cell is stored at instance coordinates ``coords``."""
@@ -406,33 +423,15 @@ class NarrowArray:
             del self._cols[c]
 
 
-def _long_axis(p: InstanceParams, long_axis: int | None) -> int:
-    if long_axis is None:
-        return default_long_axis(p)
-    if not 0 <= long_axis < p.d:
-        raise ValidationError(f"long axis {long_axis} outside 0..{p.d - 1}")
-    return long_axis
-
-
-def check_instance_budget(
-    inst: LosInstance, long_axis: int | None, budget: int | None
-) -> None:
-    """Refuse ``inst`` as its ``NarrowDp`` would, from the extents alone:
-    before a single row or column is built."""
-    p = inst.params
-    long_axis = _long_axis(p, long_axis)
-    nrows = math.prod(p.extents) // p.extents[long_axis]
-    check_window_budget(nrows, p.omega, nrows, budget)
-
-
 def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
     """Flatten ``inst`` into column-major form along ``long_axis``.
 
     Any instance embeds; the induced row count is the product of the other
-    extents, and the window budget is what ultimately limits solvability.
+    extents, and the window budget of the ``NarrowDp`` that solves the array
+    is what limits solvability; the array itself builds no row.
     """
     p = inst.params
-    long_axis = _long_axis(p, long_axis)
+    long_axis = resolve_long_axis(p, long_axis)
     row_axes = [a for a in range(p.d) if a != long_axis]
     array = NarrowArray(
         [p.extents[a] for a in row_axes],
@@ -441,14 +440,17 @@ def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
         long_axis=long_axis,
     )
     # ``inst`` validated its cells (positive ``Fraction``s inside the box,
-    # one per coordinate), so they go into the columns unchecked.
-    ridx, cols = array._ridx, array._cols
+    # one per coordinate), so they go into the columns unchecked, at the
+    # index ``NarrowArray._index`` computes.
+    extents = array.row_extents
+    strides = [(a, math.prod(extents[i + 1 :])) for i, a in enumerate(row_axes)]
+    cols = array._cols
     for coords, w in inst.vertices.items():
         j = coords[long_axis]
         col = cols.get(j)
         if col is None:
             col = cols[j] = {}
-        col[ridx[tuple([coords[a] for a in row_axes])]] = w
+        col[sum([(coords[a] - 1) * s for a, s in strides])] = w
     return array
 
 
@@ -480,9 +482,10 @@ class NarrowDp:
 
     ``capacity`` caps the entries of one column (default: the row count,
     which never binds).  The evaluator refuses when ``count_windows`` of its
-    rows, omega and capacity exceeds ``budget``.  ``windows`` (the positions
-    of every feasible window) is built only when it is read, once per (rows,
-    omega, capacity) shape and process.
+    rows, omega and capacity exceeds ``budget``; a box's rows are counted
+    from its extents and built only after that check.  ``windows`` (the
+    positions of every feasible window) is built only when it is read, once
+    per (rows, omega, capacity) shape and process.
 
     Determinism: shifted windows merge toward the smallest source window on
     equal weights, and the per-column argmax is the smallest window of the
@@ -496,11 +499,17 @@ class NarrowDp:
         budget: int | None = None,
         capacity: int | None = None,
     ) -> None:
-        self.rows = normalize_rows(row_spec)
+        spec = tuple(row_spec)
+        # A well-formed box is counted from its extents and built after the
+        # check; anything else goes through ``normalize_rows``, which
+        # refuses a malformed spec.
+        box = spec and all(isinstance(e, int) and e >= 1 for e in spec)
+        rows = None if box else normalize_rows(spec)
+        nrows = math.prod(spec) if box else len(rows)
         self.omega = int(omega)
-        nrows = len(self.rows)
         self._capacity = nrows if capacity is None else min(capacity, nrows)
         check_window_budget(nrows, self.omega, self._capacity, budget)
+        self.rows = rows or rows_for(spec)
         self._conflicts = _row_structure(self.rows, self.omega)
         bits = self._bits = self.omega.bit_length()
         # Bit offset of each row's field, and per field its lowest bit, its
@@ -675,20 +684,19 @@ def successors(
     ``push_column`` from ``w`` alone, or none when an entry ``w`` carries
     over sits on an empty cell.
     """
-    if w.rows != array.rows or w.omega != array.omega:
+    rows = array.rows
+    if w.rows != rows or w.omega != array.omega:
         raise ValidationError("window/array shape mismatch")
     if not 1 <= j <= array.n:
         raise ValidationError(f"column {j} outside 1..{array.n}")
     omega = array.omega
     for r, p in enumerate(w.positions):
-        if p >= 2 and array.weight(array.rows[r], j - omega + p - 1) == 0:
+        if p >= 2 and array.weight(rows[r], j - omega + p - 1) == 0:
             return []
-    dp = NarrowDp(array.rows, omega)
+    dp = NarrowDp(array.row_extents, omega)
     dp._cur = {dp._pack(w.positions): 0}
     dp.push_column(array.column(j))
-    return [
-        FeasibleWindow(array.rows, omega, dp._unpack(key)) for key in sorted(dp._cur)
-    ]
+    return [FeasibleWindow(rows, omega, dp._unpack(key)) for key in sorted(dp._cur)]
 
 
 def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
@@ -698,17 +706,17 @@ def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
     the final argmax, and re-sums the emitted placements against the array as
     an internal consistency check.
     """
-    dp = NarrowDp(array.rows, array.omega, budget)
+    dp = NarrowDp(array.row_extents, array.omega, budget)
     for j in range(1, array.n + 1):
         dp.push_column(array.column(j))
     placements = dp.placements()
     weight = dp.best_weight if array.n else Fraction(0)
     # Placements name rows of the array and columns 1..n, so the cells are
-    # read directly, without ``weight``'s per-call range checks; an empty
-    # cell counts 0 and fails the check.
-    ridx, cols = array._ridx, array._cols
+    # read directly by row index, without ``weight``'s column checks; an
+    # empty cell counts 0 and fails the check.
+    index, cols = array._index, array._cols
     resum = sum(
-        (cols.get(j, {}).get(ridx[row], 0) for row, j in placements), Fraction(0)
+        (cols.get(j, {}).get(index(row), 0) for row, j in placements), Fraction(0)
     )
     if resum != weight:
         raise RuntimeError(
@@ -717,7 +725,7 @@ def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
     coords = sorted(array.coords_of(row, j) for row, j in placements)
     meta = {
         "long_axis": array.long_axis,
-        "rows": len(array.rows),
+        "rows": len(dp.rows),
         "n": array.n,
         "windows": len(dp.windows),
     }
@@ -730,5 +738,4 @@ def solve_exact_narrow(
     budget: int | None = None,
 ) -> Solution:
     """Exact MIS of an instance via the narrow-array DP along ``long_axis``."""
-    check_instance_budget(inst, long_axis, budget)
     return solve_mis_narrow(build_array(inst, long_axis), budget)

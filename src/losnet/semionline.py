@@ -15,7 +15,8 @@ kept sets is within a factor 1+epsilon of the offline optimum.
 Columns come from one stream class, ``ColumnStream``, over a ``NarrowArray``;
 ``FileColumnStream`` fills its array from a .losn file as columns are
 revealed and empties it as they are consumed.  Each phase runs one
-``NarrowDp`` over the columns it reveals.
+``NarrowDp`` over the columns it reveals; the first one refuses a
+cross-section whose windows exceed the budget.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from os import PathLike
 from .core import Coords, LosInstance, Record, Solution, check_cell
 from .errors import ValidationError
 from .io import content_lines, parse_vertex_line, read_losn_header
-from .narrow import (
-    NarrowArray,
-    NarrowDp,
-    build_array,
-    check_instance_budget,
-    check_window_budget,
-)
+from .narrow import NarrowArray, NarrowDp, build_array
 
 # (ln 2)^2 as the exact value of its float, so the round cap needs no float
 # division (a float 1/epsilon overflows or divides by zero for a tiny epsilon).
@@ -118,16 +113,13 @@ class ColumnStream:
 
     Columns are consumed in blocks; a consumed column is gone for good.
     ``lookahead()`` is the span currently held: revealed but not yet
-    consumed.  ``array`` holds the cells, and its ``coords_of`` maps a cell
-    back to instance coordinates.
+    consumed.  ``array`` holds the shape and the cells, and its ``coords_of``
+    maps a cell back to instance coordinates.
     """
 
     def __init__(self, array: NarrowArray) -> None:
         self.array = array
-        self.row_extents = array.row_extents
-        self.omega = array.omega
         self.n = array.n
-        self.long_axis = array.long_axis
         self.cursor = 1
         self.max_revealed = 0
 
@@ -175,9 +167,8 @@ class FileColumnStream(ColumnStream):
     The format sorts vertices lexicographically, so a single forward pass
     yields columns in increasing order; the array holds only the columns not
     yet consumed, up to the first cell past the newest revealed column.
-    Totals are unknown upfront (that is the point).  The array, and with it
-    the cross-section's rows, is built on the first read, after
-    ``solve_semionline`` has checked their count against the window budget.
+    Totals are unknown upfront (that is the point).  The array builds no
+    rows, so a phase's ``NarrowDp`` refuses a huge cross-section at no cost.
 
     The file is refused as ``load_instance`` refuses it, with the same
     messages, but at the faulty line; vertex lines out of column order are
@@ -187,13 +178,8 @@ class FileColumnStream(ColumnStream):
     def __init__(self, path: str | PathLike[str]) -> None:
         self._lines = self._line_iter(path)
         self._params = params = read_losn_header(self._lines)
-        self.array = None  # built on the first read
-        self.row_extents = params.extents[1:]
-        self.omega = params.omega
-        self.n = params.extents[0]
-        self.long_axis = 0
-        self.cursor = 1
-        self.max_revealed = 0
+        n, *row_extents = params.extents
+        super().__init__(NarrowArray(row_extents, params.omega, n))
         self._last_col = 0
 
     @staticmethod
@@ -202,8 +188,6 @@ class FileColumnStream(ColumnStream):
             yield from content_lines(fh)
 
     def _column(self, j: int) -> dict[int, Fraction]:
-        if self.array is None:
-            self.array = NarrowArray(self.row_extents, self.omega, self.n)
         array, params = self.array, self._params
         while self._last_col <= j and (line := next(self._lines, None)) is not None:
             coords, w = parse_vertex_line(line, params)
@@ -216,8 +200,7 @@ class FileColumnStream(ColumnStream):
 
     def consume_through(self, j: int) -> None:
         super().consume_through(j)
-        if self.array is not None:
-            self.array.drop_through(self.cursor - 1)
+        self.array.drop_through(self.cursor - 1)
 
     def totals(self) -> None:
         return None
@@ -272,8 +255,8 @@ def run_phase(
     if eps <= 0:
         raise ValidationError(f"epsilon must be positive, got {eps}")
     j0 = stream.cursor
-    omega = stream.omega
-    dp = NarrowDp(stream.row_extents, omega, budget)
+    omega = stream.array.omega
+    dp = NarrowDp(stream.array.row_extents, omega, budget)
 
     def push_through(end: int) -> None:
         for j in range(j0 + dp.columns_pushed, end + 1):
@@ -322,35 +305,32 @@ def solve_semionline(
     so the union stays independent.  For unit weights the total is within a
     factor 1+epsilon of the offline optimum, and the recorded per-phase
     look-ahead stays within the contract buffer, which is checked here.
+    A cross-section whose windows exceed ``budget`` is refused by the first
+    phase's ``NarrowDp``, before any row is built.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValidationError(f"epsilon must be positive, got {eps}")
     if isinstance(source, LosInstance):
-        check_instance_budget(source, long_axis, budget)
         stream = ColumnStream.from_instance(source, long_axis)
     elif isinstance(source, NarrowArray):
         stream = ColumnStream(source)
     else:
         stream = source
-        # Refuse from the row count alone, before the stream or a phase's
-        # ``NarrowDp`` builds the rows.
-        nrows = math.prod(stream.row_extents)
-        check_window_budget(nrows, stream.omega, nrows, budget)
 
+    row_extents, omega = stream.array.row_extents, stream.array.omega
     totals = stream.totals()
     if totals is None:
         limit: int | None = None
     else:
         total, wmin, unit = totals
         if total == 0:
-            limit = stream.omega
+            limit = omega
         elif unit:
-            k = max(stream.row_extents) if stream.row_extents else 1
-            limit = max_lookahead(k, len(stream.row_extents) + 1, eps, stream.omega)
+            limit = max_lookahead(max(row_extents), len(row_extents) + 1, eps, omega)
         else:
             assert wmin is not None
-            limit = (_growth_cap(eps, total / wmin) + 1) * stream.omega
+            limit = (_growth_cap(eps, total / wmin) + 1) * omega
 
     coords: list[Coords] = []
     total_weight = Fraction(0)

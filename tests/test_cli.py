@@ -62,6 +62,15 @@ class TestGen:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().startswith("losn v1\n")
 
+    def test_gen_zero_denominator_weight_exit_2(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "gen", "--d", "2", "--extents", "4,2", "--omega", "3",
+            "--density", "1/2", "--weights", "const:3/0", "-o", str(tmp_path / "x.losn"),
+        )
+        assert code == 2
+        assert err == "error: not a rational weight: '3/0'\n"
+        assert not (tmp_path / "x.losn").exists()
+
     def test_gen_validation_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gen", "--d", "2", "--extents", "12,3", "--omega", "3",
@@ -207,6 +216,56 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestUnopenableInput:
+    """A path that cannot be opened is an input error: one line, exit 2."""
+
+    @pytest.fixture(params=["missing", "directory"])
+    def bad_path(self, request, tmp_path):
+        if request.param == "missing":
+            return tmp_path / "no_such.losn"
+        return tmp_path
+
+    def assert_refused(self, code, out, err, path):
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
+    def test_solve(self, bad_path, capsys):
+        code, out, err = run(capsys, "solve", "exact-narrow", str(bad_path))
+        self.assert_refused(code, out, err, bad_path)
+
+    def test_verify_instance(self, bad_path, losn_file, tmp_path, capsys):
+        _, out, _ = run(capsys, "solve", "exact-narrow", str(losn_file), "--json")
+        sol_path = tmp_path / "s.json"
+        sol_path.write_text(json.dumps(json.loads(out)["solution"]))
+        code, out, err = run(capsys, "verify", str(bad_path), str(sol_path))
+        self.assert_refused(code, out, err, bad_path)
+
+    def test_verify_solution(self, bad_path, losn_file, capsys):
+        code, out, err = run(capsys, "verify", str(losn_file), str(bad_path))
+        self.assert_refused(code, out, err, bad_path)
+
+    def test_in_a_fresh_process(self, tmp_path):
+        proc = run_process("solve", "exact-narrow", str(tmp_path / "no_such.losn"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {tmp_path / 'no_such.losn'}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("axis", ["-1", "2"])
+@pytest.mark.parametrize("vertices", ["", "v 1 1 1\n"], ids=["vertex-free", "one-vertex"])
+@pytest.mark.parametrize("algo", ["exact-narrow", "strip2", "ptas", "semionline"])
+def test_long_axis_outside_the_box_exit_2(tmp_path, capsys, algo, vertices, axis):
+    path = tmp_path / "a.losn"
+    path.write_text("losn v1\nd=2 omega=3 extents=5,2\n" + vertices)
+    code, out, err = run(
+        capsys, "solve", algo, str(path), f"--long-axis={axis}", "--epsilon", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: long axis {axis} outside 0..1\n"
 
 
 class TestTinyEpsilon:

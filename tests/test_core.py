@@ -148,6 +148,7 @@ class TestValidation:
         ({(1, 1): "-3"}, ValidationError, "vertex weight must be positive, got -3 at (1, 1)"),
         ({(1, 1): "x"}, ValidationError, "not a rational weight: 'x'"),
         ({(1, 1): "1/2/3"}, ValidationError, "not a rational weight: '1/2/3'"),
+        ({(1, 1): "3/0"}, ValidationError, "not a rational weight: '3/0'"),
         ({(1, 1): None}, ValidationError, "not a rational weight: None"),
         ({(4, 1): 1}, ValidationError, "coordinates (4, 1) outside box extents=(3, 2)"),
         ({(1, 0): 1}, ValidationError, "coordinates (1, 0) outside box extents=(3, 2)"),

@@ -54,6 +54,12 @@ class TestParityCut:
         odd, even = parity_cut(inst, 2, long_axis=0)
         assert len(odd) == 0 and len(even) == 2
 
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_long_axis_outside_the_box(self, axis):
+        inst = unit_inst((6, 2), 3, [(1, 1)])
+        with pytest.raises(ValidationError, match=f"long axis {axis} outside 0..1"):
+            parity_cut(inst, 2, long_axis=axis)
+
     def test_alternating_rows_k1(self):
         inst = unit_inst((4, 4), 2, [(1, r) for r in range(1, 5)])
         odd, even = parity_cut(inst, 1, long_axis=0)
@@ -97,6 +103,11 @@ class TestStrip2:
         sol = solve_strip2(inst, 0)
         assert sol.total_weight == 0
         assert sol.meta["parity"] == "even"  # tie goes to even
+
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_long_axis_checked_without_a_strip_to_solve(self, axis):
+        with pytest.raises(ValidationError, match=f"long axis {axis} outside 0..1"):
+            solve_strip2(make_inst((6, 4), 3, {}), axis)
 
     def test_ratio_on_random_pool(self):
         for seed in range(25):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -25,6 +26,53 @@ from losnet import (
 from losnet import narrow
 from losnet.narrow import FeasibleWindow, count_windows
 from conftest import make_inst, small_instances, unit_inst
+
+
+def no_rows(row_extents):
+    raise AssertionError(f"rows built for extents {row_extents}")
+
+
+class TestRowIndex:
+    """A row's index is its lexicographic rank, computed from the extents."""
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_index_is_position_in_rows(self, extents):
+        array = NarrowArray(extents, 3, 1)
+        rows = array.rows
+        for row in rows:
+            assert array._index(row) == rows.index(row)
+            for axis, e in enumerate(extents):
+                for bad in (0, e + 1):
+                    assert array._index(row[:axis] + (bad,) + row[axis + 1 :]) is None
+            assert array._index(row + (1,)) is None
+            assert array._index(row[:-1]) is None
+
+    @given(small_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_build_array_matches_checked_cells(self, inst):
+        p = inst.params
+        for axis in range(p.d):
+            built = build_array(inst, axis)
+            cells = {
+                (c[:axis] + c[axis + 1 :], c[axis]): w for c, w in inst.vertices.items()
+            }
+            checked = NarrowArray(
+                built.row_extents, p.omega, p.extents[axis], cells, long_axis=axis
+            )
+            assert built.row_extents == p.extents[:axis] + p.extents[axis + 1 :]
+            for j in range(1, p.extents[axis] + 1):
+                assert built.column(j) == checked.column(j)
+
+    def test_huge_cross_section_builds_no_rows(self, monkeypatch):
+        monkeypatch.setattr(narrow, "rows_for", no_rows)
+        array = NarrowArray((10**6, 10**6), 3, 5, {((10**6, 2), 4): 7})
+        assert array.weight((10**6, 2), 4) == 7
+        assert (4, 10**6, 2) in array
+        array.put((5, 1, 10**6), Fraction(2))
+        assert array.column(5) == {10**6 - 1: 2}
+        inst = make_inst((10**6, 10**6), 3, {(1, 10**6): 1})
+        assert build_array(inst, 0).column(1) == {10**6 - 1: 1}
 
 
 class TestBuildArray:
@@ -307,6 +355,14 @@ class TestWindowBudget:
             successors(FeasibleWindow.zero((12,), 3), array, 1)
         with pytest.raises(CapacityError):
             enumerate_windows((12,), 3)
+
+    def test_box_counted_before_its_rows_are_built(self, monkeypatch):
+        monkeypatch.setattr(narrow, "rows_for", no_rows)
+        with pytest.raises(CapacityError, match="rows=1000000"):
+            NarrowDp((10**6,), 3)
+        # A malformed spec is refused before any count.
+        with pytest.raises(ValidationError, match="extents must be positive"):
+            NarrowDp((10**6, 0), 3)
 
     def test_refused_before_rows_are_built(self, monkeypatch):
         def no_rows(row_extents):

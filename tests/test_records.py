@@ -163,6 +163,8 @@ REFUSALS = [
     (lambda: InstanceParams(2, (4, 3), 1), "omega must be >= 2, got 1"),
     (lambda: Vertex((1, 1), 0), "vertex weight must be positive, got 0 at (1, 1)"),
     (lambda: Vertex((1, 1), "x"), "not a rational weight: 'x'"),
+    (lambda: Vertex((1, 1), "3/0"), "not a rational weight: '3/0'"),
+    (lambda: GenConfig(P, 1, "const:3/0"), "not a rational weight: '3/0'"),
     (lambda: GenConfig(P, 2), "density must be in [0,1], got 2"),
     (
         lambda: GenConfig(P, 1, "bogus"),

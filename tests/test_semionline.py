@@ -363,6 +363,26 @@ class TestStreams:
         with pytest.raises(CapacityError, match="rows=1000000"):
             solve_semionline(FileColumnStream(path), 1)
 
+    def test_huge_streams_build_no_rows(self, tmp_path, monkeypatch):
+        path = tmp_path / "huge.losn"
+        path.write_text(
+            "losn v1\nd=2 omega=3 extents=1000000,1000000\nv 1 1000000 1\n",
+            encoding="utf-8",
+        )
+
+        def no_rows(row_extents):
+            raise AssertionError(f"rows built for {row_extents}")
+
+        monkeypatch.setattr("losnet.narrow.rows_for", no_rows)
+        streams = [
+            ColumnStream.from_instance(load_instance(path), 0),
+            FileColumnStream(path),
+        ]
+        for stream in streams:
+            assert stream.array.row_extents == (10**6,)
+            assert stream.reveal(1) == {10**6 - 1: 1}
+            assert stream.reveal(2) == {}
+
     def test_file_stream_budget_is_the_callers(self, tmp_path):
         cfg = GenConfig(InstanceParams(2, (12, 3), 3), Fraction(1, 2), "const:1", 4)
         path = tmp_path / "s.losn"
