@@ -34,6 +34,7 @@ from .io import (
     load_ads,
     load_instance,
     load_solution,
+    read_lines,
     save_instance,
     serialize_ads,
     serialize_instance,
@@ -170,8 +171,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _sniff_header(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        header = next(content_lines(fh), None)
+    header = next(content_lines(read_lines(path)), None)
     if header is None:
         raise ValidationError(f"{path}: empty file")
     return header

@@ -118,6 +118,14 @@ def default_long_axis(params: InstanceParams) -> int:
     return max(range(params.d), key=lambda a: (params.extents[a], -a))
 
 
+def check_epsilon(epsilon) -> Fraction:
+    """``epsilon`` as a ``Fraction``; refused unless positive."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    return epsilon
+
+
 def resolve_long_axis(params: InstanceParams, long_axis: int | None) -> int:
     """``long_axis`` checked against ``params``; ``default_long_axis`` if None."""
     if long_axis is None:
@@ -280,19 +288,25 @@ class Solution(Record):
 # -- adjacency predicates ---------------------------------------------------
 
 
-def shares_line_of_sight(p: Coords, q: Coords) -> bool:
-    """True when the points differ in exactly one coordinate."""
+def _sole_difference(p: Coords, q: Coords) -> int | None:
+    """The one axis where ``p`` and ``q`` differ; None when they are equal or
+    differ in more than one position."""
     if len(p) != len(q):
         raise ValidationError(
             f"dimension mismatch: {len(p)}-tuple vs {len(q)}-tuple"
         )
-    differing = 0
-    for a, b in zip(p, q):
+    axis = None
+    for i, (a, b) in enumerate(zip(p, q)):
         if a != b:
-            differing += 1
-            if differing > 1:
-                return False
-    return differing == 1
+            if axis is not None:
+                return None
+            axis = i
+    return axis
+
+
+def shares_line_of_sight(p: Coords, q: Coords) -> bool:
+    """True when the points differ in exactly one coordinate."""
+    return _sole_difference(p, q) is not None
 
 
 def are_adjacent(p: Coords, q: Coords, omega: int) -> bool:
@@ -303,33 +317,47 @@ def are_adjacent(p: Coords, q: Coords, omega: int) -> bool:
     """
     if omega < 2:
         raise ValidationError(f"omega must be >= 2, got {omega}")
-    if len(p) != len(q):
-        raise ValidationError(
-            f"dimension mismatch: {len(p)}-tuple vs {len(q)}-tuple"
-        )
-    axis = -1
-    for i, (a, b) in enumerate(zip(p, q)):
-        if a != b:
-            if axis >= 0:
-                return False
-            axis = i
-    if axis < 0:
-        return False
-    return abs(p[axis] - q[axis]) < omega
+    axis = _sole_difference(p, q)
+    return axis is not None and abs(p[axis] - q[axis]) < omega
+
+
+def adjacent_pairs(known: list[Coords], omega: int) -> list[tuple[int, int]]:
+    """Index pairs i < j of adjacent coordinates, ascending.
+
+    Per axis, the coordinates are grouped by their other positions (one
+    line of sight per group) and sorted along the axis; each one is paired
+    forward only while the gap stays below omega.  ``known`` holds distinct
+    coordinates of one dimension, so every adjacent pair is found on exactly
+    one axis.
+    """
+    pairs: list[tuple[int, int]] = []
+    dim = len(known[0]) if known else 0
+    for axis in range(dim):
+        lines: dict[Coords, list[tuple[int, int]]] = {}
+        for i, c in enumerate(known):
+            lines.setdefault(c[:axis] + c[axis + 1 :], []).append((c[axis], i))
+        for line in lines.values():
+            if len(line) < 2:
+                continue
+            line.sort()
+            for a, (x, i) in enumerate(line):
+                for b in range(a + 1, len(line)):
+                    y, j = line[b]
+                    if y - x >= omega:
+                        break
+                    pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
 
 
 def is_independent(inst: LosInstance, coords: Iterable[Coords]) -> bool:
-    """Pairwise non-adjacency of the given vertices of ``inst``."""
-    pts = [tuple(c) for c in coords]
+    """Pairwise non-adjacency of the given vertices of ``inst``; a repeated
+    coordinate is one vertex."""
+    pts = list(dict.fromkeys(tuple(c) for c in coords))
     for c in pts:
         if c not in inst:
             raise UnknownCoordinateError(f"no vertex at {c}")
-    omega = inst.params.omega
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if are_adjacent(pts[i], pts[j], omega):
-                return False
-    return True
+    return not adjacent_pairs(pts, inst.params.omega)
 
 
 def set_weight(inst: LosInstance, coords: Iterable[Coords]) -> Fraction:

@@ -16,6 +16,7 @@ narrow solver can handle, then recombine:
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .core import (
     InstanceParams,
     LosInstance,
     Solution,
+    check_epsilon,
     resolve_long_axis,
     set_weight,
 )
@@ -227,19 +229,10 @@ def make_blocks(
         hi = min(pos + h * k - 1, extent)
         segments.append((pos, hi, True))
         pos = hi + 1
-    # Past the leading block the pattern repeats every (h+1)*k coordinates:
-    # a width-k boundary strip, then a width-h*k block.
-    lead = shift * k
-    first = 1 if shift else 0
-    period = (h + 1) * k
+    starts = [lo for lo, _, _ in segments]
     members: list[list[Coords]] = [[] for _ in segments]
     for coords in sorted(inst.vertices):
-        c = coords[axis]
-        if c <= lead:
-            members[0].append(coords)
-        else:
-            cycle, r = divmod(c - lead - 1, period)
-            members[first + 2 * cycle + (r >= k)].append(coords)
+        members[bisect_right(starts, coords[axis]) - 1].append(coords)
     blocks, boundary = [], []
     for i, (lo, hi, is_block) in enumerate(segments):
         part = Part(lo, hi, tuple(members[i]))
@@ -255,9 +248,7 @@ def ptas_shift_count(epsilon: Fraction, d: int) -> int:
     so the per-level loss (1+1/h) compounds to at most 1+epsilon over the
     d-1 cut axes.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    epsilon = check_epsilon(epsilon)
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
 
@@ -292,9 +283,7 @@ def solve_ptas(
     bottoming out in the exact narrow solver.  Each level keeps its best
     shift (smallest index on ties).
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    epsilon = check_epsilon(epsilon)
     p = inst.params
     long_axis = resolve_long_axis(p, long_axis)
     k = p.omega - 1

@@ -8,7 +8,7 @@
     v <c1> ... <cd> <weight>
 
 Vertex lines are emitted sorted lexicographically by coordinates; weights
-serialize as integers or p/q and parse from integers, decimals, or p/q.
+serialize as integers or p/q.
 
 .ads::
 
@@ -17,9 +17,19 @@ serialize as integers or p/q and parse from integers, decimals, or p/q.
     a <0/1 string of length n>      (one line per client)
     w <client> <time> <weight>      (optional overrides, default weight 1)
 
+Numbers in both formats are ASCII.  An integer (coordinate, header value,
+client, time) is ``[+-]?[0-9]+``.  A weight is an integer, a decimal with
+an optional exponent, or p/q, each with an optional sign, read exactly as
+``Fraction`` reads it.  ``int`` and ``Fraction`` also take other Unicode
+digits and ``_`` between digits; the formats do not.
+
 Solution JSON uses the fixed key order (algorithm, weight, vertices, meta);
 meta keys are sorted.  Weights are exact "p/q" strings (denominator 1
 elided) so reports never lose precision.
+
+Every file is read as UTF-8.  Bytes that are not UTF-8, a malformed line
+or header, and JSON that is malformed or nested too deeply are refused with
+``ValidationError`` (the CLI exits 2).
 """
 
 from __future__ import annotations
@@ -44,19 +54,38 @@ def format_weight(w: Fraction) -> str:
     return str(w)
 
 
-def parse_weight(token: str) -> Fraction:
-    """Exact weight of a token, as ``Fraction(token)`` reads it.
+def _plain(token: str) -> bool:
+    """Whether ``token`` is ASCII without ``_``: ``int`` and ``Fraction``
+    also read other Unicode digits and ``_`` between digits, which the file
+    formats refuse."""
+    return token.isascii() and "_" not in token
 
-    A plain run of ASCII digits, the form ``losnet gen`` writes for integer
+
+def parse_int(token: str) -> int:
+    """Integer of an ASCII decimal token, with an optional sign; ValueError
+    for anything else."""
+    if not _plain(token):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
+
+def parse_weight(token: str) -> Fraction:
+    """Exact weight of an ASCII token, as ``Fraction(token)`` reads it:
+    an integer, a decimal with an optional exponent, or p/q, each with an
+    optional sign.
+
+    A plain run of digits, the form ``losnet gen`` writes for integer
     weights, goes through ``int``: same value, without ``Fraction``'s
     string parser.
     """
-    try:
-        if token.isascii() and token.isdigit():
-            return Fraction(int(token))
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad weight {token!r}") from exc
+    if _plain(token):
+        try:
+            if token.isdigit():
+                return Fraction(int(token))
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"bad weight {token!r}")
 
 
 def content_lines(lines: Iterable[str]) -> Iterator[str]:
@@ -93,9 +122,9 @@ def read_losn_header(lines: Iterator[str]) -> InstanceParams:
         raise ValidationError("missing losn parameter line")
     fields = _parse_kv_line(header_line, ["d", "omega", "extents"], "losn")
     try:
-        d = int(fields["d"])
-        omega = int(fields["omega"])
-        extents = tuple(int(x) for x in fields["extents"].split(","))
+        d = parse_int(fields["d"])
+        omega = parse_int(fields["omega"])
+        extents = tuple(map(parse_int, fields["extents"].split(",")))
     except ValueError as exc:
         raise ValidationError(f"bad losn header {header_line!r}") from exc
     return InstanceParams(d, extents, omega)
@@ -108,7 +137,7 @@ def parse_vertex_line(line: str, params: InstanceParams) -> tuple[Coords, Fracti
             f"bad vertex line {line!r} (want 'v <{params.d} coords> <weight>')"
         )
     try:
-        coords = tuple(map(int, parts[1 : 1 + params.d]))
+        coords = tuple(map(parse_int, parts[1 : 1 + params.d]))
     except ValueError as exc:
         raise ValidationError(f"bad coordinates in {line!r}") from exc
     return coords, parse_weight(parts[-1])
@@ -148,9 +177,19 @@ def parse_instance(text: str) -> LosInstance:
     return LosInstance._trusted(params, cells)
 
 
-def _read_text(path: str | PathLike[str]) -> str:
+def read_lines(path: str | PathLike[str]) -> Iterator[str]:
+    """Lines of the UTF-8 file at ``path``, read as they are asked for.  A
+    byte sequence that is not UTF-8 is refused (``ValidationError``) when
+    the reading reaches it."""
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_text(path: str | PathLike[str]) -> str:
+    return "".join(read_lines(path))
 
 
 def load_instance(path: str | PathLike[str]) -> LosInstance:
@@ -189,10 +228,10 @@ def parse_ads(text: str) -> AdsInstance:
         raise ValidationError("missing ads parameter line")
     fields = _parse_kv_line(lines[1], ["clients", "times", "omega", "l"], "ads")
     try:
-        k = int(fields["clients"])
-        n = int(fields["times"])
-        omega = int(fields["omega"])
-        cap = int(fields["l"])
+        k = parse_int(fields["clients"])
+        n = parse_int(fields["times"])
+        omega = parse_int(fields["omega"])
+        cap = parse_int(fields["l"])
     except ValueError as exc:
         raise ValidationError(f"bad ads header {lines[1]!r}") from exc
     rows: list[tuple[int, ...]] = []
@@ -205,7 +244,7 @@ def parse_ads(text: str) -> AdsInstance:
             rows.append(tuple(int(ch) for ch in parts[1]))
         elif parts[0] == "w" and len(parts) == 4:
             try:
-                c, t = int(parts[1]), int(parts[2])
+                c, t = parse_int(parts[1]), parse_int(parts[2])
             except ValueError as exc:
                 raise ValidationError(f"bad weight line {line!r}") from exc
             key = (c, t)
@@ -240,8 +279,10 @@ def solution_to_json(sol: Solution, with_float: bool = False) -> str:
 def parse_solution_json(text: str) -> Solution:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad solution JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer longer than ``int``
+        # reads; RecursionError: arrays or objects nested too deeply.
+        raise ValidationError(f"bad solution JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError("solution JSON must be an object")
     for key in ("algorithm", "weight", "vertices"):

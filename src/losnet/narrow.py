@@ -43,9 +43,11 @@ from fractions import Fraction
 from .core import (
     Coords,
     FrozenRecord,
+    InstanceParams,
     LosInstance,
     Solution,
     are_adjacent,
+    check_cell,
     resolve_long_axis,
 )
 from .errors import CapacityError, ValidationError
@@ -304,6 +306,9 @@ class NarrowArray:
     -(omega-1)..0 precede them so the DP can start from the empty window.
     Only positive cells are stored, keyed by row index: the row's rank in
     ``rows`` (lexicographic, built when first read), computed arithmetically.
+    ``cells`` maps (row, column) to a weight; each is checked by
+    ``core.check_cell`` at its instance coordinates, as ``LosInstance``
+    checks its own.
     """
 
     __slots__ = ("row_extents", "omega", "n", "long_axis", "_cols")
@@ -327,21 +332,13 @@ class NarrowArray:
         self.n = int(n)
         self.long_axis = int(long_axis)
         self._cols: dict[int, dict[int, Fraction]] = {}
-        for (row, j), w in (cells or {}).items():
-            row = tuple(row)
-            ridx = self._index(row)
-            if ridx is None:
-                raise ValidationError(f"row {row} outside extents {self.row_extents}")
-            if not 1 <= j <= self.n:
-                raise ValidationError(f"column {j} outside 1..{self.n}")
-            if type(w) is not Fraction:
-                w = Fraction(w)
-            if w <= 0:
-                raise ValidationError(f"cell weight must be positive, got {w}")
-            col = self._cols.setdefault(j, {})
-            if ridx in col:
-                raise ValidationError(f"duplicate cell ({row}, {j})")
-            col[ridx] = w
+        if cells:  # n may be 0, which no ``InstanceParams`` admits
+            extents = list(self.row_extents)
+            extents.insert(self.long_axis, self.n)
+            params = InstanceParams(len(extents), extents, self.omega)
+            for (row, j), w in cells.items():
+                coords, w = check_cell(params, self, self.coords_of(row, j), w)
+                self.put(coords, w)
 
     @property
     def rows(self) -> tuple[Coords, ...]:

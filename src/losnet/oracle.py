@@ -1,17 +1,19 @@
 """Independent ground truth: the exact solution verifiers.
 
 Everything here is deliberately simple enough to trust by inspection.  The
-verifier works at any scale: it buckets the solution by line of sight, so
-its cost is O(d |S| log |S|) in the solution size |S| plus the number of
+verifier works at any scale: it buckets the solution by line of sight
+(``core.adjacent_pairs``, which ``core.is_independent`` shares), so its
+cost is O(d |S| log |S|) in the solution size |S| plus the number of
 adjacent pairs it reports, and never depends on the instance size.  The
-exhaustive solvers the tests compare against live in ``losnet.brute``.
+solvers do not use that pair finder, and the exhaustive solvers the tests
+compare against live in ``losnet.brute``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Coords, LosInstance, Record, Solution
+from .core import Coords, LosInstance, Record, Solution, adjacent_pairs
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING``, without importing ``typing``
 if TYPE_CHECKING:
@@ -57,43 +59,10 @@ def verify(inst: LosInstance, sol: Solution) -> VerifyReport:
             violations.append(f"unknown coordinate {c}")
         else:
             known.append(c)
-    for i, j in _adjacent_pairs(known, inst.params.omega):
+    for i, j in adjacent_pairs(known, inst.params.omega):
         violations.append(f"adjacent pair {known[i]} {known[j]}")
     recomputed = sum((inst.weight_of(c) for c in known), Fraction(0))
-    if recomputed != sol.total_weight:
-        violations.append(
-            f"weight mismatch: claimed {sol.total_weight}, recomputed {recomputed}"
-        )
-    return VerifyReport(not violations, sol.total_weight, recomputed, violations)
-
-
-def _adjacent_pairs(known: list[Coords], omega: int) -> list[tuple[int, int]]:
-    """Index pairs i < j of adjacent coordinates, ascending.
-
-    Per axis, the coordinates are grouped by their other positions (one
-    line of sight per group) and sorted along the axis; each one is paired
-    forward only while the gap stays below omega.  ``known`` holds distinct
-    coordinates of one dimension, so every adjacent pair is found on exactly
-    one axis.
-    """
-    pairs: list[tuple[int, int]] = []
-    dim = len(known[0]) if known else 0
-    for axis in range(dim):
-        lines: dict[Coords, list[tuple[int, int]]] = {}
-        for i, c in enumerate(known):
-            lines.setdefault(c[:axis] + c[axis + 1 :], []).append((c[axis], i))
-        for line in lines.values():
-            if len(line) < 2:
-                continue
-            line.sort()
-            for a, (x, i) in enumerate(line):
-                for b in range(a + 1, len(line)):
-                    y, j = line[b]
-                    if y - x >= omega:
-                        break
-                    pairs.append((i, j) if i < j else (j, i))
-    pairs.sort()
-    return pairs
+    return _report(sol, recomputed, violations)
 
 
 def verify_ads(ads: AdsInstance, sol: Solution) -> VerifyReport:
@@ -130,6 +99,12 @@ def verify_ads(ads: AdsInstance, sol: Solution) -> VerifyReport:
         if count > ads.l:
             violations.append(f"slot {t} holds {count} > l={ads.l}")
     recomputed = sum((ads.weight_at(c, t) for c, t in picks), Fraction(0))
+    return _report(sol, recomputed, violations)
+
+
+def _report(sol: Solution, recomputed: Fraction, violations: list[str]) -> VerifyReport:
+    """The report on ``sol``: ``violations``, plus a weight mismatch when its
+    claimed weight is not ``recomputed``."""
     if recomputed != sol.total_weight:
         violations.append(
             f"weight mismatch: claimed {sol.total_weight}, recomputed {recomputed}"

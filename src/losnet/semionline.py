@@ -22,13 +22,13 @@ cross-section whose windows exceed the budget.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from fractions import Fraction
 from os import PathLike
 
-from .core import Coords, LosInstance, Record, Solution, check_cell
+from .core import Coords, LosInstance, Record, Solution, check_cell, check_epsilon
 from .errors import ValidationError
-from .io import content_lines, parse_vertex_line, read_losn_header
+from .io import content_lines, parse_vertex_line, read_losn_header, read_lines
 from .narrow import NarrowArray, NarrowDp, build_array
 
 # (ln 2)^2 as the exact value of its float, so the round cap needs no float
@@ -44,9 +44,7 @@ def max_lookahead(k: int, d: int, epsilon: Fraction, omega: int) -> int:
     columns and the discarded separator adds one more omega.  The constant
     is a documented contract used to size stream buffers, not a tight bound.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    epsilon = check_epsilon(epsilon)
     if k < 1 or d < 2 or omega < 2:
         raise ValidationError(
             f"need k >= 1, d >= 2, omega >= 2; got k={k}, d={d}, omega={omega}"
@@ -176,16 +174,11 @@ class FileColumnStream(ColumnStream):
     """
 
     def __init__(self, path: str | PathLike[str]) -> None:
-        self._lines = self._line_iter(path)
+        self._lines = content_lines(read_lines(path))
         self._params = params = read_losn_header(self._lines)
         n, *row_extents = params.extents
         super().__init__(NarrowArray(row_extents, params.omega, n))
         self._last_col = 0
-
-    @staticmethod
-    def _line_iter(path: str | PathLike[str]) -> Iterator[str]:
-        with open(path, encoding="utf-8") as fh:
-            yield from content_lines(fh)
 
     def _column(self, j: int) -> dict[int, Fraction]:
         array, params = self.array, self._params
@@ -251,9 +244,7 @@ def run_phase(
     """
     if stream.exhausted:
         return None
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValidationError(f"epsilon must be positive, got {eps}")
+    eps = check_epsilon(epsilon)
     j0 = stream.cursor
     omega = stream.array.omega
     dp = NarrowDp(stream.array.row_extents, omega, budget)
@@ -308,9 +299,7 @@ def solve_semionline(
     A cross-section whose windows exceed ``budget`` is refused by the first
     phase's ``NarrowDp``, before any row is built.
     """
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValidationError(f"epsilon must be positive, got {eps}")
+    eps = check_epsilon(epsilon)
     if isinstance(source, LosInstance):
         stream = ColumnStream.from_instance(source, long_axis)
     elif isinstance(source, NarrowArray):

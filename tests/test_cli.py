@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losnet.cli import main
 from conftest import child_env
@@ -252,6 +256,78 @@ class TestUnopenableInput:
         proc = run_process("solve", "exact-narrow", str(tmp_path / "no_such.losn"))
         assert proc.returncode == 2
         assert proc.stderr == f"error: {tmp_path / 'no_such.losn'}: No such file or directory\n"
+
+
+LOSN_HEAD = "losn v1\nd=2 omega=3 extents=12,2\n"
+SOLUTION = '{"algorithm": "x", "weight": "1", "vertices": [[1, 1]]}'
+
+
+def assert_refused(code, out, err):
+    """One ``error:`` line on stderr, nothing on stdout, exit 2."""
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+class TestMalformedInput:
+    """A file that is not in its format, down to its bytes, is an input
+    error: one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfelosn v1\n",
+            (LOSN_HEAD + "v 1 1 1\nv 3 1 \xff\n").encode("latin-1"),
+            (LOSN_HEAD + "v \u0661 1 1e3\n").encode(),
+            (LOSN_HEAD + "v 1_0 1 1\n").encode(),
+        ],
+        ids=["ff-fe", "late-bad-byte", "arabic-indic-digit", "underscore"],
+    )
+    def test_bad_instance(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.losn"
+        path.write_bytes(content)
+        sol_path = tmp_path / "s.json"
+        sol_path.write_text(SOLUTION)
+        for argv in (
+            ("solve", "exact-narrow", str(path)),
+            ("solve", "semionline", str(path), "--epsilon", "1"),
+            ("verify", str(path), str(sol_path)),
+        ):
+            assert_refused(*run(capsys, *argv))
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+        ids=["ff-fe", "deeply-nested"],
+    )
+    def test_bad_solution(self, tmp_path, capsys, content):
+        inst_path = tmp_path / "g.losn"
+        inst_path.write_text(LOSN_HEAD + "v 1 1 1\n")
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert_refused(*run(capsys, "verify", str(inst_path), str(path)))
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_arbitrary_bytes_exit_2(tmp_path_factory, content):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "in"
+    path.write_bytes(content)
+    good_inst = work / "g.losn"
+    good_inst.write_text(LOSN_HEAD + "v 1 1 1\n")
+    good_sol = work / "s.json"
+    good_sol.write_text(SOLUTION)
+    for argv in (
+        ("solve", "exact-narrow", str(path)),
+        ("verify", str(path), str(good_sol)),
+        ("verify", str(good_inst), str(path)),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert_refused(code, out.getvalue(), err.getvalue())
 
 
 @pytest.mark.parametrize("axis", ["-1", "2"])

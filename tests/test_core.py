@@ -62,6 +62,20 @@ class TestAreAdjacent:
         assert not are_adjacent(p, p, omega)
 
 
+def independent_by_pairs(inst, coords):
+    """Reference for ``is_independent``: every pair checked by ``are_adjacent``."""
+    pts = [tuple(c) for c in coords]
+    for c in pts:
+        if c not in inst:
+            raise UnknownCoordinateError(f"no vertex at {c}")
+    omega = inst.params.omega
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if are_adjacent(pts[i], pts[j], omega):
+                return False
+    return True
+
+
 class TestIndependenceAndWeight:
     def test_empty_set_is_independent(self):
         inst = unit_inst((5, 2), 3, [(1, 1)])
@@ -92,22 +106,25 @@ class TestIndependenceAndWeight:
             set_weight(inst, [(1, 1), (1, 1)])
 
     @given(st.data())
-    @settings(max_examples=60)
+    @settings(max_examples=100)
     def test_is_independent_matches_pair_scan(self, data):
-        # Oracle: a literal double loop over are_adjacent, written here.
+        # Repeated coordinates and coordinates naming no vertex included.
         from conftest import small_instances
 
         inst = data.draw(small_instances())
-        coords = inst.coords_sorted()
-        subset = data.draw(
-            st.lists(st.sampled_from(coords), unique=True, max_size=8)
-        ) if coords else []
-        expected = all(
-            not are_adjacent(a, b, inst.params.omega)
-            for i, a in enumerate(subset)
-            for b in subset[i + 1 :]
-        )
-        assert is_independent(inst, subset) == expected
+        known = inst.coords_sorted()
+        coords = data.draw(st.lists(st.sampled_from(known), max_size=10)) if known else []
+        cells = st.tuples(*(st.integers(1, e + 1) for e in inst.params.extents))
+        for c in data.draw(st.lists(cells, max_size=1)):
+            coords.insert(data.draw(st.integers(0, len(coords))), c)
+        try:
+            expected = independent_by_pairs(inst, coords)
+        except UnknownCoordinateError as exc:
+            with pytest.raises(UnknownCoordinateError) as info:
+                is_independent(inst, coords)
+            assert str(info.value) == str(exc)
+        else:
+            assert is_independent(inst, coords) == expected
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from losnet import (
     AdsInstance,
     Solution,
     ValidationError,
+    load_ads,
+    load_instance,
     parse_ads,
     parse_instance,
     serialize_ads,
@@ -29,12 +32,15 @@ def test_weight_tokens():
 
 
 def _fraction_or_refusal(token: str):
-    """What ``parse_weight`` has always returned for a token: ``Fraction(token)``,
-    or the refusal message when ``Fraction`` refuses it."""
+    """What ``parse_weight`` returns for a token: ``Fraction(token)`` for an
+    ASCII token without ``_``, else the refusal message (also when
+    ``Fraction`` refuses the token)."""
     try:
-        return Fraction(token)
+        if token.isascii() and "_" not in token:
+            return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        return f"bad weight {token!r}"
+        pass
+    return f"bad weight {token!r}"
 
 
 @given(st.one_of(st.from_regex(r"0*[0-9]{1,40}", fullmatch=True), st.text()))
@@ -57,7 +63,6 @@ def test_parse_weight_reads_tokens_as_fraction_does(token):
         ("0", 0),  # parses; the instance refuses a weight that is not positive
         ("-0", 0),
         ("+3", 3),
-        ("\u0661", 1),  # ARABIC-INDIC DIGIT ONE: Fraction takes Unicode digits
         ("1e3", 1000),
         ("3/4", Fraction(3, 4)),
     ],
@@ -67,7 +72,16 @@ def test_weight_grammar_accepts(token, value):
     assert type(got) is Fraction and got == value
 
 
-@pytest.mark.parametrize("token", ["3/0", "nan", "\u00b2"])  # "\u00b2" is "²"
+@pytest.mark.parametrize(
+    "token",
+    [
+        "3/0",
+        "nan",
+        "\u00b2",  # "²"
+        "\u0661",  # ARABIC-INDIC DIGIT ONE: Fraction takes Unicode digits
+        "1_0",  # and digits grouped by "_"
+    ],
+)
 def test_weight_grammar_refuses(token):
     with pytest.raises(ValidationError) as info:
         parse_weight(token)
@@ -220,8 +234,112 @@ def test_solution_json_errors(tmp_path):
         ('{"algorithm": "x", "weight": "1", "vertices": [["1", 2]]}', "integer"),
         ('{"algorithm": "x", "weight": "1", "vertices": [[true, 2]]}', "integer"),
         ('{"algorithm": "x", "weight": "1", "vertices": [], "meta": [1]}', "meta"),
+        pytest.param("[" * 100000 + "]" * 100000, "JSON", id="deeply-nested"),
     ],
 )
 def test_solution_json_malformed_refused(text, match):
     with pytest.raises(ValidationError, match=match):
         parse_solution_json(text)
+
+
+LOSN_HEAD = "losn v1\nd=2 omega=3 extents=4,3\n"
+ADS_HEAD = "ads v1\nclients=2 times=3 omega=2 l=1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (LOSN_HEAD + "v \u0661 1 1e3\n", "bad coordinates in 'v \u0661 1 1e3'"),
+        (LOSN_HEAD + "v 1_0 1 1\n", "bad coordinates in 'v 1_0 1 1'"),
+        (LOSN_HEAD + "v 1 1 1_0\n", "bad weight '1_0'"),
+        (LOSN_HEAD + "v 1 1 \u0661\n", "bad weight '\u0661'"),
+        ("losn v1\nd=\u0662 omega=3 extents=4,3\n", "bad losn header"),
+        ("losn v1\nd=2 omega=3 extents=4,1_0\n", "bad losn header"),
+        ("ads v1\nclients=\u0661 times=3 omega=2 l=1\na 111\n", "bad ads header"),
+        ("ads v1\nclients=1 times=3 omega=2 l=1_0\na 111\n", "bad ads header"),
+        (ADS_HEAD + "a 111\na 111\nw 1_0 1 2\n", "bad weight line"),
+        (ADS_HEAD + "a 111\na 111\nw 1 \u0661 2\n", "bad weight line"),
+        (ADS_HEAD + "a 111\na 111\nw 1 1 \u0662\n", "bad weight"),
+    ],
+    ids=[
+        "losn-coord-digit",
+        "losn-coord-underscore",
+        "losn-weight-underscore",
+        "losn-weight-digit",
+        "losn-header-digit",
+        "losn-header-underscore",
+        "ads-header-digit",
+        "ads-header-underscore",
+        "ads-field-underscore",
+        "ads-field-digit",
+        "ads-weight-digit",
+    ],
+)
+def test_file_numbers_are_ascii(text, message):
+    parse = parse_ads if text.startswith("ads") else parse_instance
+    with pytest.raises(ValidationError) as info:
+        parse(text)
+    assert str(info.value).startswith(message)
+
+
+def test_file_numbers_keep_signs_decimals_and_exponents():
+    inst = parse_instance(LOSN_HEAD + "v +1 1 1e3\nv 4 +3 2.5e-1\n")
+    assert inst.vertices == {(1, 1): 1000, (4, 3): Fraction(1, 4)}
+    ads = parse_ads(ADS_HEAD + "a 111\na 111\nw +2 3 5/2\n")
+    assert ads.weights[(2, 3)] == Fraction(5, 2)
+
+
+NOT_UTF8 = b"\xff\xfelosn v1\n"
+
+
+@pytest.mark.parametrize("load", [load_instance, load_ads, load_solution])
+def test_undecodable_file_refused(tmp_path, load):
+    path = tmp_path / "bin"
+    path.write_bytes(NOT_UTF8)
+    with pytest.raises(ValidationError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+# Arbitrary text, and arbitrary lines after a valid header or parameter line.
+def _after(*heads):
+    return st.one_of(st.text(), *(st.text().map(lambda t, h=h: h + t) for h in heads))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=6,
+)
+SOLUTION_LIKE = st.fixed_dictionaries(
+    {"algorithm": JSON_VALUES, "weight": JSON_VALUES, "vertices": JSON_VALUES},
+    optional={"meta": JSON_VALUES},
+)
+
+
+@pytest.mark.parametrize(
+    "parse, texts",
+    [
+        (parse_instance, _after("losn v1\n", LOSN_HEAD)),
+        (parse_ads, _after("ads v1\n", ADS_HEAD)),
+        (
+            parse_solution_json,
+            st.one_of(
+                st.text(),
+                JSON_VALUES.map(json.dumps),
+                SOLUTION_LIKE.map(json.dumps),
+            ),
+        ),
+    ],
+    ids=["losn", "ads", "solution"],
+)
+def test_parsers_raise_only_validation_error(parse, texts):
+    @given(texts)
+    @settings(max_examples=100, deadline=None)
+    def check(text):
+        try:
+            parse(text)
+        except ValidationError:
+            pass
+
+    check()

@@ -64,6 +64,22 @@ class TestRowIndex:
             for j in range(1, p.extents[axis] + 1):
                 assert built.column(j) == checked.column(j)
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ({((2,), 3): 0}, "vertex weight must be positive, got 0 at (2, 3)"),
+            ({((3,), 1): 1}, "coordinates (3, 1) outside box extents=(2, 4)"),
+            ({((1,), 5): 1}, "coordinates (1, 5) outside box extents=(2, 4)"),
+            ({((1, 1), 2): 1}, "coordinates (1, 2, 1) outside box extents=(2, 4)"),
+        ],
+        ids=["weight", "row", "column", "row-length"],
+    )
+    def test_cells_refused_as_instance_cells(self, cells, message):
+        # Long axis 1: a cell (row, j) sits at instance coordinates (row, j).
+        with pytest.raises(ValidationError) as info:
+            NarrowArray((2,), 3, 4, cells, long_axis=1)
+        assert str(info.value) == message
+
     def test_huge_cross_section_builds_no_rows(self, monkeypatch):
         monkeypatch.setattr(narrow, "rows_for", no_rows)
         array = NarrowArray((10**6, 10**6), 3, 5, {((10**6, 2), 4): 7})

@@ -478,3 +478,21 @@ def test_file_stream_refuses_at_the_faulty_line(tmp_path):
     with pytest.raises(ValidationError, match=r"duplicate vertex at \(6, 1\)"):
         while run_phase(stream, Fraction(1)) is not None:
             pass
+
+
+def test_file_stream_refuses_undecodable_bytes_where_it_reads_them(tmp_path):
+    # The bad byte sits past the first chunk read: the phases before it run.
+    path = tmp_path / "bin.losn"
+    lines = "".join(f"v {j} 1 1\n" for j in range(1, 3000, 2))
+    path.write_bytes(
+        f"losn v1\nd=2 omega=2 extents=3000,1\n{lines}".encode() + b"v 3000 1 \xff\n"
+    )
+    with pytest.raises(ValidationError) as loaded:
+        load_instance(path)
+    stream = FileColumnStream(path)
+    assert run_phase(stream, Fraction(1)).best_set == ((1, 1),)
+    with pytest.raises(ValidationError) as streamed:
+        while run_phase(stream, Fraction(1)) is not None:
+            pass
+    assert str(streamed.value) == str(loaded.value)
+    assert str(loaded.value) == f"{path}: not UTF-8 text (invalid start byte)"
