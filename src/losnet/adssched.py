@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .core import FrozenRecord, Solution
+from .core import FrozenRecord, Solution, parse_rational
 from .errors import ValidationError
 from .narrow import NarrowDp
 from .narrow import count_windows as count_ads_windows  # the schedule windows
@@ -33,7 +33,6 @@ class AdsInstance(FrozenRecord):
     ``k_clients`` is legal and simply never binds.
     """
 
-    _fields = ("k_clients", "n_times", "omega", "l", "available", "weights")
     k_clients: int
     n_times: int
     omega: int
@@ -65,7 +64,7 @@ class AdsInstance(FrozenRecord):
             raise ValidationError("availability entries must be 0/1")
         checked = {}
         for (c, t), w in dict(weights or {}).items():
-            w = Fraction(w)
+            w = parse_rational(w, "weight")
             if not (1 <= c <= k_clients and 1 <= t <= n_times):
                 raise ValidationError(f"weight for out-of-range pair ({c}, {t})")
             if not rows[c - 1][t - 1]:
@@ -75,14 +74,7 @@ class AdsInstance(FrozenRecord):
             if w <= 0:
                 raise ValidationError(f"weight must be positive, got {w}")
             checked[(c, t)] = w
-        self._init(
-            k_clients=k_clients,
-            n_times=n_times,
-            omega=omega,
-            l=l,
-            available=rows,
-            weights=checked,
-        )
+        super().__init__(k_clients, n_times, omega, l, rows, checked)
 
     def weight_at(self, client: int, time: int) -> Fraction:
         return self.weights.get((client, time), Fraction(1))

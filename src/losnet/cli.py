@@ -24,6 +24,7 @@ from .core import (
     LosInstance,
     Solution,
     generate,
+    parse_rational,
     resolve_long_axis,
 )
 from .errors import CapacityError, LosError, ValidationError
@@ -48,13 +49,6 @@ if TYPE_CHECKING:
 
 ALGOS = ("exact-narrow", "brute", "strip2", "ptas", "semionline", "adssched")
 BUDGET_ENV = "LOS_WINDOW_BUDGET"
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational number: {text!r}") from exc
 
 
 def _parse_extents(text: str) -> tuple[int, ...]:
@@ -159,7 +153,7 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = InstanceParams(args.d, _parse_extents(args.extents), args.omega)
-    cfg = GenConfig(params, _parse_fraction(args.density), args.weights, args.seed)
+    cfg = GenConfig(params, args.density, args.weights, args.seed)
     inst = generate(cfg)
     comments = [
         f"generated prng=splitmix64 seed={cfg.seed} density={cfg.density} "
@@ -179,7 +173,7 @@ def _sniff_header(path: str) -> str:
 
 def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
     budget = _window_budget()
-    epsilon = _parse_fraction(args.epsilon) if args.epsilon is not None else None
+    epsilon = parse_rational(args.epsilon) if args.epsilon is not None else None
     if args.algo in ("ptas", "semionline") and epsilon is None:
         raise ValidationError(f"--epsilon is required for {args.algo}")
     header = _sniff_header(args.file)

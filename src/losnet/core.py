@@ -26,8 +26,11 @@ Weight = Fraction
 
 
 class Record:
-    """Plain value class: equality and ``repr`` over the fields named in
-    ``_fields``, which ``__init__`` assigns.
+    """Plain value class over the fields its class annotates: ``_fields``
+    lists them in declaration order, ``__init__`` assigns them positionally
+    or by keyword (a trailing field with a class-level value may be left
+    out), and equality and ``repr`` read them.  A class that checks its
+    fields keeps its own ``__init__`` and ends it with ``super().__init__``.
 
     Records stand in for ``dataclasses``, whose import (it pulls in
     ``inspect``) would cost every CLI run more than the classes do.  Like a
@@ -36,6 +39,32 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, of a call that does not give them all
+        positionally; TypeError for a call a signature would refuse."""
+        who, fields, n = cls.__name__, cls._fields, len(args)
+        if n > len(fields):
+            raise TypeError(f"{who}() takes {len(fields)} arguments but {n} were given")
+        for key in kwargs:
+            if key in fields[:n]:
+                raise TypeError(f"{who}() got multiple values for argument {key!r}")
+            if key not in fields:
+                raise TypeError(f"{who}() got an unexpected keyword argument {key!r}")
+        for field in fields[n:]:
+            if field not in kwargs and not hasattr(cls, field):
+                raise TypeError(f"{who}() missing argument {field!r}")
+        return [*args, *(kwargs.get(f, getattr(cls, f, None)) for f in fields[n:])]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -53,11 +82,8 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """Immutable, hashable ``Record``: ``__init__`` sets the fields once with
-    ``_init``; assigning or deleting one afterwards raises AttributeError."""
-
-    def _init(self, **fields) -> None:
-        self.__dict__.update(fields)
+    """Immutable, hashable ``Record``: assigning or deleting a field after
+    ``__init__`` raises AttributeError."""
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,11 +95,36 @@ class FrozenRecord(Record):
         return hash(self._values())
 
 
-def _as_weight(value) -> Fraction:
+# Python's default limit on the digits ``int`` reads and ``str`` writes,
+# fixed here so that what is refused does not depend on the environment.
+MAX_DIGITS = 4300
+_DIGITS_CAP = 10**MAX_DIGITS
+
+
+def exact_fraction(value) -> Fraction:
+    """``Fraction(value)``; ValueError when its numerator or denominator
+    would have more than ``MAX_DIGITS`` digits.  A string's exponent is read
+    first: past ``MAX_DIGITS`` plus the mantissa's length no nonzero
+    mantissa fits, so the token is refused (a zero one too) before
+    ``Fraction`` builds 10**exponent.  An exponent ``int`` cannot read is
+    one ``Fraction`` refuses too."""
+    if isinstance(value, str):
+        mantissa, e, exponent = value.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_DIGITS + len(mantissa):
+            raise ValueError("exponent too large")
+    result = Fraction(value)
+    if abs(result.numerator) >= _DIGITS_CAP or result.denominator >= _DIGITS_CAP:
+        raise ValueError(f"more than {MAX_DIGITS} digits")
+    return result
+
+
+def parse_rational(value, what: str = "number") -> Fraction:
+    """``exact_fraction(value)``, refused as ``not a rational <what>``: the
+    one reader of weights, epsilon and density."""
     try:
-        return Fraction(value)
+        return exact_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational weight: {value!r}") from exc
+        raise ValidationError(f"not a rational {what}: {value!r}") from exc
 
 
 class InstanceParams(FrozenRecord):
@@ -84,7 +135,6 @@ class InstanceParams(FrozenRecord):
     is always derived from the extents, never stored.
     """
 
-    _fields = ("d", "extents", "omega")
     d: int
     extents: tuple[int, ...]
     omega: int
@@ -99,7 +149,7 @@ class InstanceParams(FrozenRecord):
             raise ValidationError(f"extents must be positive, got {extents}")
         if omega < 2:
             raise ValidationError(f"omega must be >= 2, got {omega}")
-        self._init(d=d, extents=extents, omega=omega)
+        super().__init__(d, extents, omega)
 
     def in_box(self, coords: Coords) -> bool:
         return len(coords) == self.d and all(
@@ -120,7 +170,7 @@ def default_long_axis(params: InstanceParams) -> int:
 
 def check_epsilon(epsilon) -> Fraction:
     """``epsilon`` as a ``Fraction``; refused unless positive."""
-    epsilon = Fraction(epsilon)
+    epsilon = parse_rational(epsilon)
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     return epsilon
@@ -139,7 +189,7 @@ def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Fraction]:
     """(coords, weight) normalised and checked as ``Vertex`` does."""
     coords = tuple(map(int, coords))
     if type(weight) is not Fraction:
-        weight = _as_weight(weight)
+        weight = parse_rational(weight, "weight")
     if weight.numerator <= 0:
         raise ValidationError(
             f"vertex weight must be positive, got {weight} at {coords}"
@@ -166,13 +216,12 @@ def check_cell(
 class Vertex(FrozenRecord):
     """A grid point with a positive rational weight."""
 
-    _fields = ("coords", "weight")
     coords: Coords
     weight: Fraction
 
     def __init__(self, coords: Iterable[int], weight=Fraction(1)) -> None:
         coords, weight = _valid_cell(coords, weight)
-        self._init(coords=coords, weight=weight)
+        super().__init__(coords, weight)
 
 
 class LosInstance:
@@ -257,7 +306,10 @@ class Solution(Record):
     it defaults to a fresh empty dict.
     """
 
-    _fields = ("algorithm", "vertices", "total_weight", "meta")
+    algorithm: str
+    vertices: tuple[Coords, ...]
+    total_weight: Fraction
+    meta: dict[str, object]
 
     def __init__(
         self,
@@ -266,10 +318,8 @@ class Solution(Record):
         total_weight: Fraction,
         meta: dict[str, object] | None = None,
     ) -> None:
-        self.algorithm = algorithm
-        self.vertices = vertices
-        self.total_weight = total_weight
-        self.meta = {} if meta is None else meta
+        meta = {} if meta is None else meta
+        super().__init__(algorithm, vertices, total_weight, meta)
 
     @classmethod
     def from_coords(
@@ -379,7 +429,7 @@ def set_weight(inst: LosInstance, coords: Iterable[Coords]) -> Fraction:
 def _parse_weight_dist(spec: str) -> tuple[str, tuple]:
     parts = spec.split(":")
     if parts[0] == "const" and len(parts) == 2:
-        c = _as_weight(parts[1])
+        c = parse_rational(parts[1], "weight")
         if c <= 0:
             raise ValidationError(f"const weight must be positive: {spec}")
         return "const", (c,)
@@ -399,7 +449,6 @@ def _parse_weight_dist(spec: str) -> tuple[str, tuple]:
 class GenConfig(FrozenRecord):
     """Seeded random-instance recipe; equal configs yield equal instances."""
 
-    _fields = ("params", "density", "weight_dist", "seed")
     params: InstanceParams
     density: Fraction
     weight_dist: str
@@ -412,13 +461,11 @@ class GenConfig(FrozenRecord):
         weight_dist: str = "const:1",
         seed: int = 0,
     ) -> None:
-        density = Fraction(density)
+        density = parse_rational(density)
         if not 0 <= density <= 1:
             raise ValidationError(f"density must be in [0,1], got {density}")
         _parse_weight_dist(weight_dist)  # validates
-        self._init(
-            params=params, density=density, weight_dist=weight_dist, seed=int(seed)
-        )
+        super().__init__(params, density, weight_dist, int(seed))
 
 
 def generate(cfg: GenConfig) -> LosInstance:

@@ -37,7 +37,6 @@ from .narrow import solve_exact_narrow
 class StripIndex(FrozenRecord):
     """Index vector of a strip across the cut axes, with its parity."""
 
-    _fields = ("index", "parity")
     index: tuple[int, ...]
     parity: int
 
@@ -47,7 +46,7 @@ class StripIndex(FrozenRecord):
             raise ValidationError(f"strip index entries must be >= 0: {index}")
         if parity != sum(index) % 2:
             raise ValidationError(f"parity {parity} inconsistent with index {index}")
-        self._init(index=index, parity=parity)
+        super().__init__(index, parity)
 
     @classmethod
     def of(cls, index: Iterable[int]) -> "StripIndex":
@@ -163,13 +162,9 @@ def solve_strip2(
 class Part(FrozenRecord):
     """A maximal coordinate range on the cut axis plus its vertices."""
 
-    _fields = ("lo", "hi", "vertices")
     lo: int
     hi: int
     vertices: tuple[Coords, ...]
-
-    def __init__(self, lo: int, hi: int, vertices: tuple[Coords, ...]) -> None:
-        self._init(lo=lo, hi=hi, vertices=vertices)
 
 
 class BlockDecomposition(FrozenRecord):
@@ -180,24 +175,12 @@ class BlockDecomposition(FrozenRecord):
     short.  Blocks and boundary partition the vertex set.
     """
 
-    _fields = ("shift", "h", "axis", "k", "blocks", "boundary")
     shift: int
     h: int
     axis: int
     k: int
     blocks: tuple[Part, ...]
     boundary: tuple[Part, ...]
-
-    def __init__(
-        self,
-        shift: int,
-        h: int,
-        axis: int,
-        k: int,
-        blocks: tuple[Part, ...],
-        boundary: tuple[Part, ...],
-    ) -> None:
-        self._init(shift=shift, h=h, axis=axis, k=k, blocks=blocks, boundary=boundary)
 
 
 def make_blocks(

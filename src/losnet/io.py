@@ -20,8 +20,9 @@ serialize as integers or p/q.
 Numbers in both formats are ASCII.  An integer (coordinate, header value,
 client, time) is ``[+-]?[0-9]+``.  A weight is an integer, a decimal with
 an optional exponent, or p/q, each with an optional sign, read exactly as
-``Fraction`` reads it.  ``int`` and ``Fraction`` also take other Unicode
-digits and ``_`` between digits; the formats do not.
+``Fraction`` reads it, with at most 4300 digits (``core.MAX_DIGITS``) in
+its numerator and in its denominator.  ``int`` and ``Fraction`` also take
+other Unicode digits and ``_`` between digits; the formats do not.
 
 Solution JSON uses the fixed key order (algorithm, weight, vertices, meta);
 meta keys are sorted.  Weights are exact "p/q" strings (denominator 1
@@ -39,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from os import PathLike
 
-from .core import Coords, InstanceParams, LosInstance, Solution
+from .core import Coords, InstanceParams, LosInstance, Solution, exact_fraction
 from .errors import ValidationError
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING``, without importing ``typing``
@@ -76,13 +77,12 @@ def parse_weight(token: str) -> Fraction:
 
     A plain run of digits, the form ``losnet gen`` writes for integer
     weights, goes through ``int``: same value, without ``Fraction``'s
-    string parser.
+    string parser.  A weight whose numerator or denominator would have more
+    than 4300 digits is refused (``core.exact_fraction``).
     """
     if _plain(token):
         try:
-            if token.isdigit():
-                return Fraction(int(token))
-            return Fraction(token)
+            return exact_fraction(int(token) if token.isdigit() else token)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"bad weight {token!r}")

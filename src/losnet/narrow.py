@@ -121,7 +121,6 @@ class FeasibleWindow(FrozenRecord):
     coincide.
     """
 
-    _fields = ("rows", "omega", "positions")
     rows: tuple[Coords, ...]
     omega: int
     positions: tuple[int, ...]
@@ -148,7 +147,7 @@ class FeasibleWindow(FrozenRecord):
                         f"no witness: conflicting rows share column {p}"
                     )
                 col_masks[p] = col_masks.get(p, 0) | (1 << r)
-        self._init(rows=rows, omega=omega, positions=positions)
+        super().__init__(rows, omega, positions)
 
     @property
     def key(self) -> bytes:

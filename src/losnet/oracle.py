@@ -28,19 +28,10 @@ class VerifyReport(Record):
     report certifies the full solution record, not just pairwise gaps.
     """
 
-    _fields = ("independent", "weight_claimed", "weight_recomputed", "violations")
-
-    def __init__(
-        self,
-        independent: bool,
-        weight_claimed: Fraction,
-        weight_recomputed: Fraction,
-        violations: list[str],
-    ) -> None:
-        self.independent = independent
-        self.weight_claimed = weight_claimed
-        self.weight_recomputed = weight_recomputed
-        self.violations = violations
+    independent: bool
+    weight_claimed: Fraction
+    weight_recomputed: Fraction
+    violations: list[str]
 
 
 def verify(inst: LosInstance, sol: Solution) -> VerifyReport:

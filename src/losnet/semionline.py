@@ -60,31 +60,54 @@ def _growth_cap(epsilon: Fraction, ratio: Fraction) -> int:
     powers (1+epsilon)^(2^i) are squared up until one reaches ``ratio``, then
     c-1 is assembled from its top bit down, keeping each bit while the
     product stays below ``ratio``.  Every comparison is exact, made on lower
-    and upper bounds of ``prec`` bits; when the bounds straddle ``ratio`` the
-    search reruns at twice the precision.  Bounds that fit in ``prec`` bits
-    are the exact values, so the reruns end.
+    and upper bounds m * 2^e kept as integer pairs whose mantissas m have
+    ``prec`` bits; when the bounds straddle ``ratio`` the search reruns at
+    twice the precision.  The bounds close in on every power, so only a
+    power equal to ``ratio`` could straddle it for good; that case is
+    looked for first, with integers.
     """
     if ratio <= 1:
         return 0
-    prec = 64 + (1 + epsilon).denominator.bit_length()
-    while (c := _growth_cap_at(1 + epsilon, ratio, prec)) is None:
+    grow = 1 + epsilon
+    n, d = grow.numerator, grow.denominator
+    c, power = 0, 1
+    while power < ratio.numerator:
+        c, power = c + 1, power * n
+    if power == ratio.numerator and d**c == ratio.denominator:
+        return c
+    # Each squaring doubles the bounds' relative error, and reaching ratio
+    # takes about log2(1/epsilon) squarings; the powers must still be told
+    # apart to within a factor 1+epsilon.
+    prec = 64 + 2 * d.bit_length()
+    while (c := _growth_cap_at(grow, ratio, prec)) is None:
         prec *= 2
     return c
 
 
 def _growth_cap_at(grow: Fraction, ratio: Fraction, prec: int) -> int | None:
-    def mul(x, y):
-        return _bound(x[0] * y[0], prec, False), _bound(x[1] * y[1], prec, True)
+    p, q = ratio.numerator, ratio.denominator
+
+    def mul(x, y):  # bounds (lo, hi, e) of [lo * 2^e, hi * 2^e]
+        lo, hi, e = x[0] * y[0], x[1] * y[1], x[2] + y[2]
+        s = max(hi.bit_length() - prec, 0)
+        return lo >> s, -(-hi >> s), e + s
 
     def below(x) -> bool | None:  # None: the bounds straddle ratio
-        return True if x[1] < ratio else False if x[0] >= ratio else None
+        lo, hi, e = x  # m * 2^e < p/q exactly when m * q * 2^e < p
+        if e >= 0:
+            lo, hi, r = lo * q << e, hi * q << e, p
+        else:
+            lo, hi, r = lo * q, hi * q, p << -e
+        return True if hi < r else False if lo >= r else None
 
-    powers = [mul((grow, grow), (1, 1))]
+    s = prec + grow.denominator.bit_length()
+    lo, rest = divmod(grow.numerator << s, grow.denominator)
+    powers = [mul((lo, lo + (rest > 0), -s), (1, 1, 0))]
     while b := below(powers[-1]):
         powers.append(mul(powers[-1], powers[-1]))
     if b is None:
         return None
-    acc, below_count = (1, 1), 0
+    acc, below_count = (1, 1, 0), 0
     for i in reversed(range(len(powers))):
         cand = mul(acc, powers[i])
         if (b := below(cand)) is None:
@@ -92,18 +115,6 @@ def _growth_cap_at(grow: Fraction, ratio: Fraction, prec: int) -> int | None:
         if b:
             acc, below_count = cand, below_count + (1 << i)
     return below_count + 1
-
-
-def _bound(x: Fraction, prec: int, up: bool) -> Fraction:
-    """``x`` when it fits in ``prec`` bits, else ``x`` rounded to a
-    ``prec``-bit binary mantissa, up or down."""
-    n, d = x.numerator, x.denominator
-    if max(n.bit_length(), d.bit_length()) <= prec:
-        return x
-    shift = prec - n.bit_length() + d.bit_length()
-    num, den = (n << shift, d) if shift >= 0 else (n, d << -shift)
-    m = -(-num // den) if up else num // den
-    return Fraction(m, 1 << shift) if shift >= 0 else Fraction(m << -shift)
 
 
 class ColumnStream:
@@ -202,33 +213,13 @@ class FileColumnStream(ColumnStream):
 class PhaseState(Record):
     """Outcome of one phase: anchor column, stopping round, and kept set."""
 
-    _fields = (
-        "j0",
-        "r",
-        "current_weight",
-        "best_set",
-        "stopped",
-        "lookahead_used",
-        "degenerate",
-    )
-
-    def __init__(
-        self,
-        j0: int,
-        r: int,
-        current_weight: Fraction,
-        best_set: tuple[Coords, ...],
-        stopped: bool,
-        lookahead_used: int,
-        degenerate: bool = False,
-    ) -> None:
-        self.j0 = j0
-        self.r = r
-        self.current_weight = current_weight
-        self.best_set = best_set
-        self.stopped = stopped
-        self.lookahead_used = lookahead_used
-        self.degenerate = degenerate
+    j0: int
+    r: int
+    current_weight: Fraction
+    best_set: tuple[Coords, ...]
+    stopped: bool
+    lookahead_used: int
+    degenerate: bool = False
 
 
 def run_phase(

@@ -309,6 +309,41 @@ class TestMalformedInput:
         assert_refused(*run(capsys, "verify", str(inst_path), str(path)))
 
 
+class TestNumbersTooLargeToPrint:
+    """A number whose numerator or denominator would have more than 4300
+    digits, the most ``str`` prints, is an input error: one line, exit 2."""
+
+    @pytest.mark.parametrize("weight", ["1e5000", "1e-5000"])
+    def test_losn_weight(self, tmp_path, capsys, weight):
+        path = tmp_path / "big.losn"
+        path.write_text(LOSN_HEAD + f"v 1 1 {weight}\n")
+        code, out, err = run(capsys, "solve", "exact-narrow", str(path))
+        assert_refused(code, out, err)
+        assert f"bad weight '{weight}'" in err
+
+    @pytest.mark.parametrize("algo", ["ptas", "semionline"])
+    def test_epsilon(self, tmp_path, capsys, algo):
+        path = tmp_path / "g.losn"
+        path.write_text(LOSN_HEAD + "v 1 1 3\nv 5 1 2\n")
+        code, out, err = run(capsys, "solve", algo, str(path), "--epsilon", "1e-5000")
+        assert (code, out, err) == (2, "", "error: not a rational number: '1e-5000'\n")
+
+    def test_gen_weight(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "gen", "--d", "2", "--extents", "4,2", "--omega", "3",
+            "--density", "1", "--weights", "const:1e5000", "-o", str(tmp_path / "x.losn"),
+        )
+        assert (code, out, err) == (2, "", "error: not a rational weight: '1e5000'\n")
+        assert not (tmp_path / "x.losn").exists()
+
+    def test_in_a_fresh_process(self, tmp_path):
+        path = tmp_path / "big.losn"
+        path.write_text(LOSN_HEAD + "v 1 1 1e5000\n")
+        proc = run_process("solve", "exact-narrow", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 @given(st.binary(max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_arbitrary_bytes_exit_2(tmp_path_factory, content):

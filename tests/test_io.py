@@ -33,11 +33,14 @@ def test_weight_tokens():
 
 def _fraction_or_refusal(token: str):
     """What ``parse_weight`` returns for a token: ``Fraction(token)`` for an
-    ASCII token without ``_``, else the refusal message (also when
-    ``Fraction`` refuses the token)."""
+    ASCII token without ``_`` whose numerator and denominator have at most
+    4300 digits, else the refusal message (also when ``Fraction`` refuses
+    the token)."""
     try:
         if token.isascii() and "_" not in token:
-            return Fraction(token)
+            value = Fraction(token)
+            if max(abs(value.numerator), value.denominator) < 10**4300:
+                return value
     except (ValueError, ZeroDivisionError):
         pass
     return f"bad weight {token!r}"
@@ -65,6 +68,10 @@ def test_parse_weight_reads_tokens_as_fraction_does(token):
         ("+3", 3),
         ("1e3", 1000),
         ("3/4", Fraction(3, 4)),
+        # 4300 digits, the most ``str`` prints
+        pytest.param("1e4299", 10**4299, id="1e4299"),
+        pytest.param("1e-4299", Fraction(1, 10**4299), id="1e-4299"),
+        pytest.param("9" * 4300, 10**4300 - 1, id="4300-nines"),
     ],
 )
 def test_weight_grammar_accepts(token, value):
@@ -80,6 +87,10 @@ def test_weight_grammar_accepts(token, value):
         "\u00b2",  # "²"
         "\u0661",  # ARABIC-INDIC DIGIT ONE: Fraction takes Unicode digits
         "1_0",  # and digits grouped by "_"
+        "1e5000",  # more digits than ``str`` prints
+        pytest.param("1" + "0" * 4300, id="10**4300"),
+        "1e-5000",
+        "1e1000000",  # refused from its exponent, before 10**1000000 is built
     ],
 )
 def test_weight_grammar_refuses(token):

@@ -19,6 +19,7 @@ from losnet import (
     VerifyReport,
     Vertex,
 )
+from losnet.core import check_epsilon
 from losnet.decomp import Part
 
 P = InstanceParams(2, (4, 3), 3)
@@ -164,8 +165,12 @@ REFUSALS = [
     (lambda: Vertex((1, 1), 0), "vertex weight must be positive, got 0 at (1, 1)"),
     (lambda: Vertex((1, 1), "x"), "not a rational weight: 'x'"),
     (lambda: Vertex((1, 1), "3/0"), "not a rational weight: '3/0'"),
+    (lambda: Vertex((1, 1), "1e5000"), "not a rational weight: '1e5000'"),
     (lambda: GenConfig(P, 1, "const:3/0"), "not a rational weight: '3/0'"),
     (lambda: GenConfig(P, 2), "density must be in [0,1], got 2"),
+    (lambda: GenConfig(P, "x"), "not a rational number: 'x'"),
+    (lambda: GenConfig(P, "1/0"), "not a rational number: '1/0'"),
+    (lambda: GenConfig(P, "1e-5000"), "not a rational number: '1e-5000'"),
     (
         lambda: GenConfig(P, 1, "bogus"),
         "weight_dist must be 'const:c' or 'uniform:a:b', got 'bogus'",
@@ -198,6 +203,21 @@ REFUSALS = [
         lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(1, 2): 0}),
         "weight must be positive, got 0",
     ),
+    (
+        lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(1, 2): "3/0"}),
+        "not a rational weight: '3/0'",
+    ),
+    pytest.param(  # its own id: the id of Vertex's case stays unique
+        lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(1, 2): "x"}),
+        "not a rational weight: 'x'",
+        id="AdsInstance-not a rational weight: 'x'",
+    ),
+    (
+        lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(1, 2): None}),
+        "not a rational weight: None",
+    ),
+    (lambda: check_epsilon("x"), "not a rational number: 'x'"),
+    (lambda: check_epsilon("1/0"), "not a rational number: '1/0'"),
     (lambda: StripIndex((1, -1), 0), "strip index entries must be >= 0: (1, -1)"),
     (lambda: StripIndex((1, 1), 1), "parity 1 inconsistent with index (1, 1)"),
 ]
@@ -206,4 +226,109 @@ REFUSALS = [
 @pytest.mark.parametrize("build, message", REFUSALS)
 def test_refusals_keep_their_messages(build, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_check_epsilon():
+    assert check_epsilon("1/2") == check_epsilon(0.5) == Fraction(1, 2)
+    assert type(check_epsilon(1)) is Fraction
+    assert check_epsilon("1e-4299") == Fraction(1, 10**4299)
+    for value, message in [
+        (0, "epsilon must be positive, got 0"),
+        ("-1/3", "epsilon must be positive, got -1/3"),
+        ("1e-4300", "not a rational number: '1e-4300'"),
+        ("1e-999999999", "not a rational number: '1e-999999999'"),
+        (None, "not a rational number: None"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check_epsilon(value)
+
+
+# Each class's fields, in declaration order.
+FIELDS = {
+    "InstanceParams": ("d", "extents", "omega"),
+    "Vertex": ("coords", "weight"),
+    "GenConfig": ("params", "density", "weight_dist", "seed"),
+    "FeasibleWindow": ("rows", "omega", "positions"),
+    "AdsInstance": ("k_clients", "n_times", "omega", "l", "available", "weights"),
+    "StripIndex": ("index", "parity"),
+    "Part": ("lo", "hi", "vertices"),
+    "BlockDecomposition": ("shift", "h", "axis", "k", "blocks", "boundary"),
+    "Solution": ("algorithm", "vertices", "total_weight", "meta"),
+    "VerifyReport": (
+        "independent",
+        "weight_claimed",
+        "weight_recomputed",
+        "violations",
+    ),
+    "PhaseState": (
+        "j0",
+        "r",
+        "current_weight",
+        "best_set",
+        "stopped",
+        "lookahead_used",
+        "degenerate",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_fields_are_the_annotated_names_in_order(name):
+    cls = type(ALL[name][0]())
+    assert cls._fields == FIELDS[name] == tuple(cls.__annotations__)
+
+
+def test_every_record_is_covered():
+    assert sorted(FIELDS) == sorted(ALL) and len(ALL) == 11
+
+
+def test_keyword_construction():
+    assert Part(lo=1, hi=2, vertices=()) == Part(1, 2, ()) == Part(1, vertices=(), hi=2)
+    a = PhaseState(1, 0, Fraction(1), (), stopped=True, lookahead_used=3)
+    assert a == PhaseState(1, 0, Fraction(1), (), True, 3, False)
+    assert PhaseState(
+        j0=1, r=0, current_weight=1, best_set=(), stopped=True, lookahead_used=3,
+        degenerate=True,
+    ).degenerate is True
+    assert VerifyReport(
+        independent=True, weight_claimed=1, weight_recomputed=1, violations=[]
+    ) == VerifyReport(True, 1, 1, [])
+    assert InstanceParams(d=2, extents=(4, 3), omega=3) == P
+    assert Solution("x", (), Fraction(0), meta=None).meta == {}
+
+
+def test_fields_are_assigned_in_order():
+    a = PhaseState(1, 0, Fraction(1), (), True, 3)
+    assert list(vars(a)) == list(FIELDS["PhaseState"])
+    b = Part(vertices=(), hi=2, lo=1)
+    assert list(vars(b)) == ["lo", "hi", "vertices"]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Part(1, 2, (), 4), "Part() takes 3 arguments but 4 were given"),
+        (lambda: Part(1, 2), "Part() missing argument 'vertices'"),
+        (lambda: Part(), "Part() missing argument 'lo'"),
+        (
+            lambda: PhaseState(1, 0, Fraction(1), (), True),
+            "PhaseState() missing argument 'lookahead_used'",
+        ),
+        (
+            lambda: Part(1, 2, verts=()),
+            "Part() got an unexpected keyword argument 'verts'",
+        ),
+        (
+            lambda: Part(1, 2, (), lo=1),
+            "Part() got multiple values for argument 'lo'",
+        ),
+        (
+            lambda: VerifyReport(True, 1, 1, [], independent=False),
+            "VerifyReport() got multiple values for argument 'independent'",
+        ),
+    ],
+)
+def test_constructor_refusals(build, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         build()
