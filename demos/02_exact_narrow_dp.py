@@ -36,7 +36,7 @@ print("entry shifts left one column:", consistent(w_mid, w_left))
 cfg = GenConfig(InstanceParams(2, (12, 2), 3), Fraction(3, 5), "uniform:1:5", 9)
 inst = generate(cfg)
 array = build_array(inst, long_axis=0)
-print(f"\ninstance: {len(inst)} vertices, array {len(array.rows)}x{array.num_cols}")
+print(f"\ninstance: {len(inst)} vertices, array {len(array.rows)}x{array.n + array.omega}")
 
 sol = solve_exact_narrow(inst, long_axis=0)
 ref = brute_mis(inst)

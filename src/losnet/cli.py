@@ -58,10 +58,10 @@ def _parse_extents(text: str) -> tuple[int, ...]:
         raise ValidationError(f"bad extents {text!r}") from exc
 
 
-def _window_budget() -> int | None:
+def _window_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
-        return None
+        return DEFAULT_WINDOW_BUDGET
     try:
         budget = int(raw)
     except ValueError as exc:
@@ -215,7 +215,7 @@ def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
                 "algo": args.algo,
                 "epsilon": str(epsilon) if epsilon is not None else None,
                 "long_axis": long_axis,
-                "window_budget": budget if budget is not None else DEFAULT_WINDOW_BUDGET,
+                "window_budget": budget,
             },
             "solution": solution_dict(sol, args.with_float),
         }
@@ -231,7 +231,7 @@ def _run_algo(
     args: argparse.Namespace,
     inst: LosInstance,
     epsilon: Fraction | None,
-    budget: int | None,
+    budget: int,
 ) -> tuple[Solution, int | None]:
     long_axis = args.long_axis
     if args.algo != "brute":

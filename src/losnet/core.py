@@ -22,8 +22,6 @@ from .errors import UnknownCoordinateError, ValidationError
 
 Coords = tuple[int, ...]
 
-Weight = Fraction
-
 
 class Record:
     """Plain value class over the fields its class annotates: ``_fields``
@@ -116,6 +114,29 @@ def exact_fraction(value) -> Fraction:
     if abs(result.numerator) >= _DIGITS_CAP or result.denominator >= _DIGITS_CAP:
         raise ValueError(f"more than {MAX_DIGITS} digits")
     return result
+
+
+def check_digits(value: int, what: str) -> int:
+    """``value``; refused unless ``str`` can write it (``MAX_DIGITS``)."""
+    if abs(value) >= _DIGITS_CAP:
+        raise ValidationError(f"{what} would have more than {MAX_DIGITS} digits")
+    return value
+
+
+def check_weight_sums(weights: Iterable[Fraction], units: int = 0) -> None:
+    """Refuse positive ``weights``, and ``units`` more weights of 1, unless
+    every sum of some of them can be written.  Such a sum has a denominator
+    dividing the least common multiple L of their denominators and a
+    numerator at most the sum of w * L, so both must fit ``check_digits``."""
+    lcm, total = 1, units
+    for w in weights:
+        den = w.denominator
+        if lcm % den:
+            grown = check_digits(lcm // math.gcd(lcm, den) * den, "a weight sum")
+            total *= grown // lcm
+            lcm = grown
+        total += w.numerator * (lcm // den)
+    check_digits(total, "a weight sum")
 
 
 def parse_rational(value, what: str = "number") -> Fraction:

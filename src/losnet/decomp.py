@@ -15,6 +15,7 @@ narrow solver can handle, then recombine:
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
@@ -26,6 +27,7 @@ from .core import (
     InstanceParams,
     LosInstance,
     Solution,
+    check_digits,
     check_epsilon,
     resolve_long_axis,
     set_weight,
@@ -35,30 +37,26 @@ from .narrow import solve_exact_narrow
 
 
 class StripIndex(FrozenRecord):
-    """Index vector of a strip across the cut axes, with its parity."""
+    """Index vector of a strip across the cut axes."""
 
     index: tuple[int, ...]
-    parity: int
 
-    def __init__(self, index: Iterable[int], parity: int) -> None:
+    def __init__(self, index: Iterable[int]) -> None:
         index = tuple(int(i) for i in index)
         if any(i < 0 for i in index):
             raise ValidationError(f"strip index entries must be >= 0: {index}")
-        if parity != sum(index) % 2:
-            raise ValidationError(f"parity {parity} inconsistent with index {index}")
-        super().__init__(index, parity)
+        super().__init__(index)
 
-    @classmethod
-    def of(cls, index: Iterable[int]) -> "StripIndex":
-        idx = tuple(int(i) for i in index)
-        return cls(idx, sum(idx) % 2)
+    @property
+    def parity(self) -> int:
+        return sum(self.index) % 2
 
 
 def strip_of(coords: Coords, k: int, cut_axes: Sequence[int]) -> StripIndex:
     """Strip holding ``coords``: 0-based index (coord-1)//k per cut axis."""
     if k < 1:
         raise ValidationError(f"strip width k must be >= 1, got {k}")
-    return StripIndex.of((coords[a] - 1) // k for a in cut_axes)
+    return StripIndex((coords[a] - 1) // k for a in cut_axes)
 
 
 def _slice(
@@ -234,22 +232,14 @@ def ptas_shift_count(epsilon: Fraction, d: int) -> int:
     epsilon = check_epsilon(epsilon)
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
-
-    def too_small(h: int) -> bool:
-        return (1 + Fraction(1, h)) ** (d - 1) > 1 + epsilon
-
-    # The test is monotone in h: double past the answer, then bisect.
-    hi = 1
-    while too_small(hi):
-        hi *= 2
-    lo = hi // 2  # too small, or 0 when hi == 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if too_small(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    # With m = d-1, Bernoulli gives (1+1/h)^m >= 1 + m/h, so no h below
+    # ceil(m/epsilon) passes; for h > m, (1+1/h)^m <= h/(h-m), so that
+    # bound plus m passes.  At most m+1 candidates are tested.
+    m = d - 1
+    h = max(1, math.ceil(m / epsilon))
+    while (1 + Fraction(1, h)) ** m > 1 + epsilon:
+        h += 1
+    return h
 
 
 def solve_ptas(
@@ -270,7 +260,7 @@ def solve_ptas(
     p = inst.params
     long_axis = resolve_long_axis(p, long_axis)
     k = p.omega - 1
-    h = ptas_shift_count(epsilon, p.d)
+    h = check_digits(ptas_shift_count(epsilon, p.d), "epsilon too small: h")
     cut_axes = [a for a in range(p.d) if a != long_axis]
     coords, shift, block_weights = _ptas_level(
         inst, cut_axes, long_axis, h, k, budget

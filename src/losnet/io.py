@@ -40,7 +40,14 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from os import PathLike
 
-from .core import Coords, InstanceParams, LosInstance, Solution, exact_fraction
+from .core import (
+    Coords,
+    InstanceParams,
+    LosInstance,
+    Solution,
+    check_weight_sums,
+    exact_fraction,
+)
 from .errors import ValidationError
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING``, without importing ``typing``
@@ -174,6 +181,7 @@ def parse_instance(text: str) -> LosInstance:
     for coords, w in cells.items():
         if w.numerator <= 0 or not params.in_box(coords):
             return LosInstance(params, cells)
+    check_weight_sums(cells.values())
     return LosInstance._trusted(params, cells)
 
 
@@ -253,7 +261,10 @@ def parse_ads(text: str) -> AdsInstance:
             weights[key] = parse_weight(parts[3])
         else:
             raise ValidationError(f"bad ads line {line!r}")
-    return AdsInstance(k, n, omega, cap, tuple(rows), weights)
+    ads = AdsInstance(k, n, omega, cap, tuple(rows), weights)
+    # Every available pair without a weight line weighs 1.
+    check_weight_sums(ads.weights.values(), sum(map(sum, rows)) - len(weights))
+    return ads
 
 
 def load_ads(path: str | PathLike[str]) -> AdsInstance:
@@ -266,7 +277,10 @@ def load_ads(path: str | PathLike[str]) -> AdsInstance:
 def solution_dict(sol: Solution, with_float: bool = False) -> dict:
     d: dict = {"algorithm": sol.algorithm, "weight": format_weight(sol.total_weight)}
     if with_float:
-        d["weight_float"] = float(sol.total_weight)
+        try:
+            d["weight_float"] = float(sol.total_weight)
+        except OverflowError:  # beyond the largest float
+            d["weight_float"] = None
     d["vertices"] = [list(c) for c in sol.vertices]
     d["meta"] = {k: sol.meta[k] for k in sorted(sol.meta)}
     return d

@@ -116,9 +116,8 @@ class FeasibleWindow(FrozenRecord):
     apart inside the window, so one per row is structural).  Feasibility
     additionally requires that no two conflicting rows share a column.
 
-    ``rows`` are lexicographically sorted; the canonical key encodes the
-    positions one byte per row in that order, so key order and tuple order
-    coincide.
+    ``rows`` are lexicographically sorted, and windows order by their
+    positions: the order of ``NarrowDp``'s packed windows.
     """
 
     rows: tuple[Coords, ...]
@@ -128,10 +127,8 @@ class FeasibleWindow(FrozenRecord):
     def __init__(self, rows, omega: int, positions: Iterable[int]) -> None:
         rows = normalize_rows(rows)
         positions = tuple(positions)
-        if not 2 <= omega <= 255:
-            raise ValidationError(
-                f"omega must be in [2, 255] for byte keys, got {omega}"
-            )
+        if omega < 2:
+            raise ValidationError(f"omega must be >= 2, got {omega}")
         conflicts = _row_structure(rows, omega)
         if len(positions) != len(rows):
             raise ValidationError(
@@ -149,10 +146,6 @@ class FeasibleWindow(FrozenRecord):
                 col_masks[p] = col_masks.get(p, 0) | (1 << r)
         super().__init__(rows, omega, positions)
 
-    @property
-    def key(self) -> bytes:
-        return bytes(self.positions)
-
     @classmethod
     def zero(cls, row_spec, omega: int) -> "FeasibleWindow":
         rows = normalize_rows(row_spec)
@@ -166,7 +159,7 @@ class FeasibleWindow(FrozenRecord):
         )
 
     def __lt__(self, other: "FeasibleWindow") -> bool:
-        return self.key < other.key
+        return self.positions < other.positions
 
 
 def count_windows(
@@ -224,7 +217,7 @@ def check_window_budget(
 def enumerate_windows(
     row_spec, omega: int, budget: int | None = None
 ) -> list[FeasibleWindow]:
-    """All feasible windows for the given cross-section, ascending key.
+    """All feasible windows for the given cross-section, ascending.
 
     ``row_spec`` is either per-axis extents or an explicit row arrangement
     (see ``normalize_rows``).  Refuses as ``NarrowDp`` does, when
@@ -355,11 +348,6 @@ class NarrowArray:
             index = index * e + c - 1
         return index
 
-    @property
-    def num_cols(self) -> int:
-        """Total column count including the omega leading zero columns."""
-        return self.n + self.omega
-
     def weight(self, row: Coords, j: int) -> Fraction:
         """Cell weight; 0 for empty cells and for the padding columns j <= 0."""
         row = tuple(row)
@@ -380,15 +368,9 @@ class NarrowArray:
             return {}
         return dict(self._cols.get(j, {}))
 
-    def column_sum(self, j: int) -> Fraction:
-        return sum(self._cols.get(j, {}).values(), Fraction(0)) if j > 0 else Fraction(0)
-
     def weights(self) -> list[Fraction]:
         """Weights of the stored cells."""
         return [w for col in self._cols.values() for w in col.values()]
-
-    def array_sum(self) -> Fraction:
-        return sum(self.weights(), Fraction(0))
 
     def coords_of(self, row: Coords, j: int) -> Coords:
         """Instance coordinates of cell (row, j): j re-inserted at long_axis."""

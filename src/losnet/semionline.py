@@ -26,7 +26,15 @@ from collections.abc import Callable
 from fractions import Fraction
 from os import PathLike
 
-from .core import Coords, LosInstance, Record, Solution, check_cell, check_epsilon
+from .core import (
+    Coords,
+    LosInstance,
+    Record,
+    Solution,
+    check_cell,
+    check_digits,
+    check_epsilon,
+)
 from .errors import ValidationError
 from .io import content_lines, parse_vertex_line, read_losn_header, read_lines
 from .narrow import NarrowArray, NarrowDp, build_array
@@ -128,7 +136,6 @@ class ColumnStream:
 
     def __init__(self, array: NarrowArray) -> None:
         self.array = array
-        self.n = array.n
         self.cursor = 1
         self.max_revealed = 0
 
@@ -145,21 +152,21 @@ class ColumnStream:
         """Occupied row-index -> weight map of column j (marks it revealed)."""
         if j < self.cursor:
             raise ValidationError(f"column {j} was already consumed")
-        if not 1 <= j <= self.n:
-            raise ValidationError(f"column {j} outside 1..{self.n}")
+        if not 1 <= j <= self.array.n:
+            raise ValidationError(f"column {j} outside 1..{self.array.n}")
         if j > self.max_revealed:
             self.max_revealed = j
         return self._column(j)
 
     def consume_through(self, j: int) -> None:
-        self.cursor = max(self.cursor, min(j, self.n) + 1)
+        self.cursor = max(self.cursor, min(j, self.array.n) + 1)
 
     def lookahead(self) -> int:
         return max(0, self.max_revealed - self.cursor + 1)
 
     @property
     def exhausted(self) -> bool:
-        return self.cursor > self.n
+        return self.cursor > self.array.n
 
     def totals(self) -> tuple[Fraction, Fraction | None, bool] | None:
         """(total weight, min weight or None, all-unit?) when known upfront."""
@@ -237,7 +244,7 @@ def run_phase(
         return None
     eps = check_epsilon(epsilon)
     j0 = stream.cursor
-    omega = stream.array.omega
+    n, omega = stream.array.n, stream.array.omega
     dp = NarrowDp(stream.array.row_extents, omega, budget)
 
     def push_through(end: int) -> None:
@@ -252,10 +259,10 @@ def run_phase(
     r, keep, end, stopped = 0, 1, j0, True
     while not degenerate:
         end = j0 + (r + 1) * omega - 1
-        if end > stream.n:
+        if end > n:
             # Stream ends mid-round: keep the best set over every column the
             # phase could see; nothing follows, so no separator is needed.
-            end, stopped = stream.n, False
+            end, stopped = n, False
             push_through(end)
             keep = dp.columns_pushed
             break
@@ -275,7 +282,7 @@ def run_phase(
 
 
 def solve_semionline(
-    source: ColumnStream | NarrowArray | LosInstance,
+    source: ColumnStream | LosInstance,
     epsilon: Fraction,
     long_axis: int | None = None,
     budget: int | None = None,
@@ -293,8 +300,6 @@ def solve_semionline(
     eps = check_epsilon(epsilon)
     if isinstance(source, LosInstance):
         stream = ColumnStream.from_instance(source, long_axis)
-    elif isinstance(source, NarrowArray):
-        stream = ColumnStream(source)
     else:
         stream = source
 
@@ -311,6 +316,7 @@ def solve_semionline(
         else:
             assert wmin is not None
             limit = (_growth_cap(eps, total / wmin) + 1) * omega
+        check_digits(limit, "epsilon too small: the look-ahead limit")
 
     coords: list[Coords] = []
     total_weight = Fraction(0)

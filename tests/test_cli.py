@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,16 @@ class TestSolve:
         sol = json.loads(out)["solution"]
         assert sol["weight_float"] == float(Fraction(sol["weight"]))
         assert list(sol) == ["algorithm", "weight", "weight_float", "vertices", "meta"]
+
+    def test_float_flag_null_past_the_float_range(self, tmp_path, capsys):
+        path = tmp_path / "big.losn"
+        path.write_text(LOSN_HEAD + "v 1 1 1e400\n")
+        code, out, err = run(
+            capsys, "solve", "exact-narrow", str(path), "--json", "--float"
+        )
+        assert code == 0, err
+        sol = json.loads(out)["solution"]
+        assert sol["weight"] == "1" + "0" * 400 and sol["weight_float"] is None
 
     def test_trace_phases_on_stderr(self, losn_file, capsys):
         code, out, err = run(
@@ -335,6 +346,52 @@ class TestNumbersTooLargeToPrint:
         )
         assert (code, out, err) == (2, "", "error: not a rational weight: '1e5000'\n")
         assert not (tmp_path / "x.losn").exists()
+
+    @pytest.mark.parametrize("algo", ["exact-narrow", "strip2"])
+    def test_weight_sum(self, tmp_path, capsys, algo):
+        # Each weight has 4300 digits; their sum has 4301.
+        path = tmp_path / "sum.losn"
+        path.write_text(
+            "losn v1\nd=2 omega=2 extents=40,2\n"
+            + "".join(f"v {i} 1 9e4299\n" for i in range(1, 20, 2))
+        )
+        started = time.perf_counter()
+        code, out, err = run(capsys, "solve", algo, str(path), "--json")
+        assert time.perf_counter() - started < 1
+        assert (code, out, err) == (
+            2, "", "error: a weight sum would have more than 4300 digits\n"
+        )
+
+    def test_ads_weight_sum(self, tmp_path, capsys):
+        path = tmp_path / "sum.ads"
+        path.write_text(
+            "ads v1\nclients=1 times=4 omega=2 l=1\na 1111\n"
+            + "".join(f"w 1 {t} 9e4299\n" for t in range(1, 5))
+        )
+        code, out, err = run(capsys, "solve", "adssched", str(path))
+        assert (code, out, err) == (
+            2, "", "error: a weight sum would have more than 4300 digits\n"
+        )
+
+    @pytest.mark.parametrize(
+        "algo, content, what",
+        [
+            ("ptas", "losn v1\nd=3 omega=2 extents=2,2,2\nv 1 1 1 1\n", "h"),
+            ("semionline", LOSN_HEAD + "v 1 1 1\n", "the look-ahead limit"),
+        ],
+        ids=["ptas", "semionline"],
+    )
+    def test_epsilon_parameter(self, tmp_path, capsys, algo, content, what):
+        # epsilon = 1/(10^4300 - 1) reads, but what it sets has 4301 digits.
+        path = tmp_path / "one.losn"
+        path.write_text(content)
+        eps = "1/" + "9" * 4300
+        started = time.perf_counter()
+        code, out, err = run(capsys, "solve", algo, str(path), "--json", "--epsilon", eps)
+        assert time.perf_counter() - started < 1
+        assert (code, out, err) == (
+            2, "", f"error: epsilon too small: {what} would have more than 4300 digits\n"
+        )
 
     def test_in_a_fresh_process(self, tmp_path):
         path = tmp_path / "big.losn"

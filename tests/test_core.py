@@ -20,6 +20,7 @@ from losnet import (
     set_weight,
     shares_line_of_sight,
 )
+from losnet.core import check_weight_sums
 from conftest import make_inst, unit_inst
 
 
@@ -207,6 +208,33 @@ class TestValidation:
         assert params.is_narrow(0, 3)
         assert not params.is_narrow(0, 2)
         assert default_long_axis(params) == 0
+
+
+class TestWeightSums:
+    """Weights are refused when a sum of them might have more than 4300
+    digits in its numerator or its denominator."""
+
+    def refused(self, weights, units=0):
+        message = "^a weight sum would have more than 4300 digits$"
+        with pytest.raises(ValidationError, match=message):
+            check_weight_sums(weights, units)
+
+    def test_numerator(self):
+        check_weight_sums([Fraction(10**4300 - 2), Fraction(1)])
+        self.refused([Fraction(10**4300 - 2), Fraction(2)])
+        self.refused([Fraction(9 * 10**4299)] * 2)
+
+    def test_unit_weights_count(self):
+        check_weight_sums([Fraction(10**4300 - 11)], 10)
+        self.refused([Fraction(10**4300 - 10)], 10)
+        self.refused([Fraction(1, 10**4299)], 10)
+
+    def test_common_denominator(self):
+        # Coprime denominators of 2151 digits each: every weight reads, but
+        # their least common multiple has 4301 digits.
+        p, q = 10**2150 + 1, 10**2150 + 3
+        check_weight_sums([Fraction(1, p)] * 3)
+        self.refused([Fraction(1, p), Fraction(1, q)])
 
 
 class TestGenerate:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -43,9 +44,9 @@ class TestStripIndex:
         s = strip_of((9, 3), 3, [1])
         assert s.index == (0,) and s.parity == 0
 
-    def test_stored_parity_validated(self):
-        with pytest.raises(ValidationError):
-            StripIndex((1, 0), 0)
+    def test_parity_follows_index(self):
+        assert StripIndex((1, 0)).parity == 1
+        assert StripIndex((1, 1)).parity == 0
 
 
 class TestParityCut:
@@ -191,6 +192,43 @@ class TestPtasShiftCount:
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValidationError):
             ptas_shift_count(Fraction(0), 2)
+
+    @staticmethod
+    def doubling(eps, d):
+        """The former search: double h past the answer, then bisect."""
+
+        def too_small(h):
+            return (1 + Fraction(1, h)) ** (d - 1) > 1 + eps
+
+        hi = 1
+        while too_small(hi):
+            hi *= 2
+        lo = hi // 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if too_small(mid) else (lo, mid)
+        return hi
+
+    @given(
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10),
+        st.integers(min_value=2, max_value=7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_doubling_search(self, eps, d):
+        if eps > 0:
+            assert ptas_shift_count(eps, d) == self.doubling(eps, d)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 40, 100])
+    def test_matches_doubling_search_at_powers_of_ten(self, k):
+        for d in range(2, 8):
+            eps = Fraction(1, 10**k)
+            assert ptas_shift_count(eps, d) == self.doubling(eps, d), (k, d)
+
+    def test_tiny_epsilon_is_fast(self):
+        started = time.perf_counter()
+        assert ptas_shift_count(Fraction(1, 10**4000), 2) == 10**4000
+        assert ptas_shift_count(Fraction(1, 10**4000), 4) > 3 * 10**4000
+        assert time.perf_counter() - started < 0.5
 
     def test_matches_linear_search(self):
         def linear(eps, d):

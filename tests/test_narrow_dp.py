@@ -95,16 +95,16 @@ class TestBuildArray:
     def test_empty_instance_shape(self):
         inst = make_inst((3, 1), 2, {})
         a = build_array(inst, 0)
-        assert a.num_cols == 5
+        assert a.n + a.omega == 5
         assert a.n == 3
-        assert a.array_sum() == 0
+        assert sum(a.weights()) == 0
 
     def test_single_vertex(self):
         inst = make_inst((5, 1), 2, {(4, 1): 2})
         a = build_array(inst, 0)
         assert a.weight((1,), 4) == 2
-        assert a.column_sum(4) == 2
-        assert a.array_sum() == 2
+        assert sum(a.column(4).values()) == 2
+        assert sum(a.weights()) == 2
         assert a.weight((1,), 3) == 0
         assert a.weight((1,), 0) == 0  # padding column
 
@@ -115,7 +115,7 @@ class TestBuildArray:
         inst = generate(cfg)
         a = build_array(inst, 0)
         assert len(a.rows) == 4
-        assert a.num_cols == 12
+        assert a.n + a.omega == 12
         for j in range(1, 9):
             for row in a.rows:
                 expected = inst.vertices.get((j, row[0]), Fraction(0))
@@ -269,6 +269,16 @@ class TestDpTableInvariants:
         )
         assert resum == dp.best_weight
 
+    def test_consistency_chain_past_omega_255(self):
+        cfg = GenConfig(InstanceParams(2, (300, 1), 256), Fraction(1, 2), "uniform:1:5", 1)
+        a, dp, _ = self.make_dp(generate(cfg))
+        chain = dp.window_chain()
+        assert len(chain) == 300
+        prev = FeasibleWindow.zero(a.rows, a.omega)
+        for w in chain:
+            assert consistent(prev, w)
+            prev = w
+
     def test_monotone_extension(self):
         cfg = GenConfig(InstanceParams(2, (8, 2), 3), Fraction(3, 5), "const:1", 4)
         inst = generate(cfg)
@@ -404,7 +414,7 @@ def test_solution_induces_array_of_equal_sum():
         8,
         {((c[1],), c[0]): inst.weight_of(c) for c in sol.vertices},
     )
-    assert chosen.array_sum() == sol.total_weight
+    assert sum(chosen.weights()) == sol.total_weight
 
 
 def test_runtime_grows_linearly_quickcheck():

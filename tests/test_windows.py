@@ -6,6 +6,7 @@ from losnet import (
     CapacityError,
     FeasibleWindow,
     NarrowArray,
+    NarrowDp,
     ValidationError,
     brute_windows,
     consistent,
@@ -16,7 +17,7 @@ from losnet.narrow import normalize_rows
 
 
 def keys_sorted(windows):
-    return [w.key for w in windows]
+    return [w.positions for w in windows]
 
 
 class TestEnumerate:
@@ -69,6 +70,31 @@ class TestEnumerate:
             enumerate_windows(((1, 1), (1,)), 3)
 
 
+WINDOW_SHAPES = [
+    pytest.param(spec, omega, id=f"{spec}-omega={omega}")
+    for specs, omegas in [
+        ([(1,), (3,), (2, 2), (2, 3), ((1, 1), (2, 2)), ((1, 1), (1, 3), (2, 1))], range(2, 6)),
+        ([(1,), ((2, 5),)], (255, 256, 300)),
+    ]
+    for spec in specs
+    for omega in omegas
+]
+
+
+@pytest.mark.parametrize("spec, omega", WINDOW_SHAPES)
+def test_windows_order_by_positions(spec, omega):
+    # Sorted windows, the DP's windows and the enumeration agree, at every
+    # omega the DP solves.
+    ws = enumerate_windows(spec, omega)
+    assert (
+        [w.positions for w in sorted(reversed(ws))]
+        == list(NarrowDp(spec, omega).windows)
+        == [w.positions for w in ws]
+    )
+    if len(normalize_rows(spec)) == 1:
+        assert len(ws) == omega + 1
+
+
 class TestFeasibleWindow:
     def test_rejects_conflicting_rows_in_one_column(self):
         with pytest.raises(ValidationError, match="witness"):
@@ -76,7 +102,7 @@ class TestFeasibleWindow:
 
     def test_key_equality_iff_same_window(self):
         ws = enumerate_windows((2,), 3)
-        keys = {w.key for w in ws}
+        keys = {w.positions for w in ws}
         assert len(keys) == len(ws)
 
     def test_as_grid(self):
