@@ -146,9 +146,7 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
         return _cmd_gen(args)
     if args.command == "solve":
         return _cmd_solve(args, argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    raise ValidationError(f"unknown command {args.command!r}")
+    return _cmd_verify(args)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -123,20 +123,31 @@ def check_digits(value: int, what: str) -> int:
     return value
 
 
-def check_weight_sums(weights: Iterable[Fraction], units: int = 0) -> None:
-    """Refuse positive ``weights``, and ``units`` more weights of 1, unless
-    every sum of some of them can be written.  Such a sum has a denominator
-    dividing the least common multiple L of their denominators and a
-    numerator at most the sum of w * L, so both must fit ``check_digits``."""
-    lcm, total = 1, units
-    for w in weights:
-        den = w.denominator
+class WeightSums:
+    """Running bound on the sums of positive weights: ``add`` refuses the
+    weight after which some sum of those added, and of ``units`` weights of
+    1, could not be written.  Such a sum has a denominator dividing the
+    least common multiple L of their denominators and a numerator at most
+    the sum of w * L, so both must fit ``check_digits``."""
+
+    def __init__(self, units: int = 0) -> None:
+        self.lcm, self.total = 1, check_digits(units, "a weight sum")
+
+    def add(self, w: Fraction) -> None:
+        lcm, den = self.lcm, w.denominator
         if lcm % den:
-            grown = check_digits(lcm // math.gcd(lcm, den) * den, "a weight sum")
-            total *= grown // lcm
-            lcm = grown
-        total += w.numerator * (lcm // den)
-    check_digits(total, "a weight sum")
+            self.lcm = check_digits(lcm // math.gcd(lcm, den) * den, "a weight sum")
+            self.total *= self.lcm // lcm
+        self.total = check_digits(
+            self.total + w.numerator * (self.lcm // den), "a weight sum"
+        )
+
+
+def check_weight_sums(weights: Iterable[Fraction], units: int = 0) -> None:
+    """Refuse ``weights`` unless ``WeightSums(units)`` takes every one."""
+    sums = WeightSums(units)
+    for w in weights:
+        sums.add(w)
 
 
 def parse_rational(value, what: str = "number") -> Fraction:
@@ -341,19 +352,6 @@ class Solution(Record):
     ) -> None:
         meta = {} if meta is None else meta
         super().__init__(algorithm, vertices, total_weight, meta)
-
-    @classmethod
-    def from_coords(
-        cls,
-        inst: LosInstance,
-        algorithm: str,
-        coords: Iterable[Coords],
-        meta: dict[str, object] | None = None,
-    ) -> "Solution":
-        """Build and validate a solution over ``inst`` (sorts, sums, checks)."""
-        ordered = sorted(tuple(c) for c in coords)
-        total = set_weight(inst, ordered)
-        return cls(algorithm, tuple(ordered), total, dict(meta or {}))
 
 
 # -- adjacency predicates ---------------------------------------------------

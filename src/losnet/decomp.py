@@ -143,7 +143,6 @@ def solve_strip2(
     odd_w = set_weight(inst, unions[1])
     even_w = set_weight(inst, unions[0])
     parity = 1 if odd_w > even_w else 0
-    chosen = unions[parity]
     meta = {
         "k": k,
         "parity": "odd" if parity else "even",
@@ -151,7 +150,8 @@ def solve_strip2(
         "odd_weight": str(odd_w),
         "even_weight": str(even_w),
     }
-    return Solution.from_coords(inst, "strip2", chosen, meta)
+    chosen = tuple(sorted(unions[parity]))
+    return Solution("strip2", chosen, odd_w if parity else even_w, meta)
 
 
 # -- shifted block partitions -------------------------------------------------
@@ -273,7 +273,8 @@ def solve_ptas(
         "blocks": len(block_weights),
         "block_weights": [str(w) for w in block_weights],
     }
-    return Solution.from_coords(inst, "ptas", coords, meta)
+    coords.sort()
+    return Solution("ptas", tuple(coords), set_weight(inst, coords), meta)
 
 
 def _ptas_level(

@@ -58,10 +58,6 @@ LOSN_HEADER = "losn v1"
 ADS_HEADER = "ads v1"
 
 
-def format_weight(w: Fraction) -> str:
-    return str(w)
-
-
 def _plain(token: str) -> bool:
     """Whether ``token`` is ASCII without ``_``: ``int`` and ``Fraction``
     also read other Unicode digits and ``_`` between digits, which the file
@@ -160,7 +156,7 @@ def serialize_instance(inst: LosInstance, comments: Iterable[str] = ()) -> str:
     weights = inst.vertices
     for coords in inst.coords_sorted():
         cs = " ".join(map(str, coords))
-        lines.append(f"v {cs} {format_weight(weights[coords])}")
+        lines.append(f"v {cs} {weights[coords]!s}")
     return "\n".join(lines) + "\n"
 
 
@@ -222,7 +218,7 @@ def serialize_ads(ads: AdsInstance) -> str:
     for row in ads.available:
         lines.append("a " + "".join(map(str, row)))
     for (c, t) in sorted(ads.weights):
-        lines.append(f"w {c} {t} {format_weight(ads.weights[(c, t)])}")
+        lines.append(f"w {c} {t} {ads.weights[(c, t)]!s}")
     return "\n".join(lines) + "\n"
 
 
@@ -275,7 +271,7 @@ def load_ads(path: str | PathLike[str]) -> AdsInstance:
 
 
 def solution_dict(sol: Solution, with_float: bool = False) -> dict:
-    d: dict = {"algorithm": sol.algorithm, "weight": format_weight(sol.total_weight)}
+    d: dict = {"algorithm": sol.algorithm, "weight": str(sol.total_weight)}
     if with_float:
         try:
             d["weight_float"] = float(sol.total_weight)

@@ -590,10 +590,7 @@ class NarrowDp:
 
     @property
     def best_weight(self) -> Fraction:
-        if not self._bests:
-            return Fraction(0)
-        best, scale, _ = self._bests[-1]
-        return Fraction(best, scale)
+        return self.best_at()[0]
 
     def pred_at(self, layer: int, positions: tuple[int, ...]) -> tuple[int, ...]:
         """Predecessor of a window at ``layer``: the one recorded for its
@@ -688,7 +685,7 @@ def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
     for j in range(1, array.n + 1):
         dp.push_column(array.column(j))
     placements = dp.placements()
-    weight = dp.best_weight if array.n else Fraction(0)
+    weight = dp.best_weight
     # Placements name rows of the array and columns 1..n, so the cells are
     # read directly by row index, without ``weight``'s column checks; an
     # empty cell counts 0 and fails the check.

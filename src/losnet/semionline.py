@@ -31,6 +31,7 @@ from .core import (
     LosInstance,
     Record,
     Solution,
+    WeightSums,
     check_cell,
     check_digits,
     check_epsilon,
@@ -61,18 +62,42 @@ def max_lookahead(k: int, d: int, epsilon: Fraction, omega: int) -> int:
     return rounds * omega + omega
 
 
-def _growth_cap(epsilon: Fraction, ratio: Fraction) -> int:
-    """Smallest c >= 0 with (1+epsilon)^c >= ratio.
+def _ln(p: int, q: int, prec: int) -> tuple[int, int]:
+    """(lo, err) with lo <= 2^prec * ln(p/q) <= lo + err, for p >= q >= 1.
 
-    A tiny epsilon makes c huge, so (1+epsilon)^c is never built whole: the
-    powers (1+epsilon)^(2^i) are squared up until one reaches ``ratio``, then
-    c-1 is assembled from its top bit down, keeping each bit while the
-    product stays below ``ratio``.  Every comparison is exact, made on lower
-    and upper bounds m * 2^e kept as integer pairs whose mantissas m have
-    ``prec`` bits; when the bounds straddle ``ratio`` the search reruns at
-    twice the precision.  The bounds close in on every power, so only a
-    power equal to ``ratio`` could straddle it for good; that case is
-    looked for first, with integers.
+    With p/q = 2^e * m, m in [1, 2), ln(p/q) = 2 atanh(y) + 2e atanh(1/3),
+    where y = (m-1)/(m+1) < 1/3 (ln 2 = 2 atanh(1/3)).  Each series
+    2 atanh(num/den) = sum 2 y^(2k+1)/(2k+1) is summed in units of
+    2^-prec, every term floored and stepped on y's exact numerator and
+    denominator, up to its first term that floors to 0.  A floored term is
+    off by less than 2.2 units and the dropped tail by less than 1.3, so a
+    series of K terms is off by at most 3K + 2.
+    """
+
+    def atanh2(num: int, den: int) -> tuple[int, int]:
+        t, num2, den2 = (num << (prec + 1)) // den, num * num, den * den
+        total = k = 0
+        while term := t // (2 * k + 1):
+            total, k, t = total + term, k + 1, t * num2 // den2
+        return total, 3 * k + 2
+
+    e = p.bit_length() - q.bit_length()
+    if p < q << e:
+        e -= 1
+    lo, err = atanh2(p - (q << e), p + (q << e))
+    lo2, err2 = atanh2(1, 3)
+    return lo + e * lo2, err + e * err2
+
+
+def _growth_cap(epsilon: Fraction, ratio: Fraction) -> int:
+    """Smallest c >= 0 with (1+epsilon)^c >= ratio, which is
+    ceil(ln ratio / ln(1+epsilon)).
+
+    A ratio that is an exact power of 1+epsilon is found with integers.  For
+    any other ratio the quotient is not an integer, so c is its floor + 1,
+    read once ``_ln``'s bounds on the quotient share a floor; the precision
+    doubles until they do.  ln(1+epsilon) can be as small as epsilon, so it
+    is bounded at twice the precision.
     """
     if ratio <= 1:
         return 0
@@ -83,46 +108,14 @@ def _growth_cap(epsilon: Fraction, ratio: Fraction) -> int:
         c, power = c + 1, power * n
     if power == ratio.numerator and d**c == ratio.denominator:
         return c
-    # Each squaring doubles the bounds' relative error, and reaching ratio
-    # takes about log2(1/epsilon) squarings; the powers must still be told
-    # apart to within a factor 1+epsilon.
-    prec = 64 + 2 * d.bit_length()
-    while (c := _growth_cap_at(grow, ratio, prec)) is None:
+    prec = 64 + d.bit_length()
+    while True:
+        a, ea = _ln(ratio.numerator, ratio.denominator, prec)
+        b, eb = _ln(n, d, 2 * prec)
+        c = (a << prec) // (b + eb)
+        if c == ((a + ea) << prec) // b:
+            return c + 1
         prec *= 2
-    return c
-
-
-def _growth_cap_at(grow: Fraction, ratio: Fraction, prec: int) -> int | None:
-    p, q = ratio.numerator, ratio.denominator
-
-    def mul(x, y):  # bounds (lo, hi, e) of [lo * 2^e, hi * 2^e]
-        lo, hi, e = x[0] * y[0], x[1] * y[1], x[2] + y[2]
-        s = max(hi.bit_length() - prec, 0)
-        return lo >> s, -(-hi >> s), e + s
-
-    def below(x) -> bool | None:  # None: the bounds straddle ratio
-        lo, hi, e = x  # m * 2^e < p/q exactly when m * q * 2^e < p
-        if e >= 0:
-            lo, hi, r = lo * q << e, hi * q << e, p
-        else:
-            lo, hi, r = lo * q, hi * q, p << -e
-        return True if hi < r else False if lo >= r else None
-
-    s = prec + grow.denominator.bit_length()
-    lo, rest = divmod(grow.numerator << s, grow.denominator)
-    powers = [mul((lo, lo + (rest > 0), -s), (1, 1, 0))]
-    while b := below(powers[-1]):
-        powers.append(mul(powers[-1], powers[-1]))
-    if b is None:
-        return None
-    acc, below_count = (1, 1, 0), 0
-    for i in reversed(range(len(powers))):
-        cand = mul(acc, powers[i])
-        if (b := below(cand)) is None:
-            return None
-        if b:
-            acc, below_count = cand, below_count + (1 << i)
-    return below_count + 1
 
 
 class ColumnStream:
@@ -187,8 +180,9 @@ class FileColumnStream(ColumnStream):
     rows, so a phase's ``NarrowDp`` refuses a huge cross-section at no cost.
 
     The file is refused as ``load_instance`` refuses it, with the same
-    messages, but at the faulty line; vertex lines out of column order are
-    refused as well.
+    messages, but at the faulty line (for weights whose sums could not be
+    written, the line that passes the bound); vertex lines out of column
+    order are refused as well.
     """
 
     def __init__(self, path: str | PathLike[str]) -> None:
@@ -197,6 +191,7 @@ class FileColumnStream(ColumnStream):
         n, *row_extents = params.extents
         super().__init__(NarrowArray(row_extents, params.omega, n))
         self._last_col = 0
+        self._sums = WeightSums()
 
     def _column(self, j: int) -> dict[int, Fraction]:
         array, params = self.array, self._params
@@ -205,6 +200,7 @@ class FileColumnStream(ColumnStream):
             coords, w = check_cell(params, array, coords, w)
             if coords[0] < self._last_col:
                 raise ValidationError("vertex lines not sorted by column")
+            self._sums.add(w)
             self._last_col = coords[0]
             array.put(coords, w)
         return array.column(j)

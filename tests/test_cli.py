@@ -453,6 +453,18 @@ class TestTinyEpsilon:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_semionline_weighted_epsilon_near_the_digit_bound(self, tmp_path):
+        # The look-ahead limit (c+1)*omega has 4300 digits, c from ln(50/3).
+        path = tmp_path / "w2.losn"
+        path.write_text(
+            "losn v1\nd=2 omega=2 extents=4,1\nv 1 1 1\nv 3 1 50/3\n", encoding="utf-8"
+        )
+        start = time.perf_counter()
+        proc = run_process("solve", "semionline", str(path), "--epsilon", "1e-4299")
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "algorithm: semionline\nweight: 53/3\nvertices: 2\n"
+
     def test_semionline_unit_epsilon_below_float_range(self, tmp_path, capsys):
         path = self.gen(tmp_path, capsys, "const:1")
         eps = "1/1" + "0" * 400

@@ -27,7 +27,7 @@ from losnet import (
     solve_semionline,
     verify,
 )
-from losnet.semionline import _growth_cap
+from losnet.semionline import _growth_cap, _ln
 from conftest import unit_inst
 
 
@@ -82,6 +82,88 @@ def linear_growth_cap(eps: Fraction, ratio: Fraction) -> int:
     return c
 
 
+def reference_growth_cap(epsilon: Fraction, ratio: Fraction) -> int:
+    """Smallest c >= 0 with (1+epsilon)^c >= ratio, by exact search: the
+    reference of ``_growth_cap``.
+
+    A tiny epsilon makes c huge, so (1+epsilon)^c is never built whole: the
+    powers (1+epsilon)^(2^i) are squared up until one reaches ``ratio``, then
+    c-1 is assembled from its top bit down, keeping each bit while the
+    product stays below ``ratio``.  Every comparison is exact, made on lower
+    and upper bounds m * 2^e kept as integer pairs whose mantissas m have
+    ``prec`` bits; when the bounds straddle ``ratio`` the search reruns at
+    twice the precision.  The bounds close in on every power, so only a
+    power equal to ``ratio`` could straddle it for good; that case is
+    looked for first, with integers.
+    """
+    if ratio <= 1:
+        return 0
+    grow = 1 + epsilon
+    n, d = grow.numerator, grow.denominator
+    c, power = 0, 1
+    while power < ratio.numerator:
+        c, power = c + 1, power * n
+    if power == ratio.numerator and d**c == ratio.denominator:
+        return c
+    # Each squaring doubles the bounds' relative error, and reaching ratio
+    # takes about log2(1/epsilon) squarings; the powers must still be told
+    # apart to within a factor 1+epsilon.
+    prec = 64 + 2 * d.bit_length()
+    while (c := _reference_growth_cap_at(grow, ratio, prec)) is None:
+        prec *= 2
+    return c
+
+
+def _reference_growth_cap_at(grow: Fraction, ratio: Fraction, prec: int) -> int | None:
+    p, q = ratio.numerator, ratio.denominator
+
+    def mul(x, y):  # bounds (lo, hi, e) of [lo * 2^e, hi * 2^e]
+        lo, hi, e = x[0] * y[0], x[1] * y[1], x[2] + y[2]
+        s = max(hi.bit_length() - prec, 0)
+        return lo >> s, -(-hi >> s), e + s
+
+    def below(x) -> bool | None:  # None: the bounds straddle ratio
+        lo, hi, e = x  # m * 2^e < p/q exactly when m * q * 2^e < p
+        if e >= 0:
+            lo, hi, r = lo * q << e, hi * q << e, p
+        else:
+            lo, hi, r = lo * q, hi * q, p << -e
+        return True if hi < r else False if lo >= r else None
+
+    s = prec + grow.denominator.bit_length()
+    lo, rest = divmod(grow.numerator << s, grow.denominator)
+    powers = [mul((lo, lo + (rest > 0), -s), (1, 1, 0))]
+    while b := below(powers[-1]):
+        powers.append(mul(powers[-1], powers[-1]))
+    if b is None:
+        return None
+    acc, below_count = (1, 1, 0), 0
+    for i in reversed(range(len(powers))):
+        cand = mul(acc, powers[i])
+        if (b := below(cand)) is None:
+            return None
+        if b:
+            acc, below_count = cand, below_count + (1 << i)
+    return below_count + 1
+
+
+epsilons = st.one_of(
+    st.builds(Fraction, st.integers(1, 64), st.integers(1, 10**6)),
+    st.builds(lambda k: Fraction(1, 10**k), st.integers(0, 400)),
+)
+
+
+@st.composite
+def growth_cases(draw):
+    """(epsilon, ratio): random ratios, exact powers (1+epsilon)^c, and those
+    powers moved by 1/10^9 either way."""
+    eps = draw(epsilons)
+    kind = draw(st.sampled_from([0, 1, -1, None]))
+    if kind is None:
+        return eps, Fraction(draw(st.integers(1, 10**30)), draw(st.integers(1, 10**30)))
+    return eps, (1 + eps) ** draw(st.integers(0, 40)) + kind * Fraction(1, 10**9)
+
+
 class TestGrowthCap:
     def test_matches_linear_search(self):
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 10),
@@ -93,6 +175,27 @@ class TestGrowthCap:
             for ratio in ratios:
                 assert _growth_cap(eps, ratio) == linear_growth_cap(eps, ratio)
 
+    @given(growth_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_search(self, case):
+        eps, ratio = case
+        assert _growth_cap(eps, ratio) == reference_growth_cap(eps, ratio)
+
+    @given(
+        st.integers(1, 10**40),
+        st.one_of(st.integers(0, 10**80), st.integers(0, 2**20)),
+        st.integers(1, 600),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ln_bounds_the_logarithm(self, q, extra, prec):
+        p = q + extra
+        lo, err = _ln(p, q, prec)
+        with localcontext() as ctx:
+            # 2^prec * ln(p/q) has at most prec * log10(2) + 3 integer digits.
+            ctx.prec = prec * 30103 // 100000 + 3 + 20
+            exact = (Decimal(p) / Decimal(q)).ln() * Decimal(2) ** prec
+        assert lo <= exact <= lo + err
+
     def test_tiny_epsilon_returns_at_once(self):
         # c = ceil(ln 50 / ln(1 + 1e-9)), from 50-digit logarithms.
         with localcontext() as ctx:
@@ -102,8 +205,9 @@ class TestGrowthCap:
         assert _growth_cap(Fraction(1, 10**9), Fraction(50)) == expected
 
     def test_extreme_epsilon_stays_fast(self):
-        # Measured at 0.37 s on a 2-core x86-64 host, where the same search
-        # on Fraction bounds took 7.5 s, most of it normalising them.
+        # The search on interval-bounded powers took 0.37 s on the 1/10^1000
+        # case and 16-22 s on the two 1/10^4299 ones (2-core x86-64 host);
+        # the logarithms take 0.006 s, 0.1 s and 1.3 s there.
         with localcontext() as ctx:
             ctx.prec = 1100
             exact = (Decimal(50) / 3).ln() / (1 + Decimal(10) ** -1000).ln()
@@ -111,6 +215,14 @@ class TestGrowthCap:
         start = time.perf_counter()
         assert _growth_cap(Fraction(1, 10**1000), Fraction(50, 3)) == expected
         assert time.perf_counter() - start < 3
+        eps = Fraction(1, 10**4299)
+        for ratio, bound in ((Fraction(50, 3), 1), (Fraction(10**4299 + 7, 3), 5)):
+            start = time.perf_counter()
+            c = _growth_cap(eps, ratio)
+            assert time.perf_counter() - start < bound
+            # c * epsilon is ln(ratio) to within about epsilon * ln(ratio)^2.
+            ln_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+            assert math.isclose(c * eps, ln_ratio, rel_tol=1e-12)
 
 
 def prefix_solve(array: NarrowArray, j0: int, upto: int):
@@ -459,6 +571,7 @@ HEAD = "losn v1\nd=2 omega=2 extents=6,2\n"
         HEAD + "v 1 1 1\nv 3 3 1\n",  # row outside the box
         HEAD + "v 1 1 1\nv 7 1 1\n",  # column outside the box
         HEAD + "v 1 1 1\nv 3 2\n",  # malformed vertex line
+        HEAD + "v 1 1 9e4299\nv 3 1 9e4299\n",  # a sum of 4301 digits
         "losn v2\nd=2 omega=2 extents=6,2\nv 1 1 1\n",
         "losn v1\n",  # missing parameter line
     ],
