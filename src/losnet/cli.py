@@ -2,9 +2,16 @@
 
 Exit codes: 0 success, 2 validation error (including bad usage and a path
 that cannot be opened), 3 capacity error (an enumeration budget or oracle
-cap refused the input), 1 anything else.  JSON payloads go to stdout;
-diagnostics, including wall-clock times, go to stderr so identical commands
-produce byte-identical stdout.
+cap refused the input), 1 anything else, including a reader that closed
+stdout or stderr before the output was written (one line on stderr, no
+traceback).  JSON payloads go to stdout; diagnostics, including wall-clock
+times, go to stderr so identical commands produce byte-identical stdout.
+
+The ``losnet`` command enters through ``run``, which leaves with
+``os._exit`` once the output is flushed: the answer is written by then, and
+finalizing the modules and objects a solve built would only add to its
+time.  ``main`` returns the exit code and keeps the normal exit for
+in-process callers.
 """
 
 from __future__ import annotations
@@ -305,5 +312,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.independent else 1
 
 
+def run() -> None:
+    """Run ``main`` on the command line, flush, and leave with ``os._exit``;
+    never returns.  Nothing losnet needs runs at interpreter exit: it
+    registers no ``atexit`` handler.  An exception ``main`` does not handle
+    takes the normal path (a traceback and exit 1), except a closed pipe."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        # Python's recipe for SIGPIPE: send what is still buffered nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            print("error: output closed before it was written", file=sys.stderr)
+            sys.stderr.flush()
+        except OSError:
+            pass
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
