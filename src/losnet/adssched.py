@@ -17,9 +17,9 @@ stencils.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
+from numbers import Rational
 
-from .core import FrozenRecord, Solution, parse_rational
+from .core import FrozenRecord, Solution, as_weight
 from .errors import ValidationError
 from .narrow import NarrowDp
 from .narrow import count_windows as count_ads_windows  # the schedule windows
@@ -38,7 +38,7 @@ class AdsInstance(FrozenRecord):
     omega: int
     l: int
     available: tuple[tuple[int, ...], ...]
-    weights: Mapping[tuple[int, int], Fraction]
+    weights: Mapping[tuple[int, int], Rational]
 
     def __init__(
         self,
@@ -47,7 +47,7 @@ class AdsInstance(FrozenRecord):
         omega: int,
         l: int,
         available,
-        weights: Mapping[tuple[int, int], Fraction] | None = None,
+        weights: Mapping[tuple[int, int], Rational] | None = None,
     ) -> None:
         if k_clients < 1:
             raise ValidationError(f"need k_clients >= 1, got {k_clients}")
@@ -64,7 +64,7 @@ class AdsInstance(FrozenRecord):
             raise ValidationError("availability entries must be 0/1")
         checked = {}
         for (c, t), w in dict(weights or {}).items():
-            w = parse_rational(w, "weight")
+            w = as_weight(w)
             if not (1 <= c <= k_clients and 1 <= t <= n_times):
                 raise ValidationError(f"weight for out-of-range pair ({c}, {t})")
             if not rows[c - 1][t - 1]:
@@ -76,8 +76,8 @@ class AdsInstance(FrozenRecord):
             checked[(c, t)] = w
         super().__init__(k_clients, n_times, omega, l, rows, checked)
 
-    def weight_at(self, client: int, time: int) -> Fraction:
-        return self.weights.get((client, time), Fraction(1))
+    def weight_at(self, client: int, time: int) -> Rational:
+        return self.weights.get((client, time), 1)
 
 
 def _client_rows(k_clients: int) -> tuple[tuple[int, int], ...]:
@@ -104,7 +104,7 @@ def solve_adssched(ads: AdsInstance, budget: int | None = None) -> Solution:
         )
     weight = dp.best_weight
     picks = [(row[0], t) for row, t in dp.placements()]
-    resum = sum((ads.weight_at(c, t) for c, t in picks), Fraction(0))
+    resum = sum(ads.weight_at(c, t) for c, t in picks)
     if resum != weight:
         raise RuntimeError(f"schedule re-sum {resum} != table weight {weight}")
     meta = {"clients": k, "times": n, "omega": omega, "l": cap}

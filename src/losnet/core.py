@@ -6,8 +6,13 @@ position and the gap there is strictly less than the range parameter omega.
 Edges are never materialized; every solver consumes the adjacency predicate
 directly.
 
-Weights are exact rationals (``fractions.Fraction``) so optimality claims
-can be checked with equality rather than tolerances.
+Weights are exact rationals (``numbers.Rational``) so optimality claims
+can be checked with equality rather than tolerances.  An integer weight is
+an ``int`` and any other a ``fractions.Fraction``: a ``.losn`` or ``.ads``
+token that is a run of digits loads as an ``int``, every other token as a
+``Fraction``.  Both print, compare and hash alike for equal values, so no
+output depends on which one a weight is.  Sums start from ``0`` and stay
+``int`` while every term is one.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import itertools
 import math
 from collections.abc import Container, Iterable, Mapping
 from fractions import Fraction
+from numbers import Rational
 from types import MappingProxyType
 
 from .errors import UnknownCoordinateError, ValidationError
@@ -99,6 +105,13 @@ MAX_DIGITS = 4300
 _DIGITS_CAP = 10**MAX_DIGITS
 
 
+def exact_int(value: int) -> int:
+    """``value``; ValueError when it has more than ``MAX_DIGITS`` digits."""
+    if abs(value) >= _DIGITS_CAP:
+        raise ValueError(f"more than {MAX_DIGITS} digits")
+    return value
+
+
 def exact_fraction(value) -> Fraction:
     """``Fraction(value)``; ValueError when its numerator or denominator
     would have more than ``MAX_DIGITS`` digits.  A string's exponent is read
@@ -111,8 +124,8 @@ def exact_fraction(value) -> Fraction:
         if e and abs(int(exponent)) > MAX_DIGITS + len(mantissa):
             raise ValueError("exponent too large")
     result = Fraction(value)
-    if abs(result.numerator) >= _DIGITS_CAP or result.denominator >= _DIGITS_CAP:
-        raise ValueError(f"more than {MAX_DIGITS} digits")
+    exact_int(result.numerator)
+    exact_int(result.denominator)
     return result
 
 
@@ -133,7 +146,7 @@ class WeightSums:
     def __init__(self, units: int = 0) -> None:
         self.lcm, self.total = 1, check_digits(units, "a weight sum")
 
-    def add(self, w: Fraction) -> None:
+    def add(self, w: Rational) -> None:
         lcm, den = self.lcm, w.denominator
         if lcm % den:
             self.lcm = check_digits(lcm // math.gcd(lcm, den) * den, "a weight sum")
@@ -143,7 +156,7 @@ class WeightSums:
         )
 
 
-def check_weight_sums(weights: Iterable[Fraction], units: int = 0) -> None:
+def check_weight_sums(weights: Iterable[Rational], units: int = 0) -> None:
     """Refuse ``weights`` unless ``WeightSums(units)`` takes every one."""
     sums = WeightSums(units)
     for w in weights:
@@ -152,11 +165,20 @@ def check_weight_sums(weights: Iterable[Fraction], units: int = 0) -> None:
 
 def parse_rational(value, what: str = "number") -> Fraction:
     """``exact_fraction(value)``, refused as ``not a rational <what>``: the
-    one reader of weights, epsilon and density."""
+    one reader of epsilon and density, and of weights that are neither an
+    ``int`` nor a ``Fraction``."""
     try:
         return exact_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational {what}: {value!r}") from exc
+
+
+def as_weight(value) -> Rational:
+    """``value`` as a weight: an ``int`` of at most ``MAX_DIGITS`` digits as
+    it is, anything else through ``parse_rational``."""
+    if type(value) is int and abs(value) < _DIGITS_CAP:
+        return value
+    return parse_rational(value, "weight")
 
 
 class InstanceParams(FrozenRecord):
@@ -217,11 +239,12 @@ def resolve_long_axis(params: InstanceParams, long_axis: int | None) -> int:
     return long_axis
 
 
-def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Fraction]:
-    """(coords, weight) normalised and checked as ``Vertex`` does."""
+def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Rational]:
+    """(coords, weight) normalised and checked as ``Vertex`` does: an
+    ``int`` or ``Fraction`` weight is kept as it is (``as_weight``)."""
     coords = tuple(map(int, coords))
     if type(weight) is not Fraction:
-        weight = parse_rational(weight, "weight")
+        weight = as_weight(weight)
     if weight.numerator <= 0:
         raise ValidationError(
             f"vertex weight must be positive, got {weight} at {coords}"
@@ -231,7 +254,7 @@ def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Fraction]:
 
 def check_cell(
     params: InstanceParams, cells: Container[Coords], coords: Iterable[int], weight
-) -> tuple[Coords, Fraction]:
+) -> tuple[Coords, Rational]:
     """(coords, weight) normalised and checked as ``LosInstance`` checks each
     cell, in its order: a weight that is not positive, coordinates outside
     the box, coordinates already in ``cells``."""
@@ -249,7 +272,7 @@ class Vertex(FrozenRecord):
     """A grid point with a positive rational weight."""
 
     coords: Coords
-    weight: Fraction
+    weight: Rational
 
     def __init__(self, coords: Iterable[int], weight=Fraction(1)) -> None:
         coords, weight = _valid_cell(coords, weight)
@@ -264,9 +287,9 @@ class LosInstance:
     def __init__(
         self,
         params: InstanceParams,
-        vertices: Iterable[Vertex] | Mapping[Coords, Fraction] = (),
+        vertices: Iterable[Vertex] | Mapping[Coords, Rational] = (),
     ) -> None:
-        cells: dict[Coords, Fraction] = {}
+        cells: dict[Coords, Rational] = {}
         if isinstance(vertices, Mapping):
             items: Iterable[tuple[Iterable[int], object]] = vertices.items()
         else:
@@ -279,12 +302,13 @@ class LosInstance:
 
     @classmethod
     def _trusted(
-        cls, params: InstanceParams, cells: dict[Coords, Fraction]
+        cls, params: InstanceParams, cells: dict[Coords, Rational]
     ) -> "LosInstance":
         """Wrap cells taken from a validated instance, without checking them.
 
         Only for slices of an existing instance: every key must be an int
-        tuple inside ``params``' box, every value a positive ``Fraction``.
+        tuple inside ``params``' box, every value a positive ``int`` or
+        ``Fraction``.
         """
         inst = cls.__new__(cls)
         inst.params = params
@@ -294,7 +318,7 @@ class LosInstance:
     # -- mapping-ish access -------------------------------------------------
 
     @property
-    def vertices(self) -> Mapping[Coords, Fraction]:
+    def vertices(self) -> Mapping[Coords, Rational]:
         """Read-only coords -> weight view."""
         return MappingProxyType(self._cells)
 
@@ -304,7 +328,7 @@ class LosInstance:
     def __contains__(self, coords: Coords) -> bool:
         return tuple(coords) in self._cells
 
-    def weight_of(self, coords: Coords) -> Fraction:
+    def weight_of(self, coords: Coords) -> Rational:
         try:
             return self._cells[tuple(coords)]
         except KeyError:
@@ -315,8 +339,8 @@ class LosInstance:
     def coords_sorted(self) -> list[Coords]:
         return sorted(self._cells)
 
-    def total_weight(self) -> Fraction:
-        return sum(self._cells.values(), Fraction(0))
+    def total_weight(self) -> Rational:
+        return sum(self._cells.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LosInstance):
@@ -340,14 +364,14 @@ class Solution(Record):
 
     algorithm: str
     vertices: tuple[Coords, ...]
-    total_weight: Fraction
+    total_weight: Rational
     meta: dict[str, object]
 
     def __init__(
         self,
         algorithm: str,
         vertices: tuple[Coords, ...],
-        total_weight: Fraction,
+        total_weight: Rational,
         meta: dict[str, object] | None = None,
     ) -> None:
         meta = {} if meta is None else meta
@@ -429,10 +453,10 @@ def is_independent(inst: LosInstance, coords: Iterable[Coords]) -> bool:
     return not adjacent_pairs(pts, inst.params.omega)
 
 
-def set_weight(inst: LosInstance, coords: Iterable[Coords]) -> Fraction:
+def set_weight(inst: LosInstance, coords: Iterable[Coords]) -> Rational:
     """Exact total weight of a duplicate-free set of vertices of ``inst``."""
     seen: set[Coords] = set()
-    total = Fraction(0)
+    total = 0
     for c in coords:
         c = tuple(c)
         if c in seen:

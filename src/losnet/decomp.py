@@ -20,6 +20,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from numbers import Rational
 
 from .core import (
     Coords,
@@ -284,33 +285,33 @@ def _ptas_level(
     h: int,
     k: int,
     budget: int | None,
-) -> tuple[list[Coords], int, list[Fraction]]:
+) -> tuple[list[Coords], int, list[Rational]]:
     if not cut_axes:
         sol = solve_exact_narrow(inst, long_axis=long_axis, budget=budget)
         return list(sol.vertices), 0, [sol.total_weight]
     axis = cut_axes[0]
 
-    def solve_block(part: Part) -> tuple[list[Coords], Fraction]:
+    def solve_block(part: Part) -> tuple[list[Coords], Rational]:
         if not part.vertices:
-            return [], Fraction(0)
+            return [], 0
         sub, offsets = _slice(inst, {axis: (part.lo, part.hi)}, part.vertices)
         sub_coords, _, sub_weights = _ptas_level(
             sub, cut_axes[1:], long_axis, h, k, budget
         )
-        return _translate(sub_coords, offsets), sum(sub_weights, Fraction(0))
+        return _translate(sub_coords, offsets), sum(sub_weights)
 
     # From shift ceil(extent/k) on, the leading block covers the whole axis:
     # later shifts rebuild that same block and cannot win the strict ">".
     last_shift = min(h, -(-inst.params.extents[axis] // k))
-    best: tuple[Fraction, int, list[Coords], list[Fraction]] | None = None
+    best: tuple[Rational, int, list[Coords], list[Rational]] | None = None
     for shift in range(last_shift + 1):
         dec = make_blocks(inst, h, shift, axis, k)
         coords: list[Coords] = []
-        weights: list[Fraction] = []
+        weights: list[Rational] = []
         for block_coords, block_weight in map(solve_block, dec.blocks):
             coords.extend(block_coords)
             weights.append(block_weight)
-        total = sum(weights, Fraction(0))
+        total = sum(weights)
         if best is None or total > best[0]:
             best = (total, shift, coords, weights)
     assert best is not None

@@ -21,8 +21,10 @@ Numbers in both formats are ASCII.  An integer (coordinate, header value,
 client, time) is ``[+-]?[0-9]+``.  A weight is an integer, a decimal with
 an optional exponent, or p/q, each with an optional sign, read exactly as
 ``Fraction`` reads it, with at most 4300 digits (``core.MAX_DIGITS``) in
-its numerator and in its denominator.  ``int`` and ``Fraction`` also take
-other Unicode digits and ``_`` between digits; the formats do not.
+its numerator and in its denominator.  A weight that is a run of digits
+loads as an ``int``, any other as a ``Fraction`` (see ``core``).  ``int``
+and ``Fraction`` also take other Unicode digits and ``_`` between digits;
+the formats do not.
 
 Solution JSON uses the fixed key order (algorithm, weight, vertices, meta);
 meta keys are sorted.  Weights are exact "p/q" strings (denominator 1
@@ -37,16 +39,18 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
+from numbers import Rational
 from os import PathLike
 
 from .core import (
+    MAX_DIGITS,
     Coords,
     InstanceParams,
     LosInstance,
     Solution,
     check_weight_sums,
     exact_fraction,
+    exact_int,
 )
 from .errors import ValidationError
 
@@ -73,19 +77,21 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
-def parse_weight(token: str) -> Fraction:
+def parse_weight(token: str) -> Rational:
     """Exact weight of an ASCII token, as ``Fraction(token)`` reads it:
     an integer, a decimal with an optional exponent, or p/q, each with an
     optional sign.
 
     A plain run of digits, the form ``losnet gen`` writes for integer
-    weights, goes through ``int``: same value, without ``Fraction``'s
-    string parser.  A weight whose numerator or denominator would have more
-    than 4300 digits is refused (``core.exact_fraction``).
+    weights, is read by ``int`` and stays an ``int``: same value, without
+    ``Fraction``'s string parser.  A weight whose numerator or denominator
+    would have more than 4300 digits is refused (``core.exact_fraction``).
     """
     if _plain(token):
         try:
-            return exact_fraction(int(token) if token.isdigit() else token)
+            if token.isdigit():
+                return exact_int(int(token))
+            return exact_fraction(token)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"bad weight {token!r}")
@@ -133,7 +139,7 @@ def read_losn_header(lines: Iterator[str]) -> InstanceParams:
     return InstanceParams(d, extents, omega)
 
 
-def parse_vertex_line(line: str, params: InstanceParams) -> tuple[Coords, Fraction]:
+def parse_vertex_line(line: str, params: InstanceParams) -> tuple[Coords, Rational]:
     parts = line.split()
     if len(parts) != params.d + 2 or parts[0] != "v":
         raise ValidationError(
@@ -160,22 +166,48 @@ def serialize_instance(inst: LosInstance, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str) -> LosInstance:
-    lines = content_lines(text.splitlines())
-    params = read_losn_header(lines)
-    cells = {}
+def _read_cells(
+    lines: Iterable[str], params: InstanceParams, plain: bool
+) -> dict[Coords, Rational]:
+    """Coordinates -> weight of the vertex lines ``lines``, refused at the
+    first faulty line as ``parse_vertex_line`` refuses it, or as a
+    duplicate.
+
+    In a ``plain`` text (``_plain`` holds for all of it), a line ``v``, d
+    coordinates and a run of at most ``MAX_DIGITS`` digits is split once
+    and read by ``int`` alone; ``parse_vertex_line`` reads every other line,
+    and refuses those it must.
+    """
+    width = params.d + 2
+    cells: dict[Coords, Rational] = {}
     for line in lines:
-        coords, w = parse_vertex_line(line, params)
+        parts = line.split()
+        w, cell = parts[-1], None
+        if plain and len(parts) == width and parts[0] == "v":
+            if w.isdigit() and len(w) <= MAX_DIGITS:
+                try:
+                    cell = tuple(map(int, parts[1:-1])), int(w)
+                except ValueError:  # a coordinate that is not an integer
+                    pass
+        coords, w = cell or parse_vertex_line(line, params)
         if coords in cells:
             raise ValidationError(f"duplicate vertex at {coords}")
         cells[coords] = w
-    # The cells are distinct int tuples of length d with ``Fraction``
-    # weights.  One scan for what ``LosInstance`` refuses besides (a weight
-    # that is not positive, a cell outside the box) lets a clean file skip
-    # its per-cell checks; a bad cell goes to it for the refusal, which
-    # checks the cells in the same order and so names the same one.
+    return cells
+
+
+def parse_instance(text: str) -> LosInstance:
+    lines = content_lines(text.splitlines())
+    params = read_losn_header(lines)
+    cells = _read_cells(lines, params, _plain(text))
+    # The cells are distinct int tuples of length d with ``int`` or
+    # ``Fraction`` weights.  One scan for what ``LosInstance`` refuses
+    # besides (a weight that is not positive, a cell outside the box) lets
+    # a clean file skip its per-cell checks; a bad cell goes to it for the
+    # refusal, which checks the cells in the same order and so names the
+    # same one.
     for coords, w in cells.items():
-        if w.numerator <= 0 or not params.in_box(coords):
+        if w <= 0 or not params.in_box(coords):
             return LosInstance(params, cells)
     check_weight_sums(cells.values())
     return LosInstance._trusted(params, cells)
@@ -239,7 +271,7 @@ def parse_ads(text: str) -> AdsInstance:
     except ValueError as exc:
         raise ValidationError(f"bad ads header {lines[1]!r}") from exc
     rows: list[tuple[int, ...]] = []
-    weights: dict[tuple[int, int], Fraction] = {}
+    weights: dict[tuple[int, int], Rational] = {}
     for line in lines[2:]:
         parts = line.split()
         if parts[0] == "a" and len(parts) == 2:

@@ -19,7 +19,8 @@ predecessors of a column are keyed by the shifted window, which every
 window of that column maps back to by clearing its newest column.
 
 The table runs on Python ints, the weights scaled by the least common
-multiple of their denominators; answers come back as exact ``Fraction``s.
+multiple of their denominators; answers come back exact, as an ``int``
+while every weight pushed is one and as a ``Fraction`` otherwise.
 
 A per-column capacity, the most entries one column may hold, is the one
 knob that adapts the DP to other problems: airing schedules (``adssched``)
@@ -39,6 +40,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from numbers import Rational
 
 from .core import (
     Coords,
@@ -310,7 +312,7 @@ class NarrowArray:
         row_extents: Iterable[int],
         omega: int,
         n: int,
-        cells: Mapping[tuple[Coords, int], Fraction] | None = None,
+        cells: Mapping[tuple[Coords, int], Rational] | None = None,
         long_axis: int = 0,
     ) -> None:
         self.row_extents = tuple(int(e) for e in row_extents)
@@ -323,7 +325,7 @@ class NarrowArray:
         self.omega = int(omega)
         self.n = int(n)
         self.long_axis = int(long_axis)
-        self._cols: dict[int, dict[int, Fraction]] = {}
+        self._cols: dict[int, dict[int, Rational]] = {}
         if cells:  # n may be 0, which no ``InstanceParams`` admits
             extents = list(self.row_extents)
             extents.insert(self.long_axis, self.n)
@@ -348,7 +350,7 @@ class NarrowArray:
             index = index * e + c - 1
         return index
 
-    def weight(self, row: Coords, j: int) -> Fraction:
+    def weight(self, row: Coords, j: int) -> Rational:
         """Cell weight; 0 for empty cells and for the padding columns j <= 0."""
         row = tuple(row)
         ridx = self._index(row)
@@ -362,13 +364,13 @@ class NarrowArray:
             return Fraction(0)
         return self._cols.get(j, {}).get(ridx, Fraction(0))
 
-    def column(self, j: int) -> dict[int, Fraction]:
+    def column(self, j: int) -> dict[int, Rational]:
         """Occupied row-index -> weight map of column j ({} off the grid)."""
         if j <= 0:
             return {}
         return dict(self._cols.get(j, {}))
 
-    def weights(self) -> list[Fraction]:
+    def weights(self) -> list[Rational]:
         """Weights of the stored cells."""
         return [w for col in self._cols.values() for w in col.values()]
 
@@ -389,7 +391,7 @@ class NarrowArray:
         ridx, j = self._cell(coords)
         return ridx is not None and ridx in self._cols.get(j, ())
 
-    def put(self, coords: Coords, w: Fraction) -> None:
+    def put(self, coords: Coords, w: Rational) -> None:
         """Store weight ``w`` at instance coordinates ``coords``, unchecked:
         ``core.check_cell`` refuses what does not belong in the box."""
         ridx, j = self._cell(coords)
@@ -417,8 +419,8 @@ def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
         p.extents[long_axis],
         long_axis=long_axis,
     )
-    # ``inst`` validated its cells (positive ``Fraction``s inside the box,
-    # one per coordinate), so they go into the columns unchecked, at the
+    # ``inst`` validated its cells (positive weights inside the box, one per
+    # coordinate), so they go into the columns unchecked, at the
     # index ``NarrowArray._index`` computes.
     extents = array.row_extents
     strides = [(a, math.prod(extents[i + 1 :])) for i, a in enumerate(row_axes)]
@@ -455,8 +457,9 @@ class NarrowDp:
     of the denominators pushed so far.  A column that brings a new
     denominator multiplies the live table up to the new scale, so streamed
     columns need no pass over the input first.  Only the per-column best is
-    converted back to ``Fraction``, and only when it is read; comparisons of
-    scaled ints order exactly as the rationals do.
+    converted back, and only when it is read: at scale 1 it is the ``int``
+    itself, else a ``Fraction``.  Comparisons of scaled ints order exactly as
+    the rationals do.
 
     ``capacity`` caps the entries of one column (default: the row count,
     which never binds).  The evaluator refuses when ``count_windows`` of its
@@ -529,7 +532,7 @@ class NarrowDp:
     def columns_pushed(self) -> int:
         return len(self._bests)
 
-    def push_column(self, col: Mapping[int, Fraction]) -> None:
+    def push_column(self, col: Mapping[int, Rational]) -> None:
         """Advance the table by one column (row index -> weight of its cells)."""
         scale = self._scale
         for w in col.values():
@@ -579,17 +582,17 @@ class NarrowDp:
 
     # -- retrieval -------------------------------------------------------------
 
-    def best_at(self, layer: int | None = None) -> tuple[Fraction, tuple[int, ...]]:
+    def best_at(self, layer: int | None = None) -> tuple[Rational, tuple[int, ...]]:
         """(best weight, argmax window positions) after ``layer`` columns."""
         if layer is None:
             layer = self.columns_pushed
         if layer == 0:
-            return Fraction(0), self._unpack(0)
+            return 0, self._unpack(0)
         best, scale, key = self._bests[layer - 1]
-        return Fraction(best, scale), self._unpack(key)
+        return best if scale == 1 else Fraction(best, scale), self._unpack(key)
 
     @property
-    def best_weight(self) -> Fraction:
+    def best_weight(self) -> Rational:
         return self.best_at()[0]
 
     def pred_at(self, layer: int, positions: tuple[int, ...]) -> tuple[int, ...]:
@@ -690,9 +693,7 @@ def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
     # read directly by row index, without ``weight``'s column checks; an
     # empty cell counts 0 and fails the check.
     index, cols = array._index, array._cols
-    resum = sum(
-        (cols.get(j, {}).get(index(row), 0) for row, j in placements), Fraction(0)
-    )
+    resum = sum(cols.get(j, {}).get(index(row), 0) for row, j in placements)
     if resum != weight:
         raise RuntimeError(
             f"DP placements re-sum to {resum}, table says {weight}"

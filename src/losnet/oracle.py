@@ -11,7 +11,7 @@ compare against live in ``losnet.brute``.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Rational
 
 from .core import Coords, LosInstance, Record, Solution, adjacent_pairs
 
@@ -29,8 +29,8 @@ class VerifyReport(Record):
     """
 
     independent: bool
-    weight_claimed: Fraction
-    weight_recomputed: Fraction
+    weight_claimed: Rational
+    weight_recomputed: Rational
     violations: list[str]
 
 
@@ -52,7 +52,7 @@ def verify(inst: LosInstance, sol: Solution) -> VerifyReport:
             known.append(c)
     for i, j in adjacent_pairs(known, inst.params.omega):
         violations.append(f"adjacent pair {known[i]} {known[j]}")
-    recomputed = sum((inst.weight_of(c) for c in known), Fraction(0))
+    recomputed = sum(inst.weight_of(c) for c in known)
     return _report(sol, recomputed, violations)
 
 
@@ -89,11 +89,11 @@ def verify_ads(ads: AdsInstance, sol: Solution) -> VerifyReport:
     for t, count in sorted(by_time.items()):
         if count > ads.l:
             violations.append(f"slot {t} holds {count} > l={ads.l}")
-    recomputed = sum((ads.weight_at(c, t) for c, t in picks), Fraction(0))
+    recomputed = sum(ads.weight_at(c, t) for c, t in picks)
     return _report(sol, recomputed, violations)
 
 
-def _report(sol: Solution, recomputed: Fraction, violations: list[str]) -> VerifyReport:
+def _report(sol: Solution, recomputed: Rational, violations: list[str]) -> VerifyReport:
     """The report on ``sol``: ``violations``, plus a weight mismatch when its
     claimed weight is not ``recomputed``."""
     if recomputed != sol.total_weight:

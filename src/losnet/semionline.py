@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from fractions import Fraction
+from numbers import Rational
 from os import PathLike
 
 from .core import (
@@ -138,10 +139,10 @@ class ColumnStream:
     ) -> "ColumnStream":
         return cls(build_array(inst, long_axis))
 
-    def _column(self, j: int) -> dict[int, Fraction]:
+    def _column(self, j: int) -> dict[int, Rational]:
         return self.array.column(j)
 
-    def reveal(self, j: int) -> dict[int, Fraction]:
+    def reveal(self, j: int) -> dict[int, Rational]:
         """Occupied row-index -> weight map of column j (marks it revealed)."""
         if j < self.cursor:
             raise ValidationError(f"column {j} was already consumed")
@@ -161,13 +162,12 @@ class ColumnStream:
     def exhausted(self) -> bool:
         return self.cursor > self.array.n
 
-    def totals(self) -> tuple[Fraction, Fraction | None, bool] | None:
+    def totals(self) -> tuple[Rational, Rational | None, bool] | None:
         """(total weight, min weight or None, all-unit?) when known upfront."""
         weights = self.array.weights()
         if not weights:
-            return Fraction(0), None, True
-        total = sum(weights, Fraction(0))
-        return total, min(weights), all(w == 1 for w in weights)
+            return 0, None, True
+        return sum(weights), min(weights), all(w == 1 for w in weights)
 
 
 class FileColumnStream(ColumnStream):
@@ -193,7 +193,7 @@ class FileColumnStream(ColumnStream):
         self._last_col = 0
         self._sums = WeightSums()
 
-    def _column(self, j: int) -> dict[int, Fraction]:
+    def _column(self, j: int) -> dict[int, Rational]:
         array, params = self.array, self._params
         while self._last_col <= j and (line := next(self._lines, None)) is not None:
             coords, w = parse_vertex_line(line, params)
@@ -218,7 +218,7 @@ class PhaseState(Record):
 
     j0: int
     r: int
-    current_weight: Fraction
+    current_weight: Rational
     best_set: tuple[Coords, ...]
     stopped: bool
     lookahead_used: int
@@ -311,11 +311,11 @@ def solve_semionline(
             limit = max_lookahead(max(row_extents), len(row_extents) + 1, eps, omega)
         else:
             assert wmin is not None
-            limit = (_growth_cap(eps, total / wmin) + 1) * omega
+            limit = (_growth_cap(eps, Fraction(total, wmin)) + 1) * omega
         check_digits(limit, "epsilon too small: the look-ahead limit")
 
     coords: list[Coords] = []
-    total_weight = Fraction(0)
+    total_weight = 0
     phases = 0
     max_used = 0
     while True:

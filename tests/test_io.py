@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +57,7 @@ def test_parse_weight_reads_tokens_as_fraction_does(token):
         assert str(info.value) == expected
     else:
         got = parse_weight(token)
-        assert type(got) is Fraction and got == expected
+        assert isinstance(got, Rational) and got == expected
 
 
 @pytest.mark.parametrize(
@@ -76,7 +77,7 @@ def test_parse_weight_reads_tokens_as_fraction_does(token):
 )
 def test_weight_grammar_accepts(token, value):
     got = parse_weight(token)
-    assert type(got) is Fraction and got == value
+    assert isinstance(got, Rational) and got == value
 
 
 @pytest.mark.parametrize(
