@@ -201,14 +201,19 @@ def parse_instance(text: str) -> LosInstance:
     params = read_losn_header(lines)
     cells = _read_cells(lines, params, _plain(text))
     # The cells are distinct int tuples of length d with ``int`` or
-    # ``Fraction`` weights.  One scan for what ``LosInstance`` refuses
-    # besides (a weight that is not positive, a cell outside the box) lets
-    # a clean file skip its per-cell checks; a bad cell goes to it for the
-    # refusal, which checks the cells in the same order and so names the
-    # same one.
-    for coords, w in cells.items():
-        if w <= 0 or not params.in_box(coords):
-            return LosInstance(params, cells)
+    # ``Fraction`` weights.  The least weight and each axis's least and
+    # greatest coordinate tell whether ``LosInstance`` refuses anything
+    # besides (a weight that is not positive, a cell outside the box), so a
+    # clean file skips its per-cell checks; a bad cell goes to it for the
+    # refusal, which checks the cells in file order and so names the first.
+    if cells and (
+        min(cells.values()) <= 0
+        or any(
+            min(axis) < 1 or max(axis) > e
+            for axis, e in zip(zip(*cells), params.extents)
+        )
+    ):
+        return LosInstance(params, cells)
     check_weight_sums(cells.values())
     return LosInstance._trusted(params, cells)
 

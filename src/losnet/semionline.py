@@ -238,7 +238,8 @@ def run_phase(
     """
     if stream.exhausted:
         return None
-    eps = check_epsilon(epsilon)
+    # The growth test compares cross products, so integer weights stay int.
+    grow = 1 + check_epsilon(epsilon)
     j0 = stream.cursor
     n, omega = stream.array.n, stream.array.omega
     dp = NarrowDp(stream.array.row_extents, omega, budget)
@@ -263,7 +264,7 @@ def run_phase(
             keep = dp.columns_pushed
             break
         push_through(end)
-        if dp.best_weight < (1 + eps) * w_prev:
+        if dp.best_weight * grow.denominator < grow.numerator * w_prev:
             keep = max(r * omega, 1)
             break
         w_prev = dp.best_weight

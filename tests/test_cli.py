@@ -642,3 +642,200 @@ class TestImports:
 
         with pytest.raises(AttributeError, match="no_such_name"):
             losnet.no_such_name
+
+
+@pytest.fixture(scope="module")
+def big_losn(tmp_path_factory):
+    """A 12000x3 instance whose ``--json`` answer (about 200 KB) is larger
+    than a pipe holds, so its writer must wait for the reader."""
+    from fractions import Fraction
+
+    from losnet import GenConfig, InstanceParams, generate, save_instance
+
+    path = tmp_path_factory.mktemp("big") / "big.losn"
+    params = InstanceParams(2, (12000, 3), 3)
+    save_instance(path, generate(GenConfig(params, Fraction(1, 2), "uniform:1:5", 1)))
+    return path
+
+
+class TestExitPath:
+    """``losnet`` leaves through ``cli.run``: ``os._exit`` after flushing,
+    with the exit codes and stdout of ``main``."""
+
+    def test_registers_no_atexit_handler(self, losn_file, ads_file, tmp_path):
+        # ``os._exit`` would skip one, so none may be registered: run every
+        # command and algorithm in one process and count the handlers.
+        sol = tmp_path / "sol.json"
+        sol.write_text('{"algorithm": "x", "weight": "0", "vertices": []}')
+        script = (
+            "import atexit, contextlib, io, sys\n"
+            "before = atexit._ncallbacks()\n"
+            "from losnet.cli import main\n"
+            "losn, ads, sol, gen = sys.argv[1:]\n"
+            "runs = [\n"
+            "    ['gen', '--d', '2', '--extents', '4,2', '--omega', '2',\n"
+            "     '--density', '1/2', '-o', gen],\n"
+            "    ['solve', 'exact-narrow', losn, '--json'],\n"
+            "    ['solve', 'strip2', losn], ['solve', 'ptas', losn, '--epsilon', '1'],\n"
+            "    ['solve', 'semionline', losn, '--epsilon', '1', '--trace-phases'],\n"
+            "    ['solve', 'brute', gen], ['solve', 'adssched', ads],\n"
+            "    ['verify', losn, sol], ['verify', ads, sol],\n"
+            "    ['solve', 'exact-narrow', 'missing.losn'],\n"
+            "]\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    for argv in runs:\n"
+            "        main(argv)\n"
+            "print(atexit._ncallbacks() - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(losn_file), str(ads_file), str(sol),
+             str(tmp_path / "gen.losn")],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize(
+        "argv, budget, code",
+        [
+            (["solve", "exact-narrow", "{losn}", "--json"], None, 0),
+            (["solve", "exact-narrow", "{losn}"], "2", 3),
+            (["solve", "exact-narrow", "missing.losn"], None, 2),
+            (["solve", "ptas", "{losn}"], None, 2),  # no --epsilon
+            (["verify", "{losn}", "{losn}"], None, 2),
+        ],
+        ids=["ok", "budget", "missing-file", "usage", "bad-solution"],
+    )
+    @pytest.mark.parametrize("entry", ["module", "run"])
+    def test_exit_codes_unchanged(self, losn_file, tmp_path, argv, budget, code, entry):
+        argv = [a.format(losn=losn_file) for a in argv]
+        env = child_env()
+        env.pop("LOS_WINDOW_BUDGET", None)
+        if budget is not None:
+            env["LOS_WINDOW_BUDGET"] = budget
+        # ``python -m losnet.cli`` and the ``losnet`` console script, which
+        # calls ``losnet.cli:run``.
+        head = (
+            ["-m", "losnet.cli"] if entry == "module"
+            else ["-c", "from losnet.cli import run; run()"]
+        )
+        proc = subprocess.run(
+            [sys.executable, *head, *argv],
+            capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["solution"]["vertices"]
+
+    def test_large_answer_through_a_pipe_is_byte_identical(
+        self, big_losn, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(big_losn.parent)
+        monkeypatch.delenv("LOS_WINDOW_BUDGET", raising=False)
+        argv = ["solve", "exact-narrow", big_losn.name, "--json"]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and len(expected) > 1 << 17
+        proc = subprocess.run(
+            [sys.executable, "-m", "losnet.cli", *argv],
+            capture_output=True, env=child_env(), timeout=120, cwd=big_losn.parent,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected.encode("utf-8")
+
+    def test_closed_pipe_is_one_line_and_exit_1(self, big_losn):
+        # ``losnet solve ... --json | head -c 20``: the reader goes away
+        # while the answer is still being written.
+        with subprocess.Popen(
+            [sys.executable, "-m", "losnet.cli", "solve", "exact-narrow",
+             str(big_losn), "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        ) as proc:
+            try:
+                assert len(proc.stdout.read(20)) == 20
+                proc.stdout.close()
+                err = proc.stderr.read().decode()
+                code = proc.wait(timeout=120)
+            finally:
+                proc.kill()
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "error: output closed before it was written"
+        assert err.startswith("# wall_ms=") and len(err.splitlines()) == 2
+
+
+class TestIntegerWeights:
+    """A weight written as a run of digits loads as an ``int``, the same
+    weight written as p/1 as a ``Fraction``; every answer prints alike."""
+
+    CASES = {
+        # name: (extents, weights, seed, solve arguments after the file)
+        "weighted": ((30, 3), "uniform:1:5", 3, [
+            ["exact-narrow"], ["strip2"], ["ptas", "--epsilon", "1/2"],
+            ["semionline", "--epsilon", "1/3"],
+        ]),
+        "unit": ((30, 3), "const:1", 4, [["semionline", "--epsilon", "1/2"]]),
+        "tiny": ((6, 3), "uniform:1:5", 5, [["brute"], ["exact-narrow", "--float"]]),
+    }
+    ADS = "ads v1\nclients=3 times=9 omega=2 l=2\na 110111011\na 011011101\na 111100001\n"
+    ADS_WEIGHTS = ["w 1 2 {}", "w 2 5 {}", "w 3 9 {}"]
+
+    @staticmethod
+    def as_fractions(text):
+        return "".join(
+            f"{line.rstrip()}/1\n" if line.startswith(("v ", "w ")) else line
+            for line in text.splitlines(keepends=True)
+        )
+
+    def outputs(self, tmp_path, monkeypatch, capsys, name, text, runs):
+        outs = []
+        for sub, body in (("ints", text), ("fractions", self.as_fractions(text))):
+            where = tmp_path / sub
+            where.mkdir(exist_ok=True)
+            (where / name).write_text(body, encoding="utf-8")
+            monkeypatch.chdir(where)
+            printed = []
+            for algo, *rest in runs:
+                code, out, _ = run(capsys, "solve", algo, name, *rest, "--json")
+                assert code == 0
+                printed.append(out)
+            outs.append(printed)
+        return outs
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_losn_int_and_fraction_weights_print_alike(
+        self, case, tmp_path, monkeypatch, capsys
+    ):
+        from fractions import Fraction
+
+        from losnet import GenConfig, InstanceParams, generate, load_instance
+        from losnet.io import serialize_instance
+
+        monkeypatch.delenv("LOS_WINDOW_BUDGET", raising=False)
+        extents, weights, seed, runs = self.CASES[case]
+        params = InstanceParams(2, extents, 3)
+        text = serialize_instance(
+            generate(GenConfig(params, Fraction(1, 2), weights, seed))
+        )
+        ints, fractions = self.outputs(
+            tmp_path, monkeypatch, capsys, "a.losn", text, runs
+        )
+        assert ints == fractions
+        loaded = [
+            {type(w) for w in load_instance(tmp_path / sub / "a.losn").vertices.values()}
+            for sub in ("ints", "fractions")
+        ]
+        assert loaded == [{int}, {Fraction}]
+
+    def test_ads_int_and_fraction_weights_print_alike(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("LOS_WINDOW_BUDGET", raising=False)
+        text = self.ADS + "".join(
+            f"{line.format(w)}\n" for line, w in zip(self.ADS_WEIGHTS, (3, 5, 2))
+        )
+        ints, fractions = self.outputs(
+            tmp_path, monkeypatch, capsys, "a.ads", text, [["adssched"]]
+        )
+        assert ints == fractions

@@ -18,7 +18,15 @@ from losnet import (
     serialize_instance,
     solution_to_json,
 )
-from losnet.io import content_lines, load_solution, parse_solution_json, parse_weight
+from losnet import LosInstance
+from losnet.io import (
+    content_lines,
+    load_solution,
+    parse_solution_json,
+    parse_vertex_line,
+    parse_weight,
+    read_losn_header,
+)
 from conftest import make_inst, small_instances
 
 
@@ -355,3 +363,42 @@ def test_parsers_raise_only_validation_error(parse, texts):
             pass
 
     check()
+
+
+def _instance_line_by_line(text: str):
+    """``parse_instance`` as it read a file before its bulk reader: every
+    vertex line through ``parse_vertex_line``, then ``LosInstance``'s
+    checks.  (The weight-sum bound is left out: no drawn sum reaches it.)"""
+    lines = content_lines(text.splitlines())
+    params = read_losn_header(lines)
+    cells = {}
+    for line in lines:
+        coords, w = parse_vertex_line(line, params)
+        if coords in cells:
+            raise ValidationError(f"duplicate vertex at {coords}")
+        cells[coords] = w
+    return LosInstance(params, cells)
+
+
+def _outcome(parse, text):
+    try:
+        inst = parse(text)
+    except ValidationError as exc:
+        return str(exc)
+    return [(c, w, type(w)) for c, w in inst.vertices.items()]
+
+
+_COORD = st.sampled_from(["1", "2", "3", "4", "+2", "-1", "02", "x", "1_0", "\u0661"])
+_WEIGHT = st.sampled_from(
+    ["1", "3", "007", "0", "-2", "+4", "5/2", "2.5", "1e1", "x", "1_0", "\u0662",
+     "9" * 4301, "0" * 4300 + "7"]
+)
+_VERTEX_LINE = st.tuples(_COORD, _COORD, _WEIGHT).map(lambda t: "v " + " ".join(t))
+_OTHER_LINE = st.sampled_from(["# a comment", "# \u00e4_x", "", "v 1 2", "w 1 1 1"])
+
+
+@given(st.lists(st.one_of(_VERTEX_LINE, _VERTEX_LINE, _OTHER_LINE), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_bulk_vertex_reader_matches_line_by_line(lines):
+    text = "losn v1\nd=2 omega=2 extents=4,3\n" + "".join(f"{l}\n" for l in lines)
+    assert _outcome(parse_instance, text) == _outcome(_instance_line_by_line, text)
