@@ -646,7 +646,7 @@ class TestImports:
 
 @pytest.fixture(scope="module")
 def big_losn(tmp_path_factory):
-    """A 12000x3 instance whose ``--json`` answer (about 200 KB) is larger
+    """A 12000x3 instance whose ``--json`` answer (about 330 KB) is larger
     than a pipe holds, so its writer must wait for the reader."""
     from fractions import Fraction
 
