@@ -183,12 +183,12 @@ def _read_cells(
     for line in lines:
         parts = line.split()
         w, cell = parts[-1], None
-        if plain and len(parts) == width and parts[0] == "v":
-            if w.isdigit() and len(w) <= MAX_DIGITS:
-                try:
+        if plain and len(parts) == width and parts[0] == "v" and w.isdigit():
+            try:
+                if len(w) <= MAX_DIGITS:
                     cell = tuple(map(int, parts[1:-1])), int(w)
-                except ValueError:  # a coordinate that is not an integer
-                    pass
+            except ValueError:  # a coordinate that is not an integer
+                pass
         coords, w = cell or parse_vertex_line(line, params)
         if coords in cells:
             raise ValidationError(f"duplicate vertex at {coords}")
