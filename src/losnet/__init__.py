@@ -73,7 +73,6 @@ _EXPORTS = {
     "oracle": ("VerifyReport", "verify", "verify_ads"),
     "semionline": (
         "ColumnStream",
-        "FileColumnStream",
         "PhaseState",
         "max_lookahead",
         "run_phase",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Container, Iterable, Mapping
+from collections.abc import Collection, Container, Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
 from types import MappingProxyType
@@ -136,48 +136,44 @@ def check_digits(value: int, what: str) -> int:
     return value
 
 
-class WeightSums:
-    """Running bound on the sums of positive weights: ``add`` refuses the
-    weight after which some sum of those added, and of ``units`` weights of
-    1, could not be written.  Such a sum has a denominator dividing the
-    least common multiple L of their denominators and a numerator at most
-    the sum of w * L, so both must fit ``check_digits``."""
-
-    def __init__(self, units: int = 0) -> None:
-        self.lcm, self.total = 1, check_digits(units, "a weight sum")
-
-    def add(self, w: Rational) -> None:
-        lcm, den = self.lcm, w.denominator
-        if lcm % den:
-            self.lcm = check_digits(lcm // math.gcd(lcm, den) * den, "a weight sum")
-            self.total *= self.lcm // lcm
-        self.total = check_digits(
-            self.total + w.numerator * (self.lcm // den), "a weight sum"
-        )
-
-
-def check_weight_sums(weights: Iterable[Rational], units: int = 0) -> None:
-    """Refuse ``weights`` unless ``WeightSums(units)`` takes every one."""
-    sums = WeightSums(units)
-    for w in weights:
-        sums.add(w)
+def check_weight_sums(weights: Collection[Rational], units: int = 0) -> None:
+    """Refuse positive ``weights`` when some sum of them, and of ``units``
+    weights of 1, could not be written.  Such a sum has a denominator
+    dividing the least common multiple L of their denominators and a
+    numerator at most ``units * L`` plus the sum of ``w * L``, so both must
+    fit ``check_digits``.  L is refused as soon as it passes the bound, before
+    the numerator is summed over it."""
+    lcm = 1
+    for den in {w.denominator for w in weights}:
+        lcm = check_digits(lcm // math.gcd(lcm, den) * den, "a weight sum")
+    check_digits(
+        units * lcm + sum(w.numerator * (lcm // w.denominator) for w in weights),
+        "a weight sum",
+    )
 
 
 def parse_rational(value, what: str = "number") -> Fraction:
     """``exact_fraction(value)``, refused as ``not a rational <what>``: the
-    one reader of epsilon and density, and of weights that are neither an
-    ``int`` nor a ``Fraction``."""
+    one reader of epsilon and density, and of weights that ``as_weight``
+    does not keep as they are."""
     try:
         return exact_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational {what}: {value!r}") from exc
+        # An int or Fraction is refused only for its digits, too many to print.
+        if isinstance(value, (int, Fraction)):
+            shown = f"{type(value).__name__} of more than {MAX_DIGITS} digits"
+        else:
+            shown = repr(value)
+        raise ValidationError(f"not a rational {what}: {shown}") from exc
 
 
 def as_weight(value) -> Rational:
-    """``value`` as a weight: an ``int`` of at most ``MAX_DIGITS`` digits as
-    it is, anything else through ``parse_rational``."""
-    if type(value) is int and abs(value) < _DIGITS_CAP:
-        return value
+    """``value`` as a weight: an ``int`` or ``Fraction`` with at most
+    ``MAX_DIGITS`` digits in its numerator and denominator as it is,
+    anything else through ``parse_rational``."""
+    if type(value) is int or type(value) is Fraction:
+        if abs(value.numerator) < _DIGITS_CAP and value.denominator < _DIGITS_CAP:
+            return value
     return parse_rational(value, "weight")
 
 
@@ -243,8 +239,7 @@ def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Rational]:
     """(coords, weight) normalised and checked as ``Vertex`` does: an
     ``int`` or ``Fraction`` weight is kept as it is (``as_weight``)."""
     coords = tuple(map(int, coords))
-    if type(weight) is not Fraction:
-        weight = as_weight(weight)
+    weight = as_weight(weight)
     if weight.numerator <= 0:
         raise ValidationError(
             f"vertex weight must be positive, got {weight} at {coords}"

@@ -397,11 +397,6 @@ class NarrowArray:
         ridx, j = self._cell(coords)
         self._cols.setdefault(j, {})[ridx] = w
 
-    def drop_through(self, j: int) -> None:
-        """Forget the cells of columns 1..j."""
-        for c in [c for c in self._cols if c <= j]:
-            del self._cols[c]
-
 
 def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
     """Flatten ``inst`` into column-major form along ``long_axis``.

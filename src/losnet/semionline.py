@@ -12,9 +12,9 @@ For unit weights the growth test and the per-round gain cap together bound
 the rounds per phase, hence the look-ahead any phase needs; the union of the
 kept sets is within a factor 1+epsilon of the offline optimum.
 
-Columns come from one stream class, ``ColumnStream``, over a ``NarrowArray``;
-``FileColumnStream`` fills its array from a .losn file as columns are
-revealed and empties it as they are consumed.  Each phase runs one
+Columns come from a ``ColumnStream`` over an in-memory ``NarrowArray``,
+built from a ``LosInstance`` or passed in directly; its reveal/consume
+accounting records the look-ahead each phase uses.  Each phase runs one
 ``NarrowDp`` over the columns it reveals; the first one refuses a
 cross-section whose windows exceed the budget.
 """
@@ -25,20 +25,9 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 from numbers import Rational
-from os import PathLike
 
-from .core import (
-    Coords,
-    LosInstance,
-    Record,
-    Solution,
-    WeightSums,
-    check_cell,
-    check_digits,
-    check_epsilon,
-)
+from .core import Coords, LosInstance, Record, Solution, check_digits, check_epsilon
 from .errors import ValidationError
-from .io import content_lines, parse_vertex_line, read_losn_header, read_lines
 from .narrow import NarrowArray, NarrowDp, build_array
 
 # (ln 2)^2 as the exact value of its float, so the round cap needs no float
@@ -52,7 +41,7 @@ def max_lookahead(k: int, d: int, epsilon: Fraction, omega: int) -> int:
     The per-phase round count is capped by
     ceil((1 + 1/epsilon) * k^(d-1) / (ln 2)^2); each round spans omega
     columns and the discarded separator adds one more omega.  The constant
-    is a documented contract used to size stream buffers, not a tight bound.
+    is a documented contract each phase is checked against, not a tight bound.
     """
     epsilon = check_epsilon(epsilon)
     if k < 1 or d < 2 or omega < 2:
@@ -139,9 +128,6 @@ class ColumnStream:
     ) -> "ColumnStream":
         return cls(build_array(inst, long_axis))
 
-    def _column(self, j: int) -> dict[int, Rational]:
-        return self.array.column(j)
-
     def reveal(self, j: int) -> dict[int, Rational]:
         """Occupied row-index -> weight map of column j (marks it revealed)."""
         if j < self.cursor:
@@ -150,7 +136,7 @@ class ColumnStream:
             raise ValidationError(f"column {j} outside 1..{self.array.n}")
         if j > self.max_revealed:
             self.max_revealed = j
-        return self._column(j)
+        return self.array.column(j)
 
     def consume_through(self, j: int) -> None:
         self.cursor = max(self.cursor, min(j, self.array.n) + 1)
@@ -162,55 +148,12 @@ class ColumnStream:
     def exhausted(self) -> bool:
         return self.cursor > self.array.n
 
-    def totals(self) -> tuple[Rational, Rational | None, bool] | None:
-        """(total weight, min weight or None, all-unit?) when known upfront."""
+    def totals(self) -> tuple[Rational, Rational | None, bool]:
+        """(total weight, min weight or None, all-unit?), always known upfront."""
         weights = self.array.weights()
         if not weights:
             return 0, None, True
         return sum(weights), min(weights), all(w == 1 for w in weights)
-
-
-class FileColumnStream(ColumnStream):
-    """Lazy stream over a .losn file, read in column order along axis 0.
-
-    The format sorts vertices lexicographically, so a single forward pass
-    yields columns in increasing order; the array holds only the columns not
-    yet consumed, up to the first cell past the newest revealed column.
-    Totals are unknown upfront (that is the point).  The array builds no
-    rows, so a phase's ``NarrowDp`` refuses a huge cross-section at no cost.
-
-    The file is refused as ``load_instance`` refuses it, with the same
-    messages, but at the faulty line (for weights whose sums could not be
-    written, the line that passes the bound); vertex lines out of column
-    order are refused as well.
-    """
-
-    def __init__(self, path: str | PathLike[str]) -> None:
-        self._lines = content_lines(read_lines(path))
-        self._params = params = read_losn_header(self._lines)
-        n, *row_extents = params.extents
-        super().__init__(NarrowArray(row_extents, params.omega, n))
-        self._last_col = 0
-        self._sums = WeightSums()
-
-    def _column(self, j: int) -> dict[int, Rational]:
-        array, params = self.array, self._params
-        while self._last_col <= j and (line := next(self._lines, None)) is not None:
-            coords, w = parse_vertex_line(line, params)
-            coords, w = check_cell(params, array, coords, w)
-            if coords[0] < self._last_col:
-                raise ValidationError("vertex lines not sorted by column")
-            self._sums.add(w)
-            self._last_col = coords[0]
-            array.put(coords, w)
-        return array.column(j)
-
-    def consume_through(self, j: int) -> None:
-        super().consume_through(j)
-        self.array.drop_through(self.cursor - 1)
-
-    def totals(self) -> None:
-        return None
 
 
 class PhaseState(Record):
@@ -301,19 +244,15 @@ def solve_semionline(
         stream = source
 
     row_extents, omega = stream.array.row_extents, stream.array.omega
-    totals = stream.totals()
-    if totals is None:
-        limit: int | None = None
+    total, wmin, unit = stream.totals()
+    if total == 0:
+        limit = omega
+    elif unit:
+        limit = max_lookahead(max(row_extents), len(row_extents) + 1, eps, omega)
     else:
-        total, wmin, unit = totals
-        if total == 0:
-            limit = omega
-        elif unit:
-            limit = max_lookahead(max(row_extents), len(row_extents) + 1, eps, omega)
-        else:
-            assert wmin is not None
-            limit = (_growth_cap(eps, Fraction(total, wmin)) + 1) * omega
-        check_digits(limit, "epsilon too small: the look-ahead limit")
+        assert wmin is not None
+        limit = (_growth_cap(eps, Fraction(total, wmin)) + 1) * omega
+    check_digits(limit, "epsilon too small: the look-ahead limit")
 
     coords: list[Coords] = []
     total_weight = 0
@@ -323,7 +262,7 @@ def solve_semionline(
         ph = run_phase(stream, eps, budget=budget)
         if ph is None:
             break
-        if limit is not None and ph.lookahead_used > limit:
+        if ph.lookahead_used > limit:
             raise RuntimeError(
                 f"phase look-ahead {ph.lookahead_used} exceeded buffer {limit}"
             )

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
@@ -21,7 +22,7 @@ from losnet import (
     set_weight,
     shares_line_of_sight,
 )
-from losnet.core import check_weight_sums
+from losnet.core import check_digits, check_weight_sums
 from conftest import make_inst, unit_inst
 
 
@@ -174,6 +175,18 @@ class TestValidation:
         ({(1, 1, 1): 1}, ValidationError, "coordinates (1, 1, 1) outside box extents=(3, 2)"),
         ({(1,): 1}, ValidationError, "coordinates (1,) outside box extents=(3, 2)"),
         ({(1, 1): 2, ("1", 1): 3}, ValidationError, "duplicate vertex at (1, 1)"),
+        # A weight past the digit bound is refused without printing it.
+        ({(1, 1): 10**5000}, ValidationError, "not a rational weight: int of more than 4300 digits"),
+        (
+            {(1, 1): Fraction(10**5000, 3)},
+            ValidationError,
+            "not a rational weight: Fraction of more than 4300 digits",
+        ),
+        (
+            {(1, 1): Fraction(1, 10**5000)},
+            ValidationError,
+            "not a rational weight: Fraction of more than 4300 digits",
+        ),
     ]
 
     @pytest.mark.parametrize("cells, error, message", REFUSALS)
@@ -239,6 +252,77 @@ class TestWeightSums:
         p, q = 10**2150 + 1, 10**2150 + 3
         check_weight_sums([Fraction(1, p)] * 3)
         self.refused([Fraction(1, p), Fraction(1, q)])
+
+
+def running_weight_sums(weights, units=0):
+    """The running form of ``check_weight_sums``, kept as its reference:
+    the weights are added one at a time, and the first one after which the
+    common denominator or the numerator of their sum (with ``units`` weights
+    of 1) passes the bound is refused."""
+    lcm, total = 1, check_digits(units, "a weight sum")
+    for w in weights:
+        den = w.denominator
+        if lcm % den:
+            grown = check_digits(lcm // math.gcd(lcm, den) * den, "a weight sum")
+            lcm, total = grown, total * (grown // lcm)
+        total = check_digits(total + w.numerator * (lcm // den), "a weight sum")
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+# 2**p - 1 for distinct primes p are pairwise coprime; two of 6500-7600 bits
+# have a least common multiple on either side of 4300 digits (14284 bits).
+_MERSENNE_EXPONENTS = _primes(6500, 7600)
+_CAP = 10**4300
+
+_near_bound = st.builds(lambda m, k: _CAP // m - k, st.integers(1, 8), st.integers(1, 4))
+_weights = st.one_of(
+    st.integers(1, 20),
+    _near_bound,
+    st.builds(
+        lambda p, num: Fraction(num, 2**p - 1),
+        st.sampled_from(_MERSENNE_EXPONENTS),
+        st.one_of(st.integers(1, 20), _near_bound),
+    ),
+)
+
+
+@st.composite
+def weights_near_the_bound(draw):
+    """(weights, units) drawn near the bound: the denominators' least common
+    multiple L lies on either side of it, and unless the numerator of the
+    whole sum over L already passes it, one more weight over one of the
+    drawn denominators brings that numerator to within three steps of it."""
+    units = draw(st.integers(0, 20))
+    weights = draw(st.lists(_weights, max_size=4))
+    lcm = math.lcm(*(w.denominator for w in weights))
+    total = units * lcm + sum(w.numerator * (lcm // w.denominator) for w in weights)
+    if total < _CAP:
+        den = draw(st.sampled_from([w.denominator for w in weights] or [1]))
+        num = (_CAP - total) // (lcm // den) + draw(st.integers(-3, 2))
+        if num >= 1:
+            w = Fraction(num, den) if den > 1 else num
+            weights.insert(draw(st.integers(0, len(weights))), w)
+    return weights, units
+
+
+def _refusal(check, weights, units):
+    try:
+        check(weights, units)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@given(weights_near_the_bound())
+@settings(max_examples=150, deadline=None)
+def test_weight_sums_refuse_as_the_running_check(case):
+    weights, units = case
+    assert _refusal(check_weight_sums, weights, units) == _refusal(
+        running_weight_sums, weights, units
+    )
 
 
 class TestGenerate:

@@ -121,6 +121,12 @@ def test_weight_grammar_refuses(token):
             ["v 1 1 1", "v 2 1 -1/2", "v 9 1 1"],
             "vertex weight must be positive, got -1/2 at (2, 1)",
         ),
+        # One fault each.
+        (["v 1 1 1", "v 3 2 -3"], "vertex weight must be positive, got -3 at (3, 2)"),
+        (["v 1 1 1", "v 3 2 3/0"], "bad weight '3/0'"),
+        (["v 1 1 1", "v 3 3 1"], "coordinates (3, 3) outside box extents=(4, 2)"),
+        # Each weight reads, but their sum would have 4301 digits.
+        (["v 1 1 9e4299", "v 3 1 9e4299"], "a weight sum would have more than 4300 digits"),
     ],
 )
 def test_losn_refusal_order(lines, message):

@@ -220,6 +220,15 @@ REFUSALS = [
     (lambda: check_epsilon("x"), "not a rational number: 'x'"),
     (lambda: check_epsilon("1/0"), "not a rational number: '1/0'"),
     (lambda: StripIndex((1, -1)), "strip index entries must be >= 0: (1, -1)"),
+    # A number too long for ``repr`` is named, not printed.
+    (
+        lambda: check_epsilon(Fraction(1, 10**5000)),
+        "not a rational number: Fraction of more than 4300 digits",
+    ),
+    (
+        lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(1, 2): Fraction(10**5000, 3)}),
+        "not a rational weight: Fraction of more than 4300 digits",
+    ),
 ]
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from losnet import (
     CapacityError,
     ColumnStream,
-    FileColumnStream,
     GenConfig,
     InstanceParams,
     NarrowArray,
@@ -21,7 +20,6 @@ from losnet import (
     load_instance,
     max_lookahead,
     run_phase,
-    save_instance,
     solve_exact_narrow,
     solve_mis_narrow,
     solve_semionline,
@@ -459,19 +457,7 @@ class TestStreams:
         stream.consume_through(2)
         assert stream.lookahead() == 1
 
-    def test_file_stream_matches_memory(self, tmp_path):
-        cfg = GenConfig(InstanceParams(2, (30, 2), 3), Fraction(11, 20), "const:1", 11)
-        inst = generate(cfg)
-        path = tmp_path / "s.losn"
-        save_instance(path, inst)
-        mem = solve_semionline(inst, Fraction(1, 2), long_axis=0)
-        fil = solve_semionline(FileColumnStream(path), Fraction(1, 2))
-        assert mem.vertices == fil.vertices
-        assert mem.total_weight == fil.total_weight
-        # file streams cannot know totals upfront, so no limit is recorded
-        assert fil.meta["lookahead_limit"] is None
-
-    def test_file_stream_refuses_huge_cross_section_before_building_rows(
+    def test_refuses_huge_cross_section_before_building_rows(
         self, tmp_path, monkeypatch
     ):
         path = tmp_path / "huge.losn"
@@ -485,9 +471,9 @@ class TestStreams:
 
         monkeypatch.setattr("losnet.narrow.rows_for", no_rows)
         with pytest.raises(CapacityError, match="rows=1000000"):
-            solve_semionline(FileColumnStream(path), 1)
+            solve_semionline(load_instance(path), 1)
 
-    def test_huge_streams_build_no_rows(self, tmp_path, monkeypatch):
+    def test_huge_stream_builds_no_rows(self, tmp_path, monkeypatch):
         path = tmp_path / "huge.losn"
         path.write_text(
             "losn v1\nd=2 omega=3 extents=1000000,1000000\nv 1 1000000 1\n",
@@ -498,126 +484,14 @@ class TestStreams:
             raise AssertionError(f"rows built for {row_extents}")
 
         monkeypatch.setattr("losnet.narrow.rows_for", no_rows)
-        streams = [
-            ColumnStream.from_instance(load_instance(path), 0),
-            FileColumnStream(path),
-        ]
-        for stream in streams:
-            assert stream.array.row_extents == (10**6,)
-            assert stream.reveal(1) == {10**6 - 1: 1}
-            assert stream.reveal(2) == {}
+        stream = ColumnStream.from_instance(load_instance(path), 0)
+        assert stream.array.row_extents == (10**6,)
+        assert stream.reveal(1) == {10**6 - 1: 1}
+        assert stream.reveal(2) == {}
 
-    def test_file_stream_budget_is_the_callers(self, tmp_path):
+    def test_budget_is_the_callers(self):
         cfg = GenConfig(InstanceParams(2, (12, 3), 3), Fraction(1, 2), "const:1", 4)
-        path = tmp_path / "s.losn"
-        save_instance(path, generate(cfg))
-        with pytest.raises(CapacityError, match="budget 63"):
-            solve_semionline(FileColumnStream(path), 1, budget=63)
-        solve_semionline(FileColumnStream(path), 1, budget=64)
-
-    def test_file_stream_buffer_stays_bounded(self, tmp_path):
-        cfg = GenConfig(InstanceParams(2, (60, 2), 3), Fraction(1, 2), "const:1", 2)
         inst = generate(cfg)
-        path = tmp_path / "b.losn"
-        save_instance(path, inst)
-        stream = FileColumnStream(path)
-        limit = max_lookahead(2, 2, Fraction(1), 3)
-        while True:
-            ph = run_phase(stream, Fraction(1))
-            if ph is None:
-                break
-            assert len(stream.array._cols) <= limit
-
-
-@st.composite
-def stream_cases(draw):
-    """A small narrow instance along axis 0 (d = 2..3, omega = 2..4, unit or
-    uniform weights) and an epsilon."""
-    d = draw(st.integers(2, 3))
-    cross = tuple(draw(st.integers(1, 3 if d == 2 else 2)) for _ in range(d - 1))
-    params = InstanceParams(d, (draw(st.integers(1, 14)), *cross), draw(st.integers(2, 4)))
-    density = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)]))
-    weights = draw(st.sampled_from(["const:1", "uniform:1:5"]))
-    inst = generate(GenConfig(params, density, weights, draw(st.integers(0, 2**16))))
-    eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]))
-    return inst, eps
-
-
-@given(stream_cases())
-@settings(max_examples=60, deadline=None)
-def test_file_stream_solves_as_memory(tmp_path_factory, case):
-    inst, eps = case
-    path = tmp_path_factory.mktemp("stream") / "s.losn"
-    save_instance(path, inst)
-    mem = solve_semionline(inst, eps, long_axis=0)
-    fil = solve_semionline(FileColumnStream(path), eps)
-    assert fil.vertices == mem.vertices
-    assert fil.total_weight == mem.total_weight
-    for key in ("phases", "lookahead_max_used"):
-        assert fil.meta[key] == mem.meta[key]
-    assert fil.meta["lookahead_limit"] is None
-
-
-HEAD = "losn v1\nd=2 omega=2 extents=6,2\n"
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        HEAD + "v 1 1 1\nv 3 1 1\nv 3 1 5\n",  # duplicate line
-        HEAD + "v 1 1 1\nv 3 2 0\n",
-        HEAD + "v 1 1 1\nv 3 2 -3\n",
-        HEAD + "v 1 1 1\nv 3 2 3/0\n",
-        HEAD + "v 1 1 1\nv 3 3 1\n",  # row outside the box
-        HEAD + "v 1 1 1\nv 7 1 1\n",  # column outside the box
-        HEAD + "v 1 1 1\nv 3 2\n",  # malformed vertex line
-        HEAD + "v 1 1 9e4299\nv 3 1 9e4299\n",  # a sum of 4301 digits
-        "losn v2\nd=2 omega=2 extents=6,2\nv 1 1 1\n",
-        "losn v1\n",  # missing parameter line
-    ],
-)
-def test_file_stream_refuses_as_load_instance(tmp_path, text):
-    path = tmp_path / "bad.losn"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValidationError) as loaded:
-        load_instance(path)
-    with pytest.raises(ValidationError) as streamed:
-        solve_semionline(FileColumnStream(path), 1)
-    assert str(streamed.value) == str(loaded.value)
-
-
-def test_file_stream_alone_refuses_unsorted_columns(tmp_path):
-    path = tmp_path / "unsorted.losn"
-    path.write_text(HEAD + "v 3 1 1\nv 1 2 1\n", encoding="utf-8")
-    assert len(load_instance(path)) == 2
-    with pytest.raises(ValidationError, match="not sorted by column"):
-        solve_semionline(FileColumnStream(path), 1)
-
-
-def test_file_stream_refuses_at_the_faulty_line(tmp_path):
-    # The duplicate sits in column 6: the phases before it run first.
-    path = tmp_path / "late.losn"
-    path.write_text(HEAD + "v 1 1 1\nv 6 1 1\nv 6 1 2\n", encoding="utf-8")
-    stream = FileColumnStream(path)
-    assert run_phase(stream, Fraction(1)).best_set == ((1, 1),)
-    with pytest.raises(ValidationError, match=r"duplicate vertex at \(6, 1\)"):
-        while run_phase(stream, Fraction(1)) is not None:
-            pass
-
-
-def test_file_stream_refuses_undecodable_bytes_where_it_reads_them(tmp_path):
-    # The bad byte sits past the first chunk read: the phases before it run.
-    path = tmp_path / "bin.losn"
-    lines = "".join(f"v {j} 1 1\n" for j in range(1, 3000, 2))
-    path.write_bytes(
-        f"losn v1\nd=2 omega=2 extents=3000,1\n{lines}".encode() + b"v 3000 1 \xff\n"
-    )
-    with pytest.raises(ValidationError) as loaded:
-        load_instance(path)
-    stream = FileColumnStream(path)
-    assert run_phase(stream, Fraction(1)).best_set == ((1, 1),)
-    with pytest.raises(ValidationError) as streamed:
-        while run_phase(stream, Fraction(1)) is not None:
-            pass
-    assert str(streamed.value) == str(loaded.value)
-    assert str(loaded.value) == f"{path}: not UTF-8 text (invalid start byte)"
+        with pytest.raises(CapacityError, match="budget 63"):
+            solve_semionline(inst, 1, budget=63)
+        solve_semionline(inst, 1, budget=64)
