@@ -20,6 +20,7 @@ from losnet import (
     load_instance,
     max_lookahead,
     run_phase,
+    save_instance,
     solve_exact_narrow,
     solve_mis_narrow,
     solve_semionline,
@@ -489,9 +490,61 @@ class TestStreams:
         assert stream.reveal(1) == {10**6 - 1: 1}
         assert stream.reveal(2) == {}
 
+    def test_saved_instance_matches_memory(self, tmp_path):
+        cfg = GenConfig(InstanceParams(2, (30, 2), 3), Fraction(11, 20), "const:1", 11)
+        inst = generate(cfg)
+        path = tmp_path / "s.losn"
+        save_instance(path, inst)
+        mem = solve_semionline(inst, Fraction(1, 2), long_axis=0)
+        fil = solve_semionline(load_instance(path), Fraction(1, 2), long_axis=0)
+        assert mem.vertices == fil.vertices
+        assert mem.total_weight == fil.total_weight
+        # totals are known upfront for every input, so the limit is recorded
+        assert fil.meta["lookahead_limit"] == max_lookahead(2, 2, Fraction(1, 2), 3)
+
     def test_budget_is_the_callers(self):
         cfg = GenConfig(InstanceParams(2, (12, 3), 3), Fraction(1, 2), "const:1", 4)
         inst = generate(cfg)
         with pytest.raises(CapacityError, match="budget 63"):
             solve_semionline(inst, 1, budget=63)
         solve_semionline(inst, 1, budget=64)
+
+
+@st.composite
+def stream_cases(draw):
+    """A small narrow instance along axis 0 (d = 2..3, omega = 2..4, unit or
+    uniform weights) and an epsilon."""
+    d = draw(st.integers(2, 3))
+    cross = tuple(draw(st.integers(1, 3 if d == 2 else 2)) for _ in range(d - 1))
+    params = InstanceParams(d, (draw(st.integers(1, 14)), *cross), draw(st.integers(2, 4)))
+    density = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)]))
+    weights = draw(st.sampled_from(["const:1", "uniform:1:5"]))
+    inst = generate(GenConfig(params, density, weights, draw(st.integers(0, 2**16))))
+    eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]))
+    return inst, eps
+
+
+@given(stream_cases())
+@settings(max_examples=60, deadline=None)
+def test_saved_instance_solves_as_memory(tmp_path_factory, case):
+    inst, eps = case
+    path = tmp_path_factory.mktemp("stream") / "s.losn"
+    save_instance(path, inst)
+    mem = solve_semionline(inst, eps, long_axis=0)
+    fil = solve_semionline(load_instance(path), eps, long_axis=0)
+    assert fil.vertices == mem.vertices
+    assert fil.total_weight == mem.total_weight
+    assert fil.meta == mem.meta
+
+
+HEAD = "losn v1\nd=2 omega=2 extents=6,2\n"
+
+
+def test_unsorted_lines_solve_as_sorted(tmp_path):
+    lines = ["v 1 1 1\n", "v 3 2 2\n", "v 4 1 1\n", "v 6 2 3\n"]
+    sorted_path, unsorted_path = tmp_path / "sorted.losn", tmp_path / "unsorted.losn"
+    sorted_path.write_text(HEAD + "".join(lines), encoding="utf-8")
+    unsorted_path.write_text(HEAD + "".join(reversed(lines)), encoding="utf-8")
+    inst = load_instance(unsorted_path)
+    assert inst == load_instance(sorted_path)
+    assert solve_semionline(inst, 1) == solve_semionline(load_instance(sorted_path), 1)
