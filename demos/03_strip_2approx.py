@@ -14,25 +14,25 @@ from losnet import (
     InstanceParams,
     brute_mis,
     generate,
-    parity_cut,
     solve_exact_narrow,
     solve_strip2,
-    strip_of,
 )
 
 cfg = GenConfig(InstanceParams(2, (9, 6), 3), Fraction(2, 5), "uniform:1:5", 21)
 inst = generate(cfg)
 print(f"instance: {len(inst)} vertices in a 9x6 box, omega=3 (strip width 2)")
 
+# Axis 1 is cut: a vertex at row r sits in strip (r-1)//2, and a strip's
+# parity is its index mod 2.
 for coords in list(inst.coords_sorted())[:4]:
-    s = strip_of(coords, k=2, cut_axes=[1])
-    print(f"  {coords} -> strip {s.index}, parity {s.parity}")
-
-odd, even = parity_cut(inst, k=2, long_axis=0)
-print(f"parity split: {len(odd)} odd, {len(even)} even")
+    index = (coords[1] - 1) // 2
+    print(f"  {coords} -> strip {index}, parity {index % 2}")
 
 sol = solve_strip2(inst, long_axis=0)
-print("strip union weight:", sol.total_weight, "| kept parity:", sol.meta["parity"])
+meta = sol.meta
+print(f"strips solved: {meta['strips']}")
+print(f"odd union weight: {meta['odd_weight']} | even union weight: {meta['even_weight']}")
+print("strip union weight:", sol.total_weight, "| kept parity:", meta["parity"])
 
 opt = brute_mis(inst).total_weight if len(inst) <= 24 else None
 if opt is not None:

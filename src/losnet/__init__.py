@@ -37,13 +37,10 @@ _EXPORTS = {
     ),
     "decomp": (
         "BlockDecomposition",
-        "StripIndex",
         "make_blocks",
-        "parity_cut",
         "ptas_shift_count",
         "solve_ptas",
         "solve_strip2",
-        "strip_of",
     ),
     "errors": ("CapacityError", "LosError", "UnknownCoordinateError", "ValidationError"),
     "io": (
@@ -59,16 +56,12 @@ _EXPORTS = {
     ),
     "narrow": (
         "DEFAULT_WINDOW_BUDGET",
-        "FeasibleWindow",
         "normalize_rows",
         "NarrowArray",
         "NarrowDp",
         "build_array",
-        "consistent",
-        "enumerate_windows",
         "solve_exact_narrow",
         "solve_mis_narrow",
-        "successors",
     ),
     "oracle": ("VerifyReport", "verify", "verify_ads"),
     "semionline": (

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .core import Coords, LosInstance, Solution, are_adjacent
 from .errors import CapacityError
-from .narrow import FeasibleWindow, normalize_rows
+from .narrow import normalize_rows
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING``, without importing ``typing``
 if TYPE_CHECKING:
@@ -190,13 +190,16 @@ def brute_adssched(ads: AdsInstance, cap: int = BRUTE_ADS_CAP) -> Solution:
 
 def brute_windows(
     row_spec, omega: int, cap: int = BRUTE_WINDOWS_CAP
-) -> set[FeasibleWindow]:
+) -> set[tuple[int, ...]]:
     """Oracle window enumeration: filter every 0/1 grid by the witness rules.
 
     A grid survives when (a) no row holds two entries (any two columns of a
     width-omega grid are less than omega apart) and (b) entries sharing a
     column sit in rows that either do not share a line of sight or differ by
     at least omega.  ``row_spec`` is extents or an explicit arrangement.
+    Each window is its positions, as ``NarrowDp.windows`` gives them: per
+    row in ``normalize_rows`` order, 0 when empty, else the 1-based column
+    of its entry.
     """
     rows = normalize_rows(row_spec)
     size = (omega + 1) ** len(rows)
@@ -209,7 +212,7 @@ def brute_windows(
         raise CapacityError(
             f"2^(rows*omega) = {2 ** ncells} exceeds grid cap {BRUTE_WINDOWS_GRID_CAP}"
         )
-    out: set[FeasibleWindow] = set()
+    out: set[tuple[int, ...]] = set()
     for bits in itertools.product((0, 1), repeat=ncells):
         entries = [
             (r, c)
@@ -234,5 +237,5 @@ def brute_windows(
         positions = [0] * len(rows)
         for r, c in entries:
             positions[r] = c
-        out.add(FeasibleWindow(rows, omega, tuple(positions)))
+        out.add(tuple(positions))
     return out

@@ -154,8 +154,12 @@ def check_weight_sums(weights: Collection[Rational], units: int = 0) -> None:
 
 def parse_rational(value, what: str = "number") -> Fraction:
     """``exact_fraction(value)``, refused as ``not a rational <what>``: the
-    one reader of epsilon and density, and of weights that ``as_weight``
-    does not keep as they are."""
+    one reader of epsilon, density and weights.  A ``Fraction`` with at most
+    ``MAX_DIGITS`` digits in its numerator and denominator comes back as it
+    is, so a value checked once is not read again."""
+    if type(value) is Fraction:
+        if abs(value.numerator) < _DIGITS_CAP and value.denominator < _DIGITS_CAP:
+            return value
     try:
         return exact_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -168,12 +172,10 @@ def parse_rational(value, what: str = "number") -> Fraction:
 
 
 def as_weight(value) -> Rational:
-    """``value`` as a weight: an ``int`` or ``Fraction`` with at most
-    ``MAX_DIGITS`` digits in its numerator and denominator as it is,
-    anything else through ``parse_rational``."""
-    if type(value) is int or type(value) is Fraction:
-        if abs(value.numerator) < _DIGITS_CAP and value.denominator < _DIGITS_CAP:
-            return value
+    """``value`` as a weight: an ``int`` of at most ``MAX_DIGITS`` digits as
+    it is, anything else through ``parse_rational``."""
+    if type(value) is int and abs(value) < _DIGITS_CAP:
+        return value
     return parse_rational(value, "weight")
 
 
@@ -191,6 +193,10 @@ class InstanceParams(FrozenRecord):
 
     def __init__(self, d: int, extents: Iterable[int], omega: int) -> None:
         extents = tuple(int(e) for e in extents)
+        # Checked first: the messages below print these values.
+        check_digits(d, "dimension")
+        check_digits(max(map(abs, extents), default=0), "an extent")
+        check_digits(omega, "omega")
         if d < 2:
             raise ValidationError(f"dimension must be >= 2, got {d}")
         if len(extents) != d:
@@ -236,9 +242,11 @@ def resolve_long_axis(params: InstanceParams, long_axis: int | None) -> int:
 
 
 def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Rational]:
-    """(coords, weight) normalised and checked as ``Vertex`` does: an
-    ``int`` or ``Fraction`` weight is kept as it is (``as_weight``)."""
+    """(coords, weight) normalised and checked as ``Vertex`` does: each
+    coordinate within ``MAX_DIGITS`` digits, so that the refusals can print
+    them, and the weight read by ``as_weight``."""
     coords = tuple(map(int, coords))
+    check_digits(max(map(abs, coords), default=0), "a coordinate")
     weight = as_weight(weight)
     if weight.numerator <= 0:
         raise ValidationError(

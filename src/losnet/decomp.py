@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 from numbers import Rational
 
@@ -35,29 +35,6 @@ from .core import (
 )
 from .errors import ValidationError
 from .narrow import solve_exact_narrow
-
-
-class StripIndex(FrozenRecord):
-    """Index vector of a strip across the cut axes."""
-
-    index: tuple[int, ...]
-
-    def __init__(self, index: Iterable[int]) -> None:
-        index = tuple(int(i) for i in index)
-        if any(i < 0 for i in index):
-            raise ValidationError(f"strip index entries must be >= 0: {index}")
-        super().__init__(index)
-
-    @property
-    def parity(self) -> int:
-        return sum(self.index) % 2
-
-
-def strip_of(coords: Coords, k: int, cut_axes: Sequence[int]) -> StripIndex:
-    """Strip holding ``coords``: 0-based index (coord-1)//k per cut axis."""
-    if k < 1:
-        raise ValidationError(f"strip width k must be >= 1, got {k}")
-    return StripIndex((coords[a] - 1) // k for a in cut_axes)
 
 
 def _slice(
@@ -90,22 +67,6 @@ def _translate(coords: Iterable[Coords], offsets: tuple[int, ...]) -> list[Coord
     return [tuple(c + o for c, o in zip(cc, offsets)) for cc in coords]
 
 
-def parity_cut(
-    inst: LosInstance, k: int, long_axis: int | None = None
-) -> tuple[LosInstance, LosInstance]:
-    """Split vertices into (odd, even) strip-parity sub-instances."""
-    p = inst.params
-    long_axis = resolve_long_axis(p, long_axis)
-    cut_axes = [a for a in range(p.d) if a != long_axis]
-    odd, even = {}, {}
-    for coords, w in inst.vertices.items():
-        if strip_of(coords, k, cut_axes).parity:
-            odd[coords] = w
-        else:
-            even[coords] = w
-    return LosInstance(p, odd), LosInstance(p, even)
-
-
 def solve_strip2(
     inst: LosInstance,
     long_axis: int | None = None,
@@ -113,10 +74,12 @@ def solve_strip2(
 ) -> Solution:
     """2-approximation by odd/even strips of width omega-1.
 
-    Each strip is solved exactly; two strips with the same index parity are
-    at least omega apart on some axis and never interact, so each parity
-    union is independent.  The heavier union (ties to even) is at least half
-    the optimum because the optimum splits across the two parity classes.
+    A vertex's strip index is (coordinate-1)//(omega-1) on each non-long
+    axis, and the strip's parity is the index sum mod 2.  Each strip is
+    solved exactly; two strips with the same index parity are at least
+    omega apart on some axis and never interact, so each parity union is
+    independent.  The heavier union (ties to even) is at least half the
+    optimum because the optimum splits across the two parity classes.
     """
     p = inst.params
     long_axis = resolve_long_axis(p, long_axis)

@@ -44,7 +44,6 @@ from numbers import Rational
 
 from .core import (
     Coords,
-    FrozenRecord,
     InstanceParams,
     LosInstance,
     Solution,
@@ -110,60 +109,6 @@ def _row_structure(
     return tuple(masks)
 
 
-class FeasibleWindow(FrozenRecord):
-    """Width-``omega`` 0/1 stencil admitting an independent witness.
-
-    ``positions[r]`` is 0 when row r is empty, else the 1-based window column
-    of its single entry (two entries in one row would sit less than omega
-    apart inside the window, so one per row is structural).  Feasibility
-    additionally requires that no two conflicting rows share a column.
-
-    ``rows`` are lexicographically sorted, and windows order by their
-    positions: the order of ``NarrowDp``'s packed windows.
-    """
-
-    rows: tuple[Coords, ...]
-    omega: int
-    positions: tuple[int, ...]
-
-    def __init__(self, rows, omega: int, positions: Iterable[int]) -> None:
-        rows = normalize_rows(rows)
-        positions = tuple(positions)
-        if omega < 2:
-            raise ValidationError(f"omega must be >= 2, got {omega}")
-        conflicts = _row_structure(rows, omega)
-        if len(positions) != len(rows):
-            raise ValidationError(
-                f"expected {len(rows)} row positions, got {len(positions)}"
-            )
-        col_masks: dict[int, int] = {}
-        for r, p in enumerate(positions):
-            if not 0 <= p <= omega:
-                raise ValidationError(f"position {p} out of range 0..{omega}")
-            if p:
-                if col_masks.get(p, 0) & conflicts[r]:
-                    raise ValidationError(
-                        f"no witness: conflicting rows share column {p}"
-                    )
-                col_masks[p] = col_masks.get(p, 0) | (1 << r)
-        super().__init__(rows, omega, positions)
-
-    @classmethod
-    def zero(cls, row_spec, omega: int) -> "FeasibleWindow":
-        rows = normalize_rows(row_spec)
-        return cls(rows, omega, (NONE_POS,) * len(rows))
-
-    def as_grid(self) -> tuple[tuple[int, ...], ...]:
-        """Rows x omega 0/1 grid (handy for array-level comparisons)."""
-        return tuple(
-            tuple(1 if p == c else 0 for c in range(1, self.omega + 1))
-            for p in self.positions
-        )
-
-    def __lt__(self, other: "FeasibleWindow") -> bool:
-        return self.positions < other.positions
-
-
 def count_windows(
     nrows: int, omega: int, capacity: int, stop: int | None = None
 ) -> int:
@@ -200,36 +145,6 @@ def count_windows(
             nxt.append(n)
         ways = nxt
     return sum(ways)
-
-
-def check_window_budget(
-    nrows: int, omega: int, capacity: int, budget: int | None
-) -> None:
-    """Refuse when ``count_windows`` exceeds ``budget`` (default
-    ``DEFAULT_WINDOW_BUDGET``)."""
-    if budget is None:
-        budget = DEFAULT_WINDOW_BUDGET
-    if count_windows(nrows, omega, capacity, budget) > budget:
-        raise CapacityError(
-            f"window count exceeds budget {budget} "
-            f"(rows={nrows}, omega={omega}, capacity={capacity})"
-        )
-
-
-def enumerate_windows(
-    row_spec, omega: int, budget: int | None = None
-) -> list[FeasibleWindow]:
-    """All feasible windows for the given cross-section, ascending.
-
-    ``row_spec`` is either per-axis extents or an explicit row arrangement
-    (see ``normalize_rows``).  Refuses as ``NarrowDp`` does, when
-    (omega+1)^rows exceeds ``budget``.
-    """
-    rows = normalize_rows(row_spec)
-    check_window_budget(len(rows), omega, len(rows), budget)
-    return [
-        FeasibleWindow(rows, omega, pos) for pos in _windows(rows, omega, len(rows))
-    ]
 
 
 def _enumerate_windows(
@@ -271,26 +186,6 @@ def _windows(
     return tuple(
         _enumerate_windows(len(rows), omega, _row_structure(rows, omega), capacity)
     )
-
-
-def consistent(w1: FeasibleWindow, w2: FeasibleWindow) -> bool:
-    """Tail of ``w1`` equals head of ``w2``: the legal DP chaining relation.
-
-    Per row with positions (a, b): dropping w1's first column leaves an entry
-    at a-1 when a >= 2 and nothing otherwise; dropping w2's last column
-    leaves an entry at b when b <= omega-1 and nothing otherwise.  The two
-    leftovers must be literally equal.
-    """
-    if w1.rows != w2.rows or w1.omega != w2.omega:
-        raise ValidationError("window shape mismatch")
-    om = w1.omega
-    for a, b in zip(w1.positions, w2.positions):
-        if a >= 2:
-            if b != a - 1:
-                return False
-        elif 1 <= b <= om - 1:
-            return False
-    return True
 
 
 class NarrowArray:
@@ -484,7 +379,13 @@ class NarrowDp:
         nrows = math.prod(spec) if box else len(rows)
         self.omega = int(omega)
         self._capacity = nrows if capacity is None else min(capacity, nrows)
-        check_window_budget(nrows, self.omega, self._capacity, budget)
+        if budget is None:
+            budget = DEFAULT_WINDOW_BUDGET
+        if count_windows(nrows, self.omega, self._capacity, budget) > budget:
+            raise CapacityError(
+                f"window count exceeds budget {budget} "
+                f"(rows={nrows}, omega={self.omega}, capacity={self._capacity})"
+            )
         self.rows = rows or rows_for(spec)
         self._conflicts = _row_structure(self.rows, self.omega)
         bits = self._bits = self.omega.bit_length()
@@ -632,45 +533,6 @@ class NarrowDp:
                     out.append((self.rows[r], j))
         out.reverse()
         return out
-
-    def window_chain(self, layer: int | None = None) -> list[FeasibleWindow]:
-        """The winning window sequence W_1..W_layer (consistency-checkable)."""
-        if layer is None:
-            layer = self.columns_pushed
-        if layer == 0:
-            return []
-        return [
-            FeasibleWindow(self.rows, self.omega, self._unpack(key))
-            for key, _ in reversed(self._chain(layer))
-        ]
-
-
-def successors(
-    w: FeasibleWindow, array: NarrowArray, j: int
-) -> list[FeasibleWindow]:
-    """All feasible windows chainable after ``w`` and supported at column j,
-    ascending.
-
-    Support means every entry of the successor sits on an occupied cell of
-    the array columns j-omega+1..j (entries are placements, so they may only
-    land where vertices exist).  These are the DP's own transitions: one
-    ``push_column`` from ``w`` alone, or none when an entry ``w`` carries
-    over sits on an empty cell.
-    """
-    rows = array.rows
-    if w.rows != rows or w.omega != array.omega:
-        raise ValidationError("window/array shape mismatch")
-    if not 1 <= j <= array.n:
-        raise ValidationError(f"column {j} outside 1..{array.n}")
-    omega = array.omega
-    for r, p in enumerate(w.positions):
-        if p >= 2 and array.weight(rows[r], j - omega + p - 1) == 0:
-            return []
-    dp = NarrowDp(array.row_extents, omega)
-    dp._cur = {dp._pack(w.positions): 0}
-    dp.push_column(array.column(j))
-    return [FeasibleWindow(rows, omega, dp._unpack(key)) for key in sorted(dp._cur)]
-
 
 def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
     """Maximum-weight independent set of a narrow array, exactly.

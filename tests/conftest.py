@@ -1,3 +1,4 @@
+import functools
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 
 import losnet
-from losnet import InstanceParams, LosInstance
+from losnet import InstanceParams, LosInstance, brute_windows
 
 
 def child_env() -> dict:
@@ -45,3 +46,24 @@ def small_instances(draw, max_n=8, max_k=3, max_d=3, max_vertices=14):
         c: Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 4))) for c in chosen
     }
     return LosInstance(params, weights)
+
+
+def as_grid(positions, omega):
+    """Rows x omega 0/1 grid of a window given by its positions."""
+    return tuple(
+        tuple(1 if p == c else 0 for c in range(1, omega + 1)) for p in positions
+    )
+
+
+def tail_equals_head(w1, w2, omega):
+    """Literal array-level chaining oracle on position tuples: ``w1``
+    without its oldest column equals ``w2`` without its newest."""
+    tail = tuple(row[1:] for row in as_grid(w1, omega))
+    head = tuple(row[:-1] for row in as_grid(w2, omega))
+    return tail == head
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_windows(rows, omega):
+    """``brute_windows`` of a shape, ascending, filtered once per shape."""
+    return tuple(sorted(brute_windows(rows, omega)))

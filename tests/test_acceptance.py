@@ -17,10 +17,10 @@ from losnet import (
     AdsInstance,
     GenConfig,
     InstanceParams,
+    NarrowDp,
     brute_adssched,
     brute_mis,
     brute_windows,
-    enumerate_windows,
     generate,
     is_independent,
     max_lookahead,
@@ -120,13 +120,13 @@ def test_criterion_3_window_enumeration_matches_oracle():
     for rows in arrangements:
         for omega in (2, 3, 4):
             expected = brute_windows(rows, omega)
-            got = enumerate_windows(rows, omega)
+            got = NarrowDp(rows, omega).windows
             assert set(got) == expected, (rows, omega)
             assert len(got) == len(expected)
             checked += 1
     # the two derived counts called out for adjacent-row pairs
-    assert len(enumerate_windows(((1,), (2,)), 2)) == 7
-    assert len(enumerate_windows(((1,), (2,)), 3)) == 13
+    assert len(NarrowDp(((1,), (2,)), 2).windows) == 7
+    assert len(NarrowDp(((1,), (2,)), 3).windows) == 13
     _announce(
         3,
         f"window enumeration equals the brute filter on {checked} "

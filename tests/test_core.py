@@ -187,6 +187,17 @@ class TestValidation:
             ValidationError,
             "not a rational weight: Fraction of more than 4300 digits",
         ),
+        # So are coordinates past it, which the messages above print.
+        (
+            {(10**5000, 1): 1},
+            ValidationError,
+            "a coordinate would have more than 4300 digits",
+        ),
+        (
+            {(1, -(10**5000)): 0},
+            ValidationError,
+            "a coordinate would have more than 4300 digits",
+        ),
     ]
 
     @pytest.mark.parametrize("cells, error, message", REFUSALS)

@@ -14,66 +14,86 @@ from losnet import (
     InstanceParams,
     LosInstance,
     Solution,
-    StripIndex,
     ValidationError,
     brute_mis,
     generate,
     is_independent,
     make_blocks,
-    parity_cut,
     ptas_shift_count,
     solve_exact_narrow,
     solve_ptas,
     solve_strip2,
-    strip_of,
     verify,
 )
 from conftest import make_inst, small_instances, unit_inst
 
 
+def strip_of(coords, k, cut_axes):
+    """A vertex's strip index: (coordinate-1)//k on each cut axis."""
+    return tuple((coords[a] - 1) // k for a in cut_axes)
+
+
+def union_weights(sol):
+    """``solve_strip2``'s (odd, even) union weights and its strip count."""
+    meta = sol.meta
+    return meta["odd_weight"], meta["even_weight"], meta["strips"]
+
+
 class TestStripIndex:
+    """``solve_strip2`` puts a vertex in strip (coordinate-1)//k on each
+    non-long axis, of parity the index sum mod 2; a lone vertex shows its
+    strip's parity in the union it lands in."""
+
     def test_row4_k3(self):
-        s = strip_of((9, 4), 3, [1])
-        assert s.index == (1,) and s.parity == 1
+        sol = solve_strip2(make_inst((9, 6), 4, {(9, 4): 1}), 0)
+        assert union_weights(sol) == ("1", "0", 1)  # strip (1,): odd
 
     def test_d3_rows(self):
-        s = strip_of((5, 1, 3), 2, [1, 2])
-        assert s.index == (0, 1) and s.parity == 1
+        sol = solve_strip2(make_inst((5, 2, 3), 3, {(5, 1, 3): 1}), 0)
+        assert union_weights(sol) == ("1", "0", 1)  # strip (0, 1): odd
 
     def test_row3_k3_still_first_strip(self):
-        s = strip_of((9, 3), 3, [1])
-        assert s.index == (0,) and s.parity == 0
+        sol = solve_strip2(make_inst((9, 6), 4, {(9, 3): 1}), 0)
+        assert union_weights(sol) == ("0", "1", 1)  # strip (0,): even
 
     def test_parity_follows_index(self):
-        assert StripIndex((1, 0)).parity == 1
-        assert StripIndex((1, 1)).parity == 0
+        # Strips (1, 0) and (1, 1): odd and even, each solved on its own.
+        inst = make_inst((1, 4, 4), 3, {(1, 3, 1): 1, (1, 3, 3): 2})
+        assert union_weights(solve_strip2(inst, 0)) == ("1", "2", 2)
 
 
 class TestParityCut:
+    """The odd and even unions of ``solve_strip2``."""
+
     def test_everything_in_strip_zero(self):
         inst = unit_inst((6, 2), 3, [(1, 1), (4, 2)])
-        odd, even = parity_cut(inst, 2, long_axis=0)
-        assert len(odd) == 0 and len(even) == 2
+        assert union_weights(solve_strip2(inst, 0)) == ("0", "2", 1)
 
     @pytest.mark.parametrize("axis", [-1, 2])
     def test_long_axis_outside_the_box(self, axis):
         inst = unit_inst((6, 2), 3, [(1, 1)])
         with pytest.raises(ValidationError, match=f"long axis {axis} outside 0..1"):
-            parity_cut(inst, 2, long_axis=axis)
+            solve_strip2(inst, axis)
 
     def test_alternating_rows_k1(self):
         inst = unit_inst((4, 4), 2, [(1, r) for r in range(1, 5)])
-        odd, even = parity_cut(inst, 1, long_axis=0)
-        assert sorted(even.vertices) == [(1, 1), (1, 3)]
-        assert sorted(odd.vertices) == [(1, 2), (1, 4)]
+        sol = solve_strip2(inst, 0)
+        assert union_weights(sol) == ("2", "2", 4)
+        assert sol.vertices == ((1, 1), (1, 3))  # the tie goes to even
 
     @given(small_instances())
     @settings(max_examples=40)
     def test_partition(self, inst):
-        odd, even = parity_cut(inst, max(1, inst.params.omega - 1), long_axis=0)
-        assert len(odd) + len(even) == len(inst)
-        assert set(odd.vertices) | set(even.vertices) == set(inst.vertices)
-        assert not set(odd.vertices) & set(even.vertices)
+        # The strips partition the vertices, so the two unions of per-strip
+        # optima together bound the optimum; the answer is one of them.
+        k = inst.params.omega - 1
+        cut = [a for a in range(inst.params.d) if a != 0]
+        sol = solve_strip2(inst, 0)
+        odd, even, strips = union_weights(sol)
+        assert strips == len({strip_of(c, k, cut) for c in inst.vertices})
+        assert brute_mis(inst).total_weight <= Fraction(odd) + Fraction(even)
+        parity = 1 if sol.meta["parity"] == "odd" else 0
+        assert all(sum(strip_of(c, k, cut)) % 2 == parity for c in sol.vertices)
 
     @given(small_instances())
     @settings(max_examples=40)
@@ -82,12 +102,12 @@ class TestParityCut:
 
         k = inst.params.omega - 1
         cut = [a for a in range(inst.params.d) if a != 0]
-        for side in parity_cut(inst, k, long_axis=0):
-            coords = side.coords_sorted()
-            for i, a in enumerate(coords):
-                for b in coords[i + 1 :]:
-                    if strip_of(a, k, cut).index != strip_of(b, k, cut).index:
-                        assert not are_adjacent(a, b, inst.params.omega)
+        coords = inst.coords_sorted()
+        for i, a in enumerate(coords):
+            for b in coords[i + 1 :]:
+                sa, sb = strip_of(a, k, cut), strip_of(b, k, cut)
+                if sa != sb and sum(sa) % 2 == sum(sb) % 2:
+                    assert not are_adjacent(a, b, inst.params.omega)
 
 
 class TestStrip2:

@@ -13,19 +13,22 @@ from losnet import (
     ValidationError,
     brute_mis,
     build_array,
-    consistent,
-    enumerate_windows,
     generate,
     is_independent,
     solve_exact_narrow,
     solve_mis_narrow,
     solve_semionline,
-    successors,
     verify,
 )
 from losnet import narrow
-from losnet.narrow import FeasibleWindow, count_windows
-from conftest import make_inst, small_instances, unit_inst
+from losnet.narrow import count_windows
+from conftest import (
+    make_inst,
+    oracle_windows,
+    small_instances,
+    tail_equals_head,
+    unit_inst,
+)
 
 
 def no_rows(row_extents):
@@ -144,20 +147,20 @@ class TestBuildArray:
 
 
 def reference_dp(array: NarrowArray):
-    """Literal table-filling oracle: for each column and window, maximize
-    over consistent supported predecessors; quadratic in the window count."""
-    windows = enumerate_windows(array.rows, array.omega)
+    """Literal table-filling oracle over the windows of ``brute_windows``:
+    for each column and window, maximize over the supported predecessors
+    whose tail equals its head; quadratic in the window count."""
     omega = array.omega
+    windows = oracle_windows(array.rows, omega)
 
     def supported(w, j):
         return all(
             array.weight(array.rows[r], j - omega + p) > 0
-            for r, p in enumerate(w.positions)
+            for r, p in enumerate(w)
             if p
         )
 
-    zero = next(w for w in windows if not any(w.positions))
-    table = {zero: Fraction(0)}
+    table = {(0,) * len(array.rows): Fraction(0)}
     for j in range(1, array.n + 1):
         nxt = {}
         for w in windows:
@@ -165,14 +168,14 @@ def reference_dp(array: NarrowArray):
                 continue
             best = None
             for wp, val in table.items():
-                if consistent(wp, w) and (best is None or val > best):
+                if tail_equals_head(wp, w, omega) and (best is None or val > best):
                     best = val
             if best is None:
                 continue
             gain = sum(
                 (
                     array.weight(array.rows[r], j)
-                    for r, p in enumerate(w.positions)
+                    for r, p in enumerate(w)
                     if p == omega
                 ),
                 Fraction(0),
@@ -225,7 +228,12 @@ class TestSolveNarrow:
         assert is_independent(inst, sol.vertices)
         assert verify(inst, sol).independent
 
-    @given(small_instances(max_n=6, max_vertices=10))
+    # At most 3 rows in 2-D and 4 in 3-D, so that ``brute_windows`` filters
+    # at most 2^16 grids per shape.
+    @given(st.one_of(
+        small_instances(max_n=6, max_d=2, max_vertices=10),
+        small_instances(max_n=6, max_k=2, max_vertices=10),
+    ))
     @settings(max_examples=30, deadline=None)
     def test_matches_reference_table_oracle(self, inst):
         a = build_array(inst, 0)
@@ -251,18 +259,27 @@ class TestDpTableInvariants:
             tables.append(dp.table())
         return a, dp, tables
 
+    def assert_chain(self, a, dp):
+        """The winning windows W_0..W_n, unwound through ``pred_at`` from
+        ``best_at``, start empty, are feasible and chain tail to head."""
+        windows = set(dp.windows)
+        _, w = dp.best_at()
+        chain = [w]
+        for j in range(a.n, 0, -1):
+            w = dp.pred_at(j, w)
+            chain.append(w)
+        chain.reverse()
+        assert len(chain) == a.n + 1
+        assert chain[0] == (0,) * len(a.rows)
+        assert windows.issuperset(chain)
+        for prev, w in zip(chain, chain[1:]):
+            assert tail_equals_head(prev, w, a.omega), (prev, w)
+
     def test_consistency_chain(self):
         cfg = GenConfig(InstanceParams(2, (10, 2), 3), Fraction(3, 5), "uniform:1:5", 9)
         inst = generate(cfg)
         a, dp, _ = self.make_dp(inst)
-        chain = dp.window_chain()
-        assert len(chain) == a.n
-        from losnet import FeasibleWindow
-
-        prev = FeasibleWindow.zero(a.rows, a.omega)
-        for w in chain:
-            assert consistent(prev, w)
-            prev = w
+        self.assert_chain(a, dp)
         # the emitted placements reproduce the reported weight
         resum = sum(
             (a.weight(row, j) for row, j in dp.placements()), Fraction(0)
@@ -272,27 +289,20 @@ class TestDpTableInvariants:
     def test_consistency_chain_past_omega_255(self):
         cfg = GenConfig(InstanceParams(2, (300, 1), 256), Fraction(1, 2), "uniform:1:5", 1)
         a, dp, _ = self.make_dp(generate(cfg))
-        chain = dp.window_chain()
-        assert len(chain) == 300
-        prev = FeasibleWindow.zero(a.rows, a.omega)
-        for w in chain:
-            assert consistent(prev, w)
-            prev = w
+        assert a.n == 300
+        self.assert_chain(a, dp)
 
     def test_monotone_extension(self):
         cfg = GenConfig(InstanceParams(2, (8, 2), 3), Fraction(3, 5), "const:1", 4)
         inst = generate(cfg)
         a, _, tables = self.make_dp(inst)
-        from losnet import FeasibleWindow
-
         prev_layer = {(0,) * len(a.rows): Fraction(0)}
         for layer in tables:
             for pos, val in layer.items():
-                w = FeasibleWindow(a.rows, a.omega, pos)
                 preds = [
                     pv
                     for ppos, pv in prev_layer.items()
-                    if consistent(FeasibleWindow(a.rows, a.omega, ppos), w)
+                    if tail_equals_head(ppos, pos, a.omega)
                 ]
                 assert preds, "every stored window must have a predecessor"
                 assert val >= max(preds)
@@ -324,15 +334,12 @@ class TestDpTableInvariants:
         cfg = GenConfig(InstanceParams(2, (9, 2), 3), Fraction(3, 5), "uniform:1:5", 12)
         inst = generate(cfg)
         a, dp, tables = self.make_dp(inst)
-        from losnet import FeasibleWindow
-
+        layers = [{(0,) * len(a.rows): Fraction(0)}] + tables
         for j, table in enumerate(tables, 1):
             for pos in table:
                 pred = dp.pred_at(j, pos)
-                assert consistent(
-                    FeasibleWindow(a.rows, a.omega, pred),
-                    FeasibleWindow(a.rows, a.omega, pos),
-                )
+                assert pred in layers[j - 1]
+                assert tail_equals_head(pred, pos, a.omega)
 
 
 class TestWindowBudget:
@@ -374,13 +381,11 @@ class TestWindowBudget:
         for part in ("rows=9", "omega=4", "capacity=9", f"budget {5**9 - 1}"):
             assert part in str(err.value)
 
-    def test_successors_held_to_default_budget(self):
-        # 4^12 windows exceed the default budget, as for enumerate_windows.
-        array = NarrowArray((12,), 3, 1)
-        with pytest.raises(CapacityError):
-            successors(FeasibleWindow.zero((12,), 3), array, 1)
-        with pytest.raises(CapacityError):
-            enumerate_windows((12,), 3)
+    def test_default_budget_edge(self):
+        # 4^11 windows fit the default budget of 10^7, and 4^12 exceed it.
+        NarrowDp((11,), 3)
+        with pytest.raises(CapacityError, match="budget 10000000"):
+            NarrowDp((12,), 3)
 
     def test_box_counted_before_its_rows_are_built(self, monkeypatch):
         monkeypatch.setattr(narrow, "rows_for", no_rows)

@@ -9,12 +9,10 @@ import pytest
 from losnet import (
     AdsInstance,
     BlockDecomposition,
-    FeasibleWindow,
     GenConfig,
     InstanceParams,
     PhaseState,
     Solution,
-    StripIndex,
     ValidationError,
     VerifyReport,
     Vertex,
@@ -35,15 +33,10 @@ FROZEN = {
         lambda: GenConfig(P, Fraction(1, 2), "uniform:1:5", 7),
         lambda: GenConfig(P, Fraction(1, 2), "uniform:1:5", 8),
     ),
-    "FeasibleWindow": (
-        lambda: FeasibleWindow((2,), 3, (1, 0)),
-        lambda: FeasibleWindow((2,), 3, (0, 1)),
-    ),
     "AdsInstance": (
         lambda: AdsInstance(1, 2, 2, 1, ((1, 1),)),
         lambda: AdsInstance(1, 2, 2, 1, ((1, 0),)),
     ),
-    "StripIndex": (lambda: StripIndex((1, 2)), lambda: StripIndex((1, 1))),
     "Part": (lambda: Part(1, 2, ((1, 1),)), lambda: Part(1, 3, ((1, 1),))),
     "BlockDecomposition": (
         lambda: BlockDecomposition(0, 1, 1, 2, (Part(1, 2, ()),), ()),
@@ -152,9 +145,7 @@ def test_fields_are_normalised():
     assert v.coords == (1, 2) and v.weight == Fraction(5, 2)
     assert type(v.weight) is Fraction
     assert GenConfig(P, 0.5, seed="3").seed == 3
-    assert FeasibleWindow([2], 3, [1, 0]).rows == ((1,), (2,))
     assert AdsInstance(1, 2, 2, 1, [[1, True]], {(1, 2): 3}).available == ((1, 1),)
-    assert StripIndex(["1", 2]).index == (1, 2)
 
 
 REFUSALS = [
@@ -174,17 +165,6 @@ REFUSALS = [
     (
         lambda: GenConfig(P, 1, "bogus"),
         "weight_dist must be 'const:c' or 'uniform:a:b', got 'bogus'",
-    ),
-    pytest.param(  # its own id: the ids of the other omega cases stay as they were
-        lambda: FeasibleWindow((2,), 1, (0, 0)),
-        "omega must be >= 2, got 1",
-        id="FeasibleWindow-omega must be >= 2, got 1",
-    ),
-    (lambda: FeasibleWindow((2,), 3, (0,)), "expected 2 row positions, got 1"),
-    (lambda: FeasibleWindow((2,), 3, (4, 0)), "position 4 out of range 0..3"),
-    (
-        lambda: FeasibleWindow((2,), 3, (1, 1)),
-        "no witness: conflicting rows share column 1",
     ),
     (lambda: AdsInstance(0, 2, 2, 1, ()), "need k_clients >= 1, got 0"),
     (lambda: AdsInstance(1, 0, 2, 1, ((),)), "need n_times >= 1, got 0"),
@@ -219,7 +199,6 @@ REFUSALS = [
     ),
     (lambda: check_epsilon("x"), "not a rational number: 'x'"),
     (lambda: check_epsilon("1/0"), "not a rational number: '1/0'"),
-    (lambda: StripIndex((1, -1)), "strip index entries must be >= 0: (1, -1)"),
     # A number too long for ``repr`` is named, not printed.
     (
         lambda: check_epsilon(Fraction(1, 10**5000)),
@@ -229,6 +208,21 @@ REFUSALS = [
         lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(1, 2): Fraction(10**5000, 3)}),
         "not a rational weight: Fraction of more than 4300 digits",
     ),
+    (
+        lambda: InstanceParams(10**5000, (4, 3), 3),
+        "dimension would have more than 4300 digits",
+    ),
+    (
+        lambda: InstanceParams(2, (10**5000, 3), 3),
+        "an extent would have more than 4300 digits",
+    ),
+    pytest.param(  # its own id: the id of the case above stays unique
+        lambda: InstanceParams(2, (4, -(10**5000)), 3),
+        "an extent would have more than 4300 digits",
+        id="negative-an extent would have more than 4300 digits",
+    ),
+    (lambda: InstanceParams(2, (4, 3), 10**5000), "omega would have more than 4300 digits"),
+    (lambda: Vertex((10**5000, 1), 0), "a coordinate would have more than 4300 digits"),
 ]
 
 
@@ -258,9 +252,7 @@ FIELDS = {
     "InstanceParams": ("d", "extents", "omega"),
     "Vertex": ("coords", "weight"),
     "GenConfig": ("params", "density", "weight_dist", "seed"),
-    "FeasibleWindow": ("rows", "omega", "positions"),
     "AdsInstance": ("k_clients", "n_times", "omega", "l", "available", "weights"),
-    "StripIndex": ("index",),
     "Part": ("lo", "hi", "vertices"),
     "BlockDecomposition": ("shift", "h", "axis", "k", "blocks", "boundary"),
     "Solution": ("algorithm", "vertices", "total_weight", "meta"),
@@ -289,7 +281,7 @@ def test_fields_are_the_annotated_names_in_order(name):
 
 
 def test_every_record_is_covered():
-    assert sorted(FIELDS) == sorted(ALL) and len(ALL) == 11
+    assert sorted(FIELDS) == sorted(ALL) and len(ALL) == 9
 
 
 def test_keyword_construction():

@@ -26,6 +26,8 @@ from losnet import (
     solve_semionline,
     verify,
 )
+from losnet import core
+from losnet.core import exact_fraction
 from losnet.semionline import _growth_cap, _ln
 from conftest import unit_inst
 
@@ -429,6 +431,22 @@ class TestSolveSemionline:
         inst = unit_inst((4, 1), 2, [(1, 1)])
         with pytest.raises(ValidationError):
             solve_semionline(inst, Fraction(0), long_axis=0)
+
+    def test_fraction_epsilon_is_not_read_again(self, monkeypatch):
+        # A checked Fraction passes ``parse_rational`` as it is, so the
+        # phases do not re-read the epsilon that ``solve_semionline`` took.
+        cfg = GenConfig(InstanceParams(2, (1000, 3), 3), Fraction(1, 2), "const:1", 1)
+        inst = generate(cfg)
+        reads = []
+
+        def counting(value):
+            reads.append(value)
+            return exact_fraction(value)
+
+        monkeypatch.setattr(core, "exact_fraction", counting)
+        sol = solve_semionline(inst, Fraction(1, 2), long_axis=0)
+        assert sol.meta["phases"] > 100
+        assert reads == []
 
     def test_streams_along_a_non_default_axis(self):
         cfg = GenConfig(InstanceParams(2, (2, 25), 3), Fraction(1, 2), "const:1", 6)

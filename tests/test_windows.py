@@ -1,73 +1,79 @@
-from fractions import Fraction
+"""The feasible windows of ``NarrowDp`` and the windows its pushes reach,
+against the exhaustive filter ``brute_windows`` and the literal chaining
+oracle ``tail_equals_head``.  A window is its position tuple: per row, 0
+when empty, else the 1-based window column of its entry."""
 
+import math
+from fractions import Fraction
+from itertools import product
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from losnet import (
     CapacityError,
-    FeasibleWindow,
-    NarrowArray,
+    GenConfig,
+    InstanceParams,
     NarrowDp,
+    NarrowArray,
     ValidationError,
+    are_adjacent,
     brute_windows,
-    consistent,
-    enumerate_windows,
-    successors,
+    build_array,
+    generate,
 )
 from losnet.narrow import normalize_rows
-
-
-def keys_sorted(windows):
-    return [w.positions for w in windows]
+from conftest import as_grid, oracle_windows, tail_equals_head
 
 
 class TestEnumerate:
     def test_single_row_count(self):
         # One row: empty or one of omega columns.
-        ws = enumerate_windows((1,), 3)
-        assert len(ws) == 4
+        assert len(NarrowDp((1,), 3).windows) == 4
 
     def test_two_conflicting_rows_omega2(self):
         # Derived by the brute filter: 7 windows.
         oracle = brute_windows((2,), 2)
         assert len(oracle) == 7
-        assert set(enumerate_windows((2,), 2)) == oracle
+        assert set(NarrowDp((2,), 2).windows) == oracle
 
     def test_two_conflicting_rows_omega3(self):
         # Rows 1,2 share a line of sight with gap 1 < 3: never one column.
         oracle = brute_windows((2,), 3)
         assert len(oracle) == 13
-        assert set(enumerate_windows((2,), 3)) == oracle
+        assert set(NarrowDp((2,), 3).windows) == oracle
 
     def test_non_los_pair_unconstrained(self):
         # Two rows differing in two coordinates never interact.
         arr = ((1, 1), (2, 2))
         for omega in (2, 3, 4):
-            ws = enumerate_windows(arr, omega)
+            ws = NarrowDp(arr, omega).windows
             assert len(ws) == (omega + 1) ** 2
             assert set(ws) == brute_windows(arr, omega)
 
     def test_ascending_key_order(self):
-        ws = enumerate_windows((2,), 3)
-        assert keys_sorted(ws) == sorted(keys_sorted(ws))
+        ws = NarrowDp((2,), 3).windows
+        assert list(ws) == sorted(ws)
 
     def test_matches_oracle_on_boxes(self):
         for spec in [(1,), (2,), (3,), (1, 2), (2, 2)]:
             for omega in (2, 3):
-                assert set(enumerate_windows(spec, omega)) == brute_windows(
+                assert set(NarrowDp(spec, omega).windows) == brute_windows(
                     spec, omega
                 ), (spec, omega)
 
     def test_budget_refusal(self):
         with pytest.raises(CapacityError, match="budget"):
-            enumerate_windows((3, 3), 4, budget=100)
+            NarrowDp((3, 3), 4, budget=100)
 
     def test_row_spec_validation(self):
         with pytest.raises(ValidationError):
-            enumerate_windows((), 3)
+            NarrowDp((), 3)
         with pytest.raises(ValidationError):
-            enumerate_windows(((1, 1), (1, 1)), 3)
+            NarrowDp(((1, 1), (1, 1)), 3)
         with pytest.raises(ValidationError):
-            enumerate_windows(((1, 1), (1,)), 3)
+            NarrowDp(((1, 1), (1,)), 3)
 
 
 WINDOW_SHAPES = [
@@ -83,150 +89,140 @@ WINDOW_SHAPES = [
 
 @pytest.mark.parametrize("spec, omega", WINDOW_SHAPES)
 def test_windows_order_by_positions(spec, omega):
-    # Sorted windows, the DP's windows and the enumeration agree, at every
-    # omega the DP solves.
-    ws = enumerate_windows(spec, omega)
-    assert (
-        [w.positions for w in sorted(reversed(ws))]
-        == list(NarrowDp(spec, omega).windows)
-        == [w.positions for w in ws]
-    )
-    if len(normalize_rows(spec)) == 1:
+    # The windows ascend by their positions, and so do their packed ints,
+    # at every omega the DP solves: ``omega.bit_length()`` bits per row
+    # grows from 8 to 9 at omega=256.  Each is a feasible window: positions
+    # in 0..omega, and no two conflicting rows in one column.
+    dp = NarrowDp(spec, omega)
+    ws = dp.windows
+    assert list(ws) == sorted(set(ws)) == sorted(ws, key=dp._pack)
+    rows = normalize_rows(spec)
+    for w in ws:
+        assert all(0 <= p <= omega for p in w)
+        for a, b in product(range(len(rows)), repeat=2):
+            if a < b and w[a] and w[a] == w[b]:
+                assert not are_adjacent(rows[a], rows[b], omega), w
+    if len(rows) == 1:
         assert len(ws) == omega + 1
 
 
 class TestFeasibleWindow:
     def test_rejects_conflicting_rows_in_one_column(self):
-        with pytest.raises(ValidationError, match="witness"):
-            FeasibleWindow(normalize_rows((2,)), 3, (2, 2))
+        # Rows 1 and 2 conflict at omega=3, so no window puts both in column 2.
+        assert (2, 2) not in NarrowDp((2,), 3).windows
+        assert (2, 2) not in brute_windows((2,), 3)
 
     def test_key_equality_iff_same_window(self):
-        ws = enumerate_windows((2,), 3)
-        keys = {w.positions for w in ws}
-        assert len(keys) == len(ws)
+        ws = NarrowDp((2,), 3).windows
+        assert len(set(ws)) == len(ws)
 
     def test_as_grid(self):
-        w = FeasibleWindow(normalize_rows((2,)), 3, (2, 0))
-        assert w.as_grid() == ((0, 1, 0), (0, 0, 0))
-
-
-def tail_equals_head(w1, w2):
-    """Literal array-level consistency oracle."""
-    g1, g2 = w1.as_grid(), w2.as_grid()
-    tail = tuple(row[1:] for row in g1)
-    head = tuple(row[:-1] for row in g2)
-    return tail == head
+        assert as_grid((2, 0), 3) == ((0, 1, 0), (0, 0, 0))
 
 
 class TestConsistent:
+    """Windows chain when the tail of the first equals the head of the
+    second: the oracle on hand cases, and the DP's predecessors against it."""
+
     def test_zero_with_zero(self):
-        z = FeasibleWindow.zero((2,), 3)
-        assert consistent(z, z)
+        assert tail_equals_head((0, 0), (0, 0), 3)
 
     def test_entry_shifts_left(self):
-        rows = normalize_rows((1,))
-        w1 = FeasibleWindow(rows, 3, (2,))
-        w2 = FeasibleWindow(rows, 3, (1,))
-        assert consistent(w1, w2)
+        assert tail_equals_head((2,), (1,), 3)
 
     def test_falling_off_needs_empty_head(self):
-        rows = normalize_rows((1,))
-        w1 = FeasibleWindow(rows, 3, (1,))
-        assert consistent(w1, FeasibleWindow(rows, 3, (3,)))
-        assert consistent(w1, FeasibleWindow(rows, 3, (0,)))
-        assert not consistent(w1, FeasibleWindow(rows, 3, (1,)))
-        assert not consistent(w1, FeasibleWindow(rows, 3, (2,)))
+        assert tail_equals_head((1,), (3,), 3)
+        assert tail_equals_head((1,), (0,), 3)
+        assert not tail_equals_head((1,), (1,), 3)
+        assert not tail_equals_head((1,), (2,), 3)
 
     def test_matches_array_equality_oracle_exhaustively(self):
+        # Full columns make every feasible window live from column omega on;
+        # each one's recorded predecessor is live one column earlier and
+        # chains to it.
         for spec in [(1,), (2,), ((1, 1), (2, 2))]:
             for omega in (2, 3):
-                ws = enumerate_windows(spec, omega)
-                for a in ws:
-                    for b in ws:
-                        assert consistent(a, b) == tail_equals_head(a, b), (
-                            spec,
-                            omega,
-                            a.positions,
-                            b.positions,
-                        )
+                dp = NarrowDp(spec, omega)
+                full = {r: 1 for r in range(len(dp.rows))}
+                previous = {(0,) * len(dp.rows)}
+                for layer in range(1, omega + 3):
+                    dp.push_column(full)
+                    live = set(dp.table())
+                    if layer >= omega:
+                        assert live == set(dp.windows), (spec, omega, layer)
+                    for w in live:
+                        pred = dp.pred_at(layer, w)
+                        assert pred in previous, (spec, omega, pred, w)
+                        assert tail_equals_head(pred, w, omega), (spec, omega, pred, w)
+                    previous = live
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            consistent(FeasibleWindow.zero((1,), 2), FeasibleWindow.zero((2,), 2))
 
-
-def oracle_successors(w, array, j):
-    """Filter the full window set by consistency plus support."""
-    out = []
-    for cand in enumerate_windows(array.rows, array.omega):
-        if not consistent(w, cand):
-            continue
-        if all(
-            array.weight(array.rows[r], j - array.omega + p) > 0
-            for r, p in enumerate(cand.positions)
+def reached(previous, array, j):
+    """Oracle of one push: the windows of ``brute_windows`` whose head
+    equals the tail of a window in ``previous`` (``tail_equals_head`` as a
+    set lookup) and whose every entry sits on an occupied cell of columns
+    j-omega+1..j."""
+    omega = array.omega
+    tails = {tuple(row[1:] for row in as_grid(w, omega)) for w in previous}
+    return {
+        w
+        for w in oracle_windows(array.rows, omega)
+        if tuple(row[:-1] for row in as_grid(w, omega)) in tails
+        and all(
+            array.weight(array.rows[r], j - omega + p) > 0
+            for r, p in enumerate(w)
             if p
-        ):
-            out.append(cand)
-    return out
+        )
+    }
 
 
 def full_array(row_extents, omega, n):
-    cells = {}
-    from itertools import product
-
-    for row in product(*(range(1, e + 1) for e in row_extents)):
-        for j in range(1, n + 1):
-            cells[(row, j)] = Fraction(1)
+    cells = {
+        (row, j): Fraction(1)
+        for row in product(*(range(1, e + 1) for e in row_extents))
+        for j in range(1, n + 1)
+    }
     return NarrowArray(row_extents, omega, n, cells)
 
 
 class TestSuccessors:
+    """The windows a push reaches from the live ones: the oracle's
+    supported windows that chain after one of them."""
+
+    def push_one(self, array):
+        dp = NarrowDp(array.rows, array.omega)
+        dp.push_column(array.column(1))
+        return set(dp.table())
+
     def test_zero_window_over_empty_range(self):
         array = NarrowArray((2,), 2, 4, {})
-        z = FeasibleWindow.zero((2,), 2)
-        assert successors(z, array, 2) == [z]
+        assert self.push_one(array) == {(0, 0)}
 
     def test_single_row_place_or_skip(self):
-        array = NarrowArray((1,), 2, 3, {((1,), 2): Fraction(1)})
-        z = FeasibleWindow.zero((1,), 2)
-        succ = successors(z, array, 2)
-        assert len(succ) == 2
-        assert {s.positions for s in succ} == {(0,), (2,)}
+        array = NarrowArray((1,), 2, 3, {((1,), 1): Fraction(1)})
+        assert self.push_one(array) == {(0,), (2,)}
 
     def test_conflicting_pair_full_occupancy(self):
         # Rows 1,2 conflict at omega=2: both cannot enter the new column.
         array = full_array((2,), 2, 4)
-        z = FeasibleWindow.zero((2,), 2)
-        succ = successors(z, array, 2)
-        oracle = oracle_successors(z, array, 2)
-        assert sorted(succ) == sorted(oracle)
-        assert len(succ) == 3
-        assert {s.positions for s in succ} == {(0, 0), (2, 0), (0, 2)}
+        succ = self.push_one(array)
+        assert succ == reached({(0, 0)}, array, 1)
+        assert succ == {(0, 0), (2, 0), (0, 2)}
 
     def test_non_los_pair_full_occupancy(self):
         # Rows differing in two coordinates may both enter the new column,
         # so the empty window has 4 successors: skip, either row, or both.
         rows = ((1, 1), (2, 2))
-        cells = {(r, j): Fraction(1) for r in rows for j in range(1, 5)}
-        array = NarrowArray((2, 2), 2, 4, cells)
-        zbox = FeasibleWindow.zero(array.rows, 2)
-        succ = successors(zbox, array, 2)
-        oracle = oracle_successors(zbox, array, 2)
-        assert sorted(succ) == sorted(oracle)
-        placed = [
-            sum(1 for p in s.positions if p == 2)
-            for s in succ
-            if all(p in (0, 2) for p in s.positions)
-        ]
-        assert sorted(placed) == [0, 1, 1, 2]
+        array = NarrowArray((2, 2), 2, 4, {(r, 1): Fraction(1) for r in rows})
+        succ = self.push_one(array)
+        assert succ == reached({(0,) * 4}, array, 1)
+        assert sorted(w.count(2) for w in succ) == [0, 1, 1, 2]
 
     def test_matches_oracle_on_random_supports(self):
-        from losnet import GenConfig, InstanceParams, build_array, generate
-
-        # Every window at every column, so carried-over entries land on
-        # empty cells too (where the DP's transitions say: no successor).
-        # The four- and five-row shapes offer up to four occupied rows to one
-        # column; at omega=2 rows 1, 3 and 5 enter one column together.
+        # Every column of generated arrays, so carried-over entries land on
+        # empty cells too (where no window survives).  The four- and
+        # five-row shapes offer up to four occupied rows to one column; at
+        # omega=2 rows 1, 3 and 5 enter one column together.
         most_placed = 0
         for extents, omega in (
             ((6, 2), 3), ((6, 3), 2), ((5, 2, 2), 3), ((6, 4), 3), ((4, 5), 2)
@@ -237,12 +233,44 @@ class TestSuccessors:
                     Fraction(1, 2), "const:1", seed,
                 )
                 array = build_array(generate(cfg), 0)
-                for w in enumerate_windows(array.rows, omega):
-                    for j in range(1, array.n + 1):
-                        succ = successors(w, array, j)
-                        assert succ == oracle_successors(w, array, j)
-                        most_placed = max(
-                            [most_placed]
-                            + [s.positions.count(omega) for s in succ]
-                        )
+                dp = NarrowDp(array.rows, omega)
+                live = {(0,) * len(array.rows)}
+                for j in range(1, array.n + 1):
+                    dp.push_column(array.column(j))
+                    expected = reached(live, array, j)
+                    live = set(dp.table())
+                    assert live == expected, (extents, omega, seed, j)
+                    most_placed = max([most_placed] + [w.count(omega) for w in live])
         assert most_placed >= 3
+
+
+# ``brute_windows`` filters all 2^(rows*omega) grids; 12 cells keep each
+# shape's filter within a few milliseconds.
+BRUTE_CELLS = 12
+
+
+@st.composite
+def window_shapes(draw):
+    """An omega in 2..5 and rows: a d=2..4 box or an explicit arrangement,
+    at most ``BRUTE_CELLS // omega`` of them."""
+    omega = draw(st.integers(2, 5))
+    most = BRUTE_CELLS // omega
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 4))
+        spec = []
+        for _ in range(d - 1):
+            spec.append(draw(st.integers(1, most // math.prod(spec))))
+        return tuple(spec), omega
+    width = draw(st.integers(1, 3))
+    universe = list(product(range(1, 4), repeat=width))
+    rows = draw(st.lists(
+        st.sampled_from(universe), min_size=1, max_size=most, unique=True
+    ))
+    return tuple(rows), omega
+
+
+@given(window_shapes())
+@settings(max_examples=80, deadline=None)
+def test_windows_match_brute_filter(shape):
+    spec, omega = shape
+    assert NarrowDp(spec, omega).windows == tuple(sorted(brute_windows(spec, omega)))
