@@ -61,7 +61,6 @@ _EXPORTS = {
         "NarrowDp",
         "build_array",
         "solve_exact_narrow",
-        "solve_mis_narrow",
     ),
     "oracle": ("VerifyReport", "verify", "verify_ads"),
     "semionline": (

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Collection, Container, Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
 from types import MappingProxyType
@@ -134,6 +134,14 @@ def check_digits(value: int, what: str) -> int:
     if abs(value) >= _DIGITS_CAP:
         raise ValidationError(f"{what} would have more than {MAX_DIGITS} digits")
     return value
+
+
+def shown(value: int) -> str:
+    """``value`` as a message writes it; one that ``str`` cannot write is
+    named by its digit bound, as ``parse_rational`` names it."""
+    if abs(value) < _DIGITS_CAP:
+        return str(value)
+    return f"int of more than {MAX_DIGITS} digits"
 
 
 def check_weight_sums(weights: Collection[Rational], units: int = 0) -> None:
@@ -255,22 +263,6 @@ def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Rational]:
     return coords, weight
 
 
-def check_cell(
-    params: InstanceParams, cells: Container[Coords], coords: Iterable[int], weight
-) -> tuple[Coords, Rational]:
-    """(coords, weight) normalised and checked as ``LosInstance`` checks each
-    cell, in its order: a weight that is not positive, coordinates outside
-    the box, coordinates already in ``cells``."""
-    coords, weight = _valid_cell(coords, weight)
-    if not params.in_box(coords):
-        raise ValidationError(
-            f"coordinates {coords} outside box extents={params.extents}"
-        )
-    if coords in cells:
-        raise ValidationError(f"duplicate vertex at {coords}")
-    return coords, weight
-
-
 class Vertex(FrozenRecord):
     """A grid point with a positive rational weight."""
 
@@ -298,7 +290,13 @@ class LosInstance:
         else:
             items = ((v.coords, v.weight) for v in vertices)
         for coords, w in items:
-            coords, w = check_cell(params, cells, coords, w)
+            coords, w = _valid_cell(coords, w)
+            if not params.in_box(coords):
+                raise ValidationError(
+                    f"coordinates {coords} outside box extents={params.extents}"
+                )
+            if coords in cells:
+                raise ValidationError(f"duplicate vertex at {coords}")
             cells[coords] = w
         self.params = params
         object.__setattr__(self, "_cells", cells)

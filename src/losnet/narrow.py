@@ -30,7 +30,7 @@ independent-set DP's capacity is its row count, which never binds.
 The number of windows is exponential in the row count, so ``NarrowDp``
 refuses (``CapacityError``) rather than degrade when the windows of its
 shape, counted by ``count_windows``, exceed its budget.  It builds a box's
-rows only after that check, and ``NarrowArray`` builds none.
+rows only after that check, and ``build_array`` builds none.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from numbers import Rational
 
@@ -48,8 +48,8 @@ from .core import (
     LosInstance,
     Solution,
     are_adjacent,
-    check_cell,
     resolve_long_axis,
+    shown,
 )
 from .errors import CapacityError, ValidationError
 
@@ -189,80 +189,39 @@ def _windows(
 
 
 class NarrowArray:
-    """Weight table of a narrow instance.
+    """Column-major view of a validated ``LosInstance``, built by
+    ``build_array``.
 
-    Columns 1..n run along the long axis; ``omega`` implicit all-zero columns
-    -(omega-1)..0 precede them so the DP can start from the empty window.
-    Only positive cells are stored, keyed by row index: the row's rank in
+    Columns 1..n run along ``long_axis``; ``omega`` implicit all-zero
+    columns -(omega-1)..0 precede them so the DP can start from the empty
+    window.  The shape is read from the instance's ``InstanceParams``: ``n``
+    is the long extent and ``row_extents`` the others, in axis order.  Only
+    the instance's cells are stored, keyed by row index: the row's rank in
     ``rows`` (lexicographic, built when first read), computed arithmetically.
-    ``cells`` maps (row, column) to a weight; each is checked by
-    ``core.check_cell`` at its instance coordinates, as ``LosInstance``
-    checks its own.
     """
 
     __slots__ = ("row_extents", "omega", "n", "long_axis", "_cols")
 
     def __init__(
         self,
-        row_extents: Iterable[int],
-        omega: int,
-        n: int,
-        cells: Mapping[tuple[Coords, int], Rational] | None = None,
-        long_axis: int = 0,
+        params: InstanceParams,
+        long_axis: int,
+        cols: dict[int, dict[int, Rational]],
     ) -> None:
-        self.row_extents = tuple(int(e) for e in row_extents)
-        if any(e < 1 for e in self.row_extents) or not self.row_extents:
-            raise ValidationError(f"bad row extents {self.row_extents}")
-        if omega < 2:
-            raise ValidationError(f"omega must be >= 2, got {omega}")
-        if n < 0:
-            raise ValidationError(f"column count must be >= 0, got {n}")
-        self.omega = int(omega)
-        self.n = int(n)
-        self.long_axis = int(long_axis)
-        self._cols: dict[int, dict[int, Rational]] = {}
-        if cells:  # n may be 0, which no ``InstanceParams`` admits
-            extents = list(self.row_extents)
-            extents.insert(self.long_axis, self.n)
-            params = InstanceParams(len(extents), extents, self.omega)
-            for (row, j), w in cells.items():
-                coords, w = check_cell(params, self, self.coords_of(row, j), w)
-                self.put(coords, w)
+        extents = list(params.extents)
+        self.n = extents.pop(long_axis)
+        self.row_extents = tuple(extents)
+        self.omega = params.omega
+        self.long_axis = long_axis
+        self._cols = cols
 
     @property
     def rows(self) -> tuple[Coords, ...]:
         """Every row vector, in index order."""
         return rows_for(self.row_extents)
 
-    def _index(self, row) -> int | None:
-        """Index of ``row``; None when it lies outside ``row_extents``."""
-        if len(row) != len(self.row_extents):
-            return None
-        index = 0
-        for c, e in zip(row, self.row_extents):
-            if not 1 <= c <= e:
-                return None
-            index = index * e + c - 1
-        return index
-
-    def weight(self, row: Coords, j: int) -> Rational:
-        """Cell weight; 0 for empty cells and for the padding columns j <= 0."""
-        row = tuple(row)
-        ridx = self._index(row)
-        if ridx is None:
-            raise ValidationError(f"row {row} outside extents {self.row_extents}")
-        if not -(self.omega - 1) <= j <= self.n:
-            raise ValidationError(
-                f"column {j} outside {-(self.omega - 1)}..{self.n}"
-            )
-        if j <= 0:
-            return Fraction(0)
-        return self._cols.get(j, {}).get(ridx, Fraction(0))
-
     def column(self, j: int) -> dict[int, Rational]:
         """Occupied row-index -> weight map of column j ({} off the grid)."""
-        if j <= 0:
-            return {}
         return dict(self._cols.get(j, {}))
 
     def weights(self) -> list[Rational]:
@@ -275,26 +234,10 @@ class NarrowArray:
         c.insert(self.long_axis, j)
         return tuple(c)
 
-    def _cell(self, coords: Coords) -> tuple[int | None, int]:
-        """(row index or None, column) of instance coordinates ``coords``."""
-        row = list(coords)
-        j = row.pop(self.long_axis)
-        return self._index(row), j
-
-    def __contains__(self, coords: Coords) -> bool:
-        """Whether a cell is stored at instance coordinates ``coords``."""
-        ridx, j = self._cell(coords)
-        return ridx is not None and ridx in self._cols.get(j, ())
-
-    def put(self, coords: Coords, w: Rational) -> None:
-        """Store weight ``w`` at instance coordinates ``coords``, unchecked:
-        ``core.check_cell`` refuses what does not belong in the box."""
-        ridx, j = self._cell(coords)
-        self._cols.setdefault(j, {})[ridx] = w
-
 
 def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
-    """Flatten ``inst`` into column-major form along ``long_axis``.
+    """Flatten ``inst`` into column-major form along ``long_axis``: the one
+    way to build a ``NarrowArray``.
 
     Any instance embeds; the induced row count is the product of the other
     extents, and the window budget of the ``NarrowDp`` that solves the array
@@ -302,26 +245,20 @@ def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
     """
     p = inst.params
     long_axis = resolve_long_axis(p, long_axis)
-    row_axes = [a for a in range(p.d) if a != long_axis]
-    array = NarrowArray(
-        [p.extents[a] for a in row_axes],
-        p.omega,
-        p.extents[long_axis],
-        long_axis=long_axis,
-    )
     # ``inst`` validated its cells (positive weights inside the box, one per
-    # coordinate), so they go into the columns unchecked, at the
-    # index ``NarrowArray._index`` computes.
-    extents = array.row_extents
+    # coordinate), so they go into the columns unchecked, at the row's rank
+    # among the other axes' coordinates.
+    row_axes = [a for a in range(p.d) if a != long_axis]
+    extents = [p.extents[a] for a in row_axes]
     strides = [(a, math.prod(extents[i + 1 :])) for i, a in enumerate(row_axes)]
-    cols = array._cols
+    cols: dict[int, dict[int, Rational]] = {}
     for coords, w in inst.vertices.items():
         j = coords[long_axis]
         col = cols.get(j)
         if col is None:
             col = cols[j] = {}
         col[sum([(coords[a] - 1) * s for a, s in strides])] = w
-    return array
+    return NarrowArray(p, long_axis, cols)
 
 
 class NarrowDp:
@@ -383,8 +320,8 @@ class NarrowDp:
             budget = DEFAULT_WINDOW_BUDGET
         if count_windows(nrows, self.omega, self._capacity, budget) > budget:
             raise CapacityError(
-                f"window count exceeds budget {budget} "
-                f"(rows={nrows}, omega={self.omega}, capacity={self._capacity})"
+                f"window count exceeds budget {shown(budget)} (rows={shown(nrows)}, "
+                f"omega={shown(self.omega)}, capacity={shown(self._capacity)})"
             )
         self.rows = rows or rows_for(spec)
         self._conflicts = _row_structure(self.rows, self.omega)
@@ -534,28 +471,30 @@ class NarrowDp:
         out.reverse()
         return out
 
-def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
-    """Maximum-weight independent set of a narrow array, exactly.
+def solve_exact_narrow(
+    inst: LosInstance,
+    long_axis: int | None = None,
+    budget: int | None = None,
+) -> Solution:
+    """Exact MIS of an instance via the narrow-array DP along ``long_axis``.
 
     Runs the window DP over all n columns, unwinds the predecessor chain of
-    the final argmax, and re-sums the emitted placements against the array as
-    an internal consistency check.
+    the final argmax, and re-sums the emitted vertices against the instance
+    as an internal consistency check.
     """
+    array = build_array(inst, long_axis)
     dp = NarrowDp(array.row_extents, array.omega, budget)
     for j in range(1, array.n + 1):
         dp.push_column(array.column(j))
-    placements = dp.placements()
     weight = dp.best_weight
-    # Placements name rows of the array and columns 1..n, so the cells are
-    # read directly by row index, without ``weight``'s column checks; an
-    # empty cell counts 0 and fails the check.
-    index, cols = array._index, array._cols
-    resum = sum(cols.get(j, {}).get(index(row), 0) for row, j in placements)
+    coords = sorted(array.coords_of(row, j) for row, j in dp.placements())
+    # A vertex the instance does not hold counts 0 and fails the check.
+    cells = inst.vertices
+    resum = sum(cells.get(c, 0) for c in coords)
     if resum != weight:
         raise RuntimeError(
             f"DP placements re-sum to {resum}, table says {weight}"
         )
-    coords = sorted(array.coords_of(row, j) for row, j in placements)
     meta = {
         "long_axis": array.long_axis,
         "rows": len(dp.rows),
@@ -563,12 +502,3 @@ def solve_mis_narrow(array: NarrowArray, budget: int | None = None) -> Solution:
         "windows": len(dp.windows),
     }
     return Solution("exact-narrow", tuple(coords), weight, meta)
-
-
-def solve_exact_narrow(
-    inst: LosInstance,
-    long_axis: int | None = None,
-    budget: int | None = None,
-) -> Solution:
-    """Exact MIS of an instance via the narrow-array DP along ``long_axis``."""
-    return solve_mis_narrow(build_array(inst, long_axis), budget)

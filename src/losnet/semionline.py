@@ -13,7 +13,7 @@ the rounds per phase, hence the look-ahead any phase needs; the union of the
 kept sets is within a factor 1+epsilon of the offline optimum.
 
 Columns come from a ``ColumnStream`` over an in-memory ``NarrowArray``,
-built from a ``LosInstance`` or passed in directly; its reveal/consume
+which ``build_array`` builds from a ``LosInstance``; its reveal/consume
 accounting records the look-ahead each phase uses.  Each phase runs one
 ``NarrowDp`` over the columns it reveals; the first one refuses a
 cross-section whose windows exceed the budget.

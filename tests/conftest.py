@@ -24,6 +24,21 @@ def unit_inst(extents, omega, coords) -> LosInstance:
     return make_inst(extents, omega, {c: 1 for c in coords})
 
 
+def cells_inst(row_extents, omega, n, cells, long_axis=0) -> LosInstance:
+    """Instance whose narrow array along ``long_axis`` holds ``cells``, a
+    {(row, column): weight} map: cell (row, j) is the vertex at ``row`` with
+    ``j`` inserted at ``long_axis``, and the long extent is ``n``."""
+
+    def at(row, j):
+        coords = list(row)
+        coords.insert(long_axis, j)
+        return tuple(coords)
+
+    extents = list(row_extents)
+    extents.insert(long_axis, n)
+    return make_inst(extents, omega, {at(row, j): w for (row, j), w in cells.items()})
+
+
 @st.composite
 def small_instances(draw, max_n=8, max_k=3, max_d=3, max_vertices=14):
     """Random small weighted instances, narrow along axis 0."""

@@ -493,6 +493,25 @@ class TestHugeCrossSection:
         assert "Traceback" not in proc.stderr
         assert "rows=1000000" in proc.stderr
 
+    def test_row_count_too_long_to_print_refused_with_exit_3(self, tmp_path):
+        # Two extents of 4000 nines each: the cross-section's row count has
+        # about 8000 digits, more than ``str`` writes.
+        nines = "9" * 4000
+        path = tmp_path / "big.losn"
+        path.write_text(
+            f"losn v1\nd=3 omega=3 extents={nines},{nines},5\nv 1 1 1 1\n",
+            encoding="utf-8",
+        )
+        proc = run_process(
+            "solve", "exact-narrow", str(path), "--long-axis", "2", timeout=30
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "capacity error: window count exceeds budget 10000000 "
+            "(rows=int of more than 4300 digits, omega=3, "
+            "capacity=int of more than 4300 digits)\n"
+        )
+
 
 MAIN_HELP = """\
 usage: losnet [-h] {gen,solve,verify} ...

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import hypothesis.strategies as st
 import pytest
@@ -8,7 +9,6 @@ from losnet import (
     CapacityError,
     GenConfig,
     InstanceParams,
-    NarrowArray,
     NarrowDp,
     ValidationError,
     brute_mis,
@@ -16,13 +16,13 @@ from losnet import (
     generate,
     is_independent,
     solve_exact_narrow,
-    solve_mis_narrow,
     solve_semionline,
     verify,
 )
 from losnet import narrow
 from losnet.narrow import count_windows
 from conftest import (
+    cells_inst,
     make_inst,
     oracle_windows,
     small_instances,
@@ -38,60 +38,42 @@ def no_rows(row_extents):
 class TestRowIndex:
     """A row's index is its lexicographic rank, computed from the extents."""
 
-    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
-    def test_index_is_position_in_rows(self, extents):
-        array = NarrowArray(extents, 3, 1)
-        rows = array.rows
-        for row in rows:
-            assert array._index(row) == rows.index(row)
-            for axis, e in enumerate(extents):
-                for bad in (0, e + 1):
-                    assert array._index(row[:axis] + (bad,) + row[axis + 1 :]) is None
-            assert array._index(row + (1,)) is None
-            assert array._index(row[:-1]) is None
+    def test_index_is_position_in_rows(self, extents, axis):
+        axis = min(axis, len(extents))
+        # Every cell of column 1 is occupied, weighing its row's rank + 1.
+        rows = tuple(product(*(range(1, e + 1) for e in extents)))
+        cells = {(row, 1): r + 1 for r, row in enumerate(rows)}
+        array = build_array(cells_inst(extents, 3, 1, cells, axis), axis)
+        assert array.rows == rows
+        assert array.column(1) == {r: r + 1 for r in range(len(rows))}
 
     @given(small_instances())
     @settings(max_examples=60, deadline=None)
-    def test_build_array_matches_checked_cells(self, inst):
+    def test_build_array_maps_back_to_instance(self, inst):
+        # Along every axis, each stored cell (r, j) maps back through
+        # ``coords_of(rows[r], j)`` to a vertex of the same weight, and every
+        # vertex is stored exactly once.
         p = inst.params
         for axis in range(p.d):
-            built = build_array(inst, axis)
-            cells = {
-                (c[:axis] + c[axis + 1 :], c[axis]): w for c, w in inst.vertices.items()
+            array = build_array(inst, axis)
+            assert (array.long_axis, array.omega) == (axis, p.omega)
+            assert array.n == p.extents[axis]
+            assert array.row_extents == p.extents[:axis] + p.extents[axis + 1 :]
+            mapped = {
+                array.coords_of(array.rows[r], j): w
+                for j in range(1, array.n + 1)
+                for r, w in array.column(j).items()
             }
-            checked = NarrowArray(
-                built.row_extents, p.omega, p.extents[axis], cells, long_axis=axis
-            )
-            assert built.row_extents == p.extents[:axis] + p.extents[axis + 1 :]
-            for j in range(1, p.extents[axis] + 1):
-                assert built.column(j) == checked.column(j)
-
-    @pytest.mark.parametrize(
-        "cells, message",
-        [
-            ({((2,), 3): 0}, "vertex weight must be positive, got 0 at (2, 3)"),
-            ({((3,), 1): 1}, "coordinates (3, 1) outside box extents=(2, 4)"),
-            ({((1,), 5): 1}, "coordinates (1, 5) outside box extents=(2, 4)"),
-            ({((1, 1), 2): 1}, "coordinates (1, 2, 1) outside box extents=(2, 4)"),
-        ],
-        ids=["weight", "row", "column", "row-length"],
-    )
-    def test_cells_refused_as_instance_cells(self, cells, message):
-        # Long axis 1: a cell (row, j) sits at instance coordinates (row, j).
-        with pytest.raises(ValidationError) as info:
-            NarrowArray((2,), 3, 4, cells, long_axis=1)
-        assert str(info.value) == message
+            assert mapped == dict(inst.vertices)
+            assert len(array.weights()) == len(inst)
 
     def test_huge_cross_section_builds_no_rows(self, monkeypatch):
         monkeypatch.setattr(narrow, "rows_for", no_rows)
-        array = NarrowArray((10**6, 10**6), 3, 5, {((10**6, 2), 4): 7})
-        assert array.weight((10**6, 2), 4) == 7
-        assert (4, 10**6, 2) in array
-        array.put((5, 1, 10**6), Fraction(2))
-        assert array.column(5) == {10**6 - 1: 2}
         inst = make_inst((10**6, 10**6), 3, {(1, 10**6): 1})
         assert build_array(inst, 0).column(1) == {10**6 - 1: 1}
+        assert build_array(inst, 1).column(10**6) == {0: 1}
 
 
 class TestBuildArray:
@@ -105,11 +87,10 @@ class TestBuildArray:
     def test_single_vertex(self):
         inst = make_inst((5, 1), 2, {(4, 1): 2})
         a = build_array(inst, 0)
-        assert a.weight((1,), 4) == 2
-        assert sum(a.column(4).values()) == 2
+        assert a.column(4) == {0: 2}
         assert sum(a.weights()) == 2
-        assert a.weight((1,), 3) == 0
-        assert a.weight((1,), 0) == 0  # padding column
+        assert a.column(3) == {}
+        assert a.column(0) == {}  # padding column
 
     def test_8x4_layout_shape(self):
         # An 8-long, 4-wide box at omega=4: four rows, 8+4 columns, and the
@@ -120,16 +101,15 @@ class TestBuildArray:
         assert len(a.rows) == 4
         assert a.n + a.omega == 12
         for j in range(1, 9):
-            for row in a.rows:
-                expected = inst.vertices.get((j, row[0]), Fraction(0))
-                assert a.weight(row, j) == expected
+            for r, row in enumerate(a.rows):
+                assert a.column(j).get(r) == inst.vertices.get((j, row[0]))
 
     def test_long_axis_permutation(self):
         inst = make_inst((2, 6), 3, {(1, 4): 3, (2, 1): 1})
         a = build_array(inst, 1)
         assert a.n == 6
         assert a.row_extents == (2,)
-        assert a.weight((1,), 4) == 3
+        assert a.column(4) == {0: 3}
         assert a.coords_of((1,), 4) == (1, 4)
         assert a.coords_of((2,), 1) == (2, 1)
 
@@ -138,15 +118,14 @@ class TestBuildArray:
         assert build_array(inst).long_axis == 1
 
     def test_padding_cells_zero_and_bounds(self):
-        a = NarrowArray((2,), 3, 4, {((1,), 2): Fraction(1)})
-        assert a.weight((1,), -2) == 0
-        with pytest.raises(ValidationError):
-            a.weight((1,), -3)
-        with pytest.raises(ValidationError):
-            a.weight((3,), 1)
+        # The omega - 1 padding columns, and the columns past n, read empty.
+        a = build_array(cells_inst((2,), 3, 4, {((1,), 2): 1}), 0)
+        assert a.column(2) == {0: 1}
+        for j in (-2, -1, 0, 5):
+            assert a.column(j) == {}
 
 
-def reference_dp(array: NarrowArray):
+def reference_dp(array):
     """Literal table-filling oracle over the windows of ``brute_windows``:
     for each column and window, maximize over the supported predecessors
     whose tail equals its head; quadratic in the window count."""
@@ -154,11 +133,7 @@ def reference_dp(array: NarrowArray):
     windows = oracle_windows(array.rows, omega)
 
     def supported(w, j):
-        return all(
-            array.weight(array.rows[r], j - omega + p) > 0
-            for r, p in enumerate(w)
-            if p
-        )
+        return all(r in array.column(j - omega + p) for r, p in enumerate(w) if p)
 
     table = {(0,) * len(array.rows): Fraction(0)}
     for j in range(1, array.n + 1):
@@ -172,13 +147,9 @@ def reference_dp(array: NarrowArray):
                     best = val
             if best is None:
                 continue
+            column = array.column(j)
             gain = sum(
-                (
-                    array.weight(array.rows[r], j)
-                    for r, p in enumerate(w)
-                    if p == omega
-                ),
-                Fraction(0),
+                (column.get(r, 0) for r, p in enumerate(w) if p == omega), Fraction(0)
             )
             nxt[w] = best + gain
         table = nxt
@@ -202,12 +173,6 @@ class TestSolveNarrow:
         sol = solve_exact_narrow(inst, 0)
         oracle = brute_mis(inst)
         assert sol.total_weight == oracle.total_weight == 4
-
-    def test_empty_columns_allowed(self):
-        a = NarrowArray((2,), 3, 0, {})
-        sol = solve_mis_narrow(a)
-        assert sol.total_weight == 0
-        assert sol.vertices == ()
 
     def test_omega_larger_than_n(self):
         inst = unit_inst((3, 1), 5, [(1, 1), (2, 1), (3, 1)])
@@ -236,8 +201,9 @@ class TestSolveNarrow:
     ))
     @settings(max_examples=30, deadline=None)
     def test_matches_reference_table_oracle(self, inst):
-        a = build_array(inst, 0)
-        assert solve_mis_narrow(a).total_weight == reference_dp(a)
+        assert solve_exact_narrow(inst, 0).total_weight == reference_dp(
+            build_array(inst, 0)
+        )
 
     def test_deterministic_output(self):
         cfg = GenConfig(InstanceParams(2, (9, 3), 3), Fraction(1, 2), "uniform:1:5", 5)
@@ -281,9 +247,7 @@ class TestDpTableInvariants:
         a, dp, _ = self.make_dp(inst)
         self.assert_chain(a, dp)
         # the emitted placements reproduce the reported weight
-        resum = sum(
-            (a.weight(row, j) for row, j in dp.placements()), Fraction(0)
-        )
+        resum = sum(inst.vertices[a.coords_of(row, j)] for row, j in dp.placements())
         assert resum == dp.best_weight
 
     def test_consistency_chain_past_omega_255(self):
@@ -395,6 +359,15 @@ class TestWindowBudget:
         with pytest.raises(ValidationError, match="extents must be positive"):
             NarrowDp((10**6, 0), 3)
 
+    def test_counts_too_long_to_print_named_by_their_digit_bound(self, monkeypatch):
+        monkeypatch.setattr(narrow, "rows_for", no_rows)
+        big = "int of more than 4300 digits"
+        with pytest.raises(CapacityError) as err:
+            NarrowDp((10**4000, 10**4000), 3, budget=10**5000)
+        assert str(err.value) == (
+            f"window count exceeds budget {big} (rows={big}, omega=3, capacity={big})"
+        )
+
     def test_refused_before_rows_are_built(self, monkeypatch):
         def no_rows(row_extents):
             raise AssertionError(f"rows built for extents {row_extents}")
@@ -413,13 +386,8 @@ def test_solution_induces_array_of_equal_sum():
     cfg = GenConfig(InstanceParams(2, (8, 4), 4), Fraction(1, 2), "uniform:1:5", 3)
     inst = generate(cfg)
     sol = solve_exact_narrow(inst, 0)
-    chosen = NarrowArray(
-        (4,),
-        4,
-        8,
-        {((c[1],), c[0]): inst.weight_of(c) for c in sol.vertices},
-    )
-    assert sum(chosen.weights()) == sol.total_weight
+    chosen = make_inst((8, 4), 4, {c: inst.weight_of(c) for c in sol.vertices})
+    assert sum(build_array(chosen, 0).weights()) == sol.total_weight
 
 
 def test_runtime_grows_linearly_quickcheck():

@@ -12,7 +12,6 @@ from losnet import (
     ColumnStream,
     GenConfig,
     InstanceParams,
-    NarrowArray,
     ValidationError,
     build_array,
     generate,
@@ -22,14 +21,13 @@ from losnet import (
     run_phase,
     save_instance,
     solve_exact_narrow,
-    solve_mis_narrow,
     solve_semionline,
     verify,
 )
 from losnet import core
 from losnet.core import exact_fraction
 from losnet.semionline import _growth_cap, _ln
-from conftest import unit_inst
+from conftest import cells_inst, unit_inst
 
 
 class TestMaxLookahead:
@@ -226,24 +224,24 @@ class TestGrowthCap:
             assert math.isclose(c * eps, ln_ratio, rel_tol=1e-12)
 
 
-def prefix_solve(array: NarrowArray, j0: int, upto: int):
+def prefix_solve(array, j0: int, upto: int):
     """(vertices, weight) of an exact solve of the stand-alone subgraph on
     columns j0..upto of an axis-0 array, in the coordinates of its instance."""
     cells = {}
     for j in range(j0, upto + 1):
         for ridx, w in array.column(j).items():
             cells[(array.rows[ridx], j - j0 + 1)] = w
-    sub = NarrowArray(array.row_extents, array.omega, upto - j0 + 1, cells)
-    sol = solve_mis_narrow(sub)
+    sub = cells_inst(array.row_extents, array.omega, upto - j0 + 1, cells)
+    sol = solve_exact_narrow(sub, 0)
     return tuple((c[0] + j0 - 1, *c[1:]) for c in sol.vertices), sol.total_weight
 
 
-def prefix_weight(array: NarrowArray, j0: int, upto: int) -> Fraction:
+def prefix_weight(array, j0: int, upto: int) -> Fraction:
     """Exact best weight of the stand-alone subgraph on columns j0..upto."""
     return prefix_solve(array, j0, upto)[1]
 
 
-def phase_oracle(array: NarrowArray, j0: int, eps: Fraction):
+def phase_oracle(array, j0: int, eps: Fraction):
     """Independent re-derivation of one phase from offline prefix solves.
 
     Returns (r_star, kept weight, next anchor, stopped_by_rule, degenerate).
@@ -316,12 +314,8 @@ class TestRunPhase:
     def test_growth_continues_while_ratio_holds(self):
         # Weights shaped so the first extension wins big and the second
         # stalls; the oracle decides where the rule fires.
-        cells = {
-            ((1,), 1): Fraction(1),
-            ((1,), 2): Fraction(2),
-            ((1,), 4): Fraction(4),
-        }
-        array = NarrowArray((1,), 2, 8, cells)
+        cells = {((1,), 1): 1, ((1,), 2): 2, ((1,), 4): 4}
+        array = build_array(cells_inst((1,), 2, 8, cells), 0)
         eps = Fraction(9, 10)
         exp_r, exp_w, exp_next, exp_stopped, _ = phase_oracle(array, 1, eps)
         assert exp_r >= 1  # the 1 -> 2-or-better jump satisfies the test

@@ -16,7 +16,6 @@ from losnet import (
     GenConfig,
     InstanceParams,
     NarrowDp,
-    NarrowArray,
     ValidationError,
     are_adjacent,
     brute_windows,
@@ -24,7 +23,7 @@ from losnet import (
     generate,
 )
 from losnet.narrow import normalize_rows
-from conftest import as_grid, oracle_windows, tail_equals_head
+from conftest import as_grid, cells_inst, oracle_windows, tail_equals_head
 
 
 class TestEnumerate:
@@ -168,11 +167,7 @@ def reached(previous, array, j):
         w
         for w in oracle_windows(array.rows, omega)
         if tuple(row[:-1] for row in as_grid(w, omega)) in tails
-        and all(
-            array.weight(array.rows[r], j - omega + p) > 0
-            for r, p in enumerate(w)
-            if p
-        )
+        and all(r in array.column(j - omega + p) for r, p in enumerate(w) if p)
     }
 
 
@@ -182,7 +177,7 @@ def full_array(row_extents, omega, n):
         for row in product(*(range(1, e + 1) for e in row_extents))
         for j in range(1, n + 1)
     }
-    return NarrowArray(row_extents, omega, n, cells)
+    return build_array(cells_inst(row_extents, omega, n, cells), 0)
 
 
 class TestSuccessors:
@@ -195,11 +190,11 @@ class TestSuccessors:
         return set(dp.table())
 
     def test_zero_window_over_empty_range(self):
-        array = NarrowArray((2,), 2, 4, {})
+        array = build_array(cells_inst((2,), 2, 4, {}), 0)
         assert self.push_one(array) == {(0, 0)}
 
     def test_single_row_place_or_skip(self):
-        array = NarrowArray((1,), 2, 3, {((1,), 1): Fraction(1)})
+        array = build_array(cells_inst((1,), 2, 3, {((1,), 1): 1}), 0)
         assert self.push_one(array) == {(0,), (2,)}
 
     def test_conflicting_pair_full_occupancy(self):
@@ -213,7 +208,7 @@ class TestSuccessors:
         # Rows differing in two coordinates may both enter the new column,
         # so the empty window has 4 successors: skip, either row, or both.
         rows = ((1, 1), (2, 2))
-        array = NarrowArray((2, 2), 2, 4, {(r, 1): Fraction(1) for r in rows})
+        array = build_array(cells_inst((2, 2), 2, 4, {(r, 1): 1 for r in rows}), 0)
         succ = self.push_one(array)
         assert succ == reached({(0,) * 4}, array, 1)
         assert sorted(w.count(2) for w in succ) == [0, 1, 1, 2]
