@@ -19,12 +19,17 @@ from losnet import (
     solve_exact_narrow,
     verify,
 )
+from losnet.narrow import box_conflicts
 
-# The window state space for a 2-wide cross-section at omega=3: rows 1 and 2
-# are within line of sight, so they may never share a window column.  A
-# window is its row positions: 0 for an empty row, else the window column
-# (1 oldest, omega newest) of the row's entry.
-dp = NarrowDp((2,), 3)
+# The window state space for a 2-wide cross-section at omega=3: rows 0 and 1
+# are within line of sight, so they may never share a window column.  The DP
+# takes the row count and, per row, the bitmask of rows it conflicts with;
+# ``box_conflicts`` derives them from the cross-section's extents.  A window
+# is its row positions: 0 for an empty row, else the window column (1
+# oldest, omega newest) of the row's entry.
+masks = box_conflicts((2,), 3)
+print("conflict masks of the 2 rows:", [bin(m) for m in masks])
+dp = NarrowDp(2, 3, lambda: masks)
 print(f"windows for a 2-row cross-section, omega=3: {len(dp.windows)}")
 for positions in dp.windows:
     print("  positions:", positions)
@@ -34,17 +39,18 @@ for positions in dp.windows:
 # column's rows for its newest one.
 dp.push_column({0: 2, 1: 3})
 dp.push_column({0: 1})
-best, window = dp.best_at(2)
-pred = dp.pred_at(2, window)
-print(f"best after 2 columns: {best} in window {window}")
-print(f"its predecessor after 1 column: {pred}")
-print("placements (row, column):", dp.placements())
+# The winner of any prefix reads back as its best weight and window, and as
+# the placements unwound from that window through the recorded predecessors.
+for layer in (1, 2):
+    best, window = dp.best_at(layer)
+    print(f"best after {layer} column(s): {best} in window {window}")
+    print("  placements (row index, column):", dp.placements(layer))
 
 # Solve a generated instance and compare with the exhaustive oracle.
 cfg = GenConfig(InstanceParams(2, (12, 2), 3), Fraction(3, 5), "uniform:1:5", 9)
 inst = generate(cfg)
 array = build_array(inst, long_axis=0)
-print(f"\ninstance: {len(inst)} vertices, array {len(array.rows)}x{array.n + array.omega}")
+print(f"\ninstance: {len(inst)} vertices, array {array.nrows}x{array.n + array.omega}")
 
 sol = solve_exact_narrow(inst, long_axis=0)
 ref = brute_mis(inst)

@@ -20,7 +20,10 @@ import importlib
 # so a command imports only the solver modules it runs.
 _EXPORTS = {
     "adssched": ("AdsInstance", "solve_adssched"),
-    "brute": ("brute_adssched", "brute_mis", "brute_windows", "exhaustive_mis"),
+    "brute": (
+        "brute_adssched", "brute_mis", "brute_windows", "exhaustive_mis",
+        "normalize_rows",
+    ),
     "core": (
         "Coords",
         "GenConfig",
@@ -56,7 +59,6 @@ _EXPORTS = {
     ),
     "narrow": (
         "DEFAULT_WINDOW_BUDGET",
-        "normalize_rows",
         "NarrowArray",
         "NarrowDp",
         "build_array",

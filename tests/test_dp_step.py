@@ -14,19 +14,19 @@ from itertools import product
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from losnet import NarrowDp
-from losnet.narrow import _row_structure, normalize_rows
+from losnet import normalize_rows
+from dp_reference import dp_of, pairwise_conflicts, pred_at, table
 
 
 class ReferenceDp:
     """Column DP over whole transitions, with positions-tuple keys."""
 
     def __init__(self, row_spec, omega, capacity=None):
-        self.rows = normalize_rows(row_spec)
+        rows = normalize_rows(row_spec)
         self.omega = omega
-        nrows = len(self.rows)
+        nrows = len(rows)
         self.capacity = nrows if capacity is None else min(capacity, nrows)
-        self.conflicts = _row_structure(self.rows, omega)
+        self.conflicts = pairwise_conflicts(rows, omega)
         self.zero = (0,) * nrows
         self.scale = 1
         self.cur = {self.zero: 0}
@@ -98,7 +98,7 @@ class ReferenceDp:
         for j in range(layer, 0, -1):
             for r, p in enumerate(pos):
                 if p == self.omega:
-                    out.append((self.rows[r], j))
+                    out.append((r, j))
             pos = self.preds[j - 1][pos]
         assert pos == self.zero
         out.reverse()
@@ -106,15 +106,15 @@ class ReferenceDp:
 
 
 def assert_same_tables(row_spec, omega, capacity, columns):
-    dp = NarrowDp(row_spec, omega, capacity=capacity)
+    dp = dp_of(row_spec, omega, capacity=capacity)
     ref = ReferenceDp(row_spec, omega, capacity)
     for layer, col in enumerate(columns, 1):
         dp.push_column(col)
         ref.push_column(col)
         assert dp.best_at(layer) == ref.bests[layer - 1], layer
-        assert dp.table() == ref.weights[layer - 1], layer
+        assert table(dp) == ref.weights[layer - 1], layer
         for pos in ref.weights[layer - 1]:
-            assert dp.pred_at(layer, pos) == ref.preds[layer - 1][pos], (layer, pos)
+            assert pred_at(dp, layer, pos) == ref.preds[layer - 1][pos], (layer, pos)
         assert dp.placements(layer) == ref.placements(layer), layer
 
 

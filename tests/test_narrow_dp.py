@@ -10,11 +10,11 @@ from losnet import (
     GenConfig,
     InstanceParams,
     NarrowDp,
-    ValidationError,
     brute_mis,
     build_array,
     generate,
     is_independent,
+    normalize_rows,
     solve_exact_narrow,
     solve_semionline,
     verify,
@@ -29,14 +29,16 @@ from conftest import (
     tail_equals_head,
     unit_inst,
 )
+from dp_reference import dp_of, pred_at, table
 
 
-def no_rows(row_extents):
-    raise AssertionError(f"rows built for extents {row_extents}")
+def no_masks(extents, omega):
+    raise AssertionError(f"conflict masks built for extents {extents}")
 
 
 class TestRowIndex:
-    """A row's index is its lexicographic rank, computed from the extents."""
+    """A row's index is its lexicographic rank, computed from the extents,
+    and ``coords_of`` inverts it."""
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
@@ -46,15 +48,18 @@ class TestRowIndex:
         rows = tuple(product(*(range(1, e + 1) for e in extents)))
         cells = {(row, 1): r + 1 for r, row in enumerate(rows)}
         array = build_array(cells_inst(extents, 3, 1, cells, axis), axis)
-        assert array.rows == rows
+        assert array.nrows == len(rows)
         assert array.column(1) == {r: r + 1 for r in range(len(rows))}
+        for r, row in enumerate(rows):
+            assert array.coords_of(r, 1) == (*row[:axis], 1, *row[axis:])
 
     @given(small_instances())
     @settings(max_examples=60, deadline=None)
     def test_build_array_maps_back_to_instance(self, inst):
         # Along every axis, each stored cell (r, j) maps back through
-        # ``coords_of(rows[r], j)`` to a vertex of the same weight, and every
-        # vertex is stored exactly once.
+        # ``coords_of(r, j)`` to a vertex of the same weight, and every
+        # vertex is stored exactly once.  By index, ``coords_of`` maps the
+        # rows of a column onto exactly the cells of that column's slice.
         p = inst.params
         for axis in range(p.d):
             array = build_array(inst, axis)
@@ -62,15 +67,18 @@ class TestRowIndex:
             assert array.n == p.extents[axis]
             assert array.row_extents == p.extents[:axis] + p.extents[axis + 1 :]
             mapped = {
-                array.coords_of(array.rows[r], j): w
+                array.coords_of(r, j): w
                 for j in range(1, array.n + 1)
                 for r, w in array.column(j).items()
             }
             assert mapped == dict(inst.vertices)
             assert len(array.weights()) == len(inst)
+            assert [array.coords_of(r, 1) for r in range(array.nrows)] == [
+                c for c in product(*(range(1, e + 1) for e in p.extents)) if c[axis] == 1
+            ]
 
     def test_huge_cross_section_builds_no_rows(self, monkeypatch):
-        monkeypatch.setattr(narrow, "rows_for", no_rows)
+        monkeypatch.setattr(narrow, "box_conflicts", no_masks)
         inst = make_inst((10**6, 10**6), 3, {(1, 10**6): 1})
         assert build_array(inst, 0).column(1) == {10**6 - 1: 1}
         assert build_array(inst, 1).column(10**6) == {0: 1}
@@ -98,11 +106,11 @@ class TestBuildArray:
         cfg = GenConfig(InstanceParams(2, (8, 4), 4), Fraction(1, 2), "const:1", 3)
         inst = generate(cfg)
         a = build_array(inst, 0)
-        assert len(a.rows) == 4
+        assert a.nrows == 4
         assert a.n + a.omega == 12
         for j in range(1, 9):
-            for r, row in enumerate(a.rows):
-                assert a.column(j).get(r) == inst.vertices.get((j, row[0]))
+            for r in range(a.nrows):
+                assert a.column(j).get(r) == inst.vertices.get((j, r + 1))
 
     def test_long_axis_permutation(self):
         inst = make_inst((2, 6), 3, {(1, 4): 3, (2, 1): 1})
@@ -110,8 +118,8 @@ class TestBuildArray:
         assert a.n == 6
         assert a.row_extents == (2,)
         assert a.column(4) == {0: 3}
-        assert a.coords_of((1,), 4) == (1, 4)
-        assert a.coords_of((2,), 1) == (2, 1)
+        assert a.coords_of(0, 4) == (1, 4)
+        assert a.coords_of(1, 1) == (2, 1)
 
     def test_default_long_axis_is_widest(self):
         inst = make_inst((2, 9), 3, {(1, 4): 1})
@@ -130,19 +138,19 @@ def reference_dp(array):
     for each column and window, maximize over the supported predecessors
     whose tail equals its head; quadratic in the window count."""
     omega = array.omega
-    windows = oracle_windows(array.rows, omega)
+    windows = oracle_windows(array.row_extents, omega)
 
     def supported(w, j):
         return all(r in array.column(j - omega + p) for r, p in enumerate(w) if p)
 
-    table = {(0,) * len(array.rows): Fraction(0)}
+    layer = {(0,) * array.nrows: Fraction(0)}
     for j in range(1, array.n + 1):
         nxt = {}
         for w in windows:
             if not supported(w, j):
                 continue
             best = None
-            for wp, val in table.items():
+            for wp, val in layer.items():
                 if tail_equals_head(wp, w, omega) and (best is None or val > best):
                     best = val
             if best is None:
@@ -152,8 +160,8 @@ def reference_dp(array):
                 (column.get(r, 0) for r, p in enumerate(w) if p == omega), Fraction(0)
             )
             nxt[w] = best + gain
-        table = nxt
-    return max(table.values()) if table else Fraction(0)
+        layer = nxt
+    return max(layer.values()) if layer else Fraction(0)
 
 
 class TestSolveNarrow:
@@ -218,11 +226,11 @@ class TestDpTableInvariants:
         """The array, the DP pushed through every column, and the table
         read after each push (``tables[j - 1]`` after column j)."""
         a = build_array(inst, 0)
-        dp = NarrowDp(a.rows, a.omega)
+        dp = NarrowDp(a.nrows, a.omega, a.conflicts)
         tables = []
         for j in range(1, a.n + 1):
             dp.push_column(a.column(j))
-            tables.append(dp.table())
+            tables.append(table(dp))
         return a, dp, tables
 
     def assert_chain(self, a, dp):
@@ -232,11 +240,11 @@ class TestDpTableInvariants:
         _, w = dp.best_at()
         chain = [w]
         for j in range(a.n, 0, -1):
-            w = dp.pred_at(j, w)
+            w = pred_at(dp, j, w)
             chain.append(w)
         chain.reverse()
         assert len(chain) == a.n + 1
-        assert chain[0] == (0,) * len(a.rows)
+        assert chain[0] == (0,) * a.nrows
         assert windows.issuperset(chain)
         for prev, w in zip(chain, chain[1:]):
             assert tail_equals_head(prev, w, a.omega), (prev, w)
@@ -247,7 +255,7 @@ class TestDpTableInvariants:
         a, dp, _ = self.make_dp(inst)
         self.assert_chain(a, dp)
         # the emitted placements reproduce the reported weight
-        resum = sum(inst.vertices[a.coords_of(row, j)] for row, j in dp.placements())
+        resum = sum(inst.vertices[a.coords_of(r, j)] for r, j in dp.placements())
         assert resum == dp.best_weight
 
     def test_consistency_chain_past_omega_255(self):
@@ -260,7 +268,7 @@ class TestDpTableInvariants:
         cfg = GenConfig(InstanceParams(2, (8, 2), 3), Fraction(3, 5), "const:1", 4)
         inst = generate(cfg)
         a, _, tables = self.make_dp(inst)
-        prev_layer = {(0,) * len(a.rows): Fraction(0)}
+        prev_layer = {(0,) * a.nrows: Fraction(0)}
         for layer in tables:
             for pos, val in layer.items():
                 preds = [
@@ -275,10 +283,10 @@ class TestDpTableInvariants:
     def test_budget_checked_after_shared_cache_filled(self):
         # The windows of a (rows, omega) shape are shared across evaluators;
         # a smaller budget must still refuse once a larger one built them.
-        dp = NarrowDp((3, 3), 4, budget=10**7)
+        dp = dp_of((3, 3), 4, budget=10**7)
         assert len(dp.windows) > 100
         with pytest.raises(CapacityError):
-            NarrowDp((3, 3), 4, budget=100)
+            dp_of((3, 3), 4, budget=100)
 
     def test_rescaled_table_matches_fraction_weights(self):
         # Each column brings a new denominator, so the integer table is
@@ -298,10 +306,10 @@ class TestDpTableInvariants:
         cfg = GenConfig(InstanceParams(2, (9, 2), 3), Fraction(3, 5), "uniform:1:5", 12)
         inst = generate(cfg)
         a, dp, tables = self.make_dp(inst)
-        layers = [{(0,) * len(a.rows): Fraction(0)}] + tables
+        layers = [{(0,) * a.nrows: Fraction(0)}] + tables
         for j, table in enumerate(tables, 1):
             for pos in table:
-                pred = dp.pred_at(j, pos)
+                pred = pred_at(dp, j, pos)
                 assert pred in layers[j - 1]
                 assert tail_equals_head(pred, pos, a.omega)
 
@@ -332,47 +340,44 @@ class TestWindowBudget:
         ],
     )
     def test_budget_edge_with_capacity(self, rows, omega, cap):
-        nrows = len(narrow.normalize_rows(rows))
+        nrows = len(normalize_rows(rows))
         count = count_windows(nrows, omega, nrows if cap is None else cap)
-        NarrowDp(rows, omega, budget=count, capacity=cap)
+        dp_of(rows, omega, budget=count, capacity=cap)
         with pytest.raises(CapacityError, match="budget"):
-            NarrowDp(rows, omega, budget=count - 1, capacity=cap)
+            dp_of(rows, omega, budget=count - 1, capacity=cap)
 
     def test_box_budget_edge(self):
-        NarrowDp((3, 3), 4, budget=5**9)
+        dp_of((3, 3), 4, budget=5**9)
         with pytest.raises(CapacityError) as err:
-            NarrowDp((3, 3), 4, budget=5**9 - 1)
+            dp_of((3, 3), 4, budget=5**9 - 1)
         for part in ("rows=9", "omega=4", "capacity=9", f"budget {5**9 - 1}"):
             assert part in str(err.value)
 
     def test_default_budget_edge(self):
         # 4^11 windows fit the default budget of 10^7, and 4^12 exceed it.
-        NarrowDp((11,), 3)
+        dp_of((11,), 3)
         with pytest.raises(CapacityError, match="budget 10000000"):
-            NarrowDp((12,), 3)
+            dp_of((12,), 3)
 
     def test_box_counted_before_its_rows_are_built(self, monkeypatch):
-        monkeypatch.setattr(narrow, "rows_for", no_rows)
+        # The masks are asked for only once the row count passed the budget.
+        monkeypatch.setattr(narrow, "box_conflicts", no_masks)
         with pytest.raises(CapacityError, match="rows=1000000"):
-            NarrowDp((10**6,), 3)
-        # A malformed spec is refused before any count.
-        with pytest.raises(ValidationError, match="extents must be positive"):
-            NarrowDp((10**6, 0), 3)
+            dp_of((10**6,), 3)
+        with pytest.raises(CapacityError, match="rows=1000000"):
+            NarrowDp(10**6, 3, lambda: no_masks((10**6,), 3))
 
     def test_counts_too_long_to_print_named_by_their_digit_bound(self, monkeypatch):
-        monkeypatch.setattr(narrow, "rows_for", no_rows)
+        monkeypatch.setattr(narrow, "box_conflicts", no_masks)
         big = "int of more than 4300 digits"
         with pytest.raises(CapacityError) as err:
-            NarrowDp((10**4000, 10**4000), 3, budget=10**5000)
+            dp_of((10**4000, 10**4000), 3, budget=10**5000)
         assert str(err.value) == (
             f"window count exceeds budget {big} (rows={big}, omega=3, capacity={big})"
         )
 
     def test_refused_before_rows_are_built(self, monkeypatch):
-        def no_rows(row_extents):
-            raise AssertionError(f"rows built for extents {row_extents}")
-
-        monkeypatch.setattr(narrow, "rows_for", no_rows)
+        monkeypatch.setattr(narrow, "box_conflicts", no_masks)
         inst = make_inst((10**6, 10**6), 3, {(1, 1): 1})
         with pytest.raises(CapacityError, match="rows=1000000"):
             solve_exact_narrow(inst)

@@ -14,6 +14,7 @@ from losnet import (
     brute_windows,
     exhaustive_mis,
     is_independent,
+    ValidationError,
     verify,
 )
 from losnet.oracle import VerifyReport
@@ -70,6 +71,13 @@ class TestBruteWindows:
             brute_windows((3, 3), 4, cap=10)
         with pytest.raises(CapacityError):
             brute_windows((2, 3), 4)  # 24 cells exceed the grid cap
+
+    def test_spec_refused_without_printing_it(self):
+        # An extent of 5001 digits is more than ``str`` writes; the refusal
+        # names no value of the spec.
+        for spec in ((10**5000, 0), ((10**5000,), (10**5000,))):
+            with pytest.raises(ValidationError):
+                brute_windows(spec, 3)
 
 
 class TestVerify:

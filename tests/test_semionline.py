@@ -230,7 +230,7 @@ def prefix_solve(array, j0: int, upto: int):
     cells = {}
     for j in range(j0, upto + 1):
         for ridx, w in array.column(j).items():
-            cells[(array.rows[ridx], j - j0 + 1)] = w
+            cells[(array.coords_of(ridx, j)[1:], j - j0 + 1)] = w
     sub = cells_inst(array.row_extents, array.omega, upto - j0 + 1, cells)
     sol = solve_exact_narrow(sub, 0)
     return tuple((c[0] + j0 - 1, *c[1:]) for c in sol.vertices), sol.total_weight
@@ -479,10 +479,10 @@ class TestStreams:
             encoding="utf-8",
         )
 
-        def no_rows(row_extents):
-            raise AssertionError(f"rows built for {row_extents}")
+        def no_masks(extents, omega):
+            raise AssertionError(f"conflict masks built for {extents}")
 
-        monkeypatch.setattr("losnet.narrow.rows_for", no_rows)
+        monkeypatch.setattr("losnet.narrow.box_conflicts", no_masks)
         with pytest.raises(CapacityError, match="rows=1000000"):
             solve_semionline(load_instance(path), 1)
 
@@ -493,10 +493,10 @@ class TestStreams:
             encoding="utf-8",
         )
 
-        def no_rows(row_extents):
-            raise AssertionError(f"rows built for {row_extents}")
+        def no_masks(extents, omega):
+            raise AssertionError(f"conflict masks built for {extents}")
 
-        monkeypatch.setattr("losnet.narrow.rows_for", no_rows)
+        monkeypatch.setattr("losnet.narrow.box_conflicts", no_masks)
         stream = ColumnStream.from_instance(load_instance(path), 0)
         assert stream.array.row_extents == (10**6,)
         assert stream.reveal(1) == {10**6 - 1: 1}

@@ -21,58 +21,61 @@ from losnet import (
     brute_windows,
     build_array,
     generate,
+    normalize_rows,
 )
-from losnet.narrow import normalize_rows
+from losnet.narrow import box_conflicts
 from conftest import as_grid, cells_inst, oracle_windows, tail_equals_head
+from dp_reference import dp_of, pack, pairwise_conflicts, pred_at, table
 
 
 class TestEnumerate:
     def test_single_row_count(self):
         # One row: empty or one of omega columns.
-        assert len(NarrowDp((1,), 3).windows) == 4
+        assert len(dp_of((1,), 3).windows) == 4
 
     def test_two_conflicting_rows_omega2(self):
         # Derived by the brute filter: 7 windows.
         oracle = brute_windows((2,), 2)
         assert len(oracle) == 7
-        assert set(NarrowDp((2,), 2).windows) == oracle
+        assert set(dp_of((2,), 2).windows) == oracle
 
     def test_two_conflicting_rows_omega3(self):
         # Rows 1,2 share a line of sight with gap 1 < 3: never one column.
         oracle = brute_windows((2,), 3)
         assert len(oracle) == 13
-        assert set(NarrowDp((2,), 3).windows) == oracle
+        assert set(dp_of((2,), 3).windows) == oracle
 
     def test_non_los_pair_unconstrained(self):
         # Two rows differing in two coordinates never interact.
         arr = ((1, 1), (2, 2))
         for omega in (2, 3, 4):
-            ws = NarrowDp(arr, omega).windows
+            ws = dp_of(arr, omega).windows
             assert len(ws) == (omega + 1) ** 2
             assert set(ws) == brute_windows(arr, omega)
 
     def test_ascending_key_order(self):
-        ws = NarrowDp((2,), 3).windows
+        ws = dp_of((2,), 3).windows
         assert list(ws) == sorted(ws)
 
     def test_matches_oracle_on_boxes(self):
         for spec in [(1,), (2,), (3,), (1, 2), (2, 2)]:
             for omega in (2, 3):
-                assert set(NarrowDp(spec, omega).windows) == brute_windows(
+                assert set(dp_of(spec, omega).windows) == brute_windows(
                     spec, omega
                 ), (spec, omega)
 
     def test_budget_refusal(self):
         with pytest.raises(CapacityError, match="budget"):
-            NarrowDp((3, 3), 4, budget=100)
+            dp_of((3, 3), 4, budget=100)
 
     def test_row_spec_validation(self):
+        # Row specs are read by the oracles; the DP itself takes a row count.
         with pytest.raises(ValidationError):
-            NarrowDp((), 3)
+            normalize_rows(())
         with pytest.raises(ValidationError):
-            NarrowDp(((1, 1), (1, 1)), 3)
+            normalize_rows(((1, 1), (1, 1)))
         with pytest.raises(ValidationError):
-            NarrowDp(((1, 1), (1,)), 3)
+            normalize_rows(((1, 1), (1,)))
 
 
 WINDOW_SHAPES = [
@@ -92,9 +95,9 @@ def test_windows_order_by_positions(spec, omega):
     # at every omega the DP solves: ``omega.bit_length()`` bits per row
     # grows from 8 to 9 at omega=256.  Each is a feasible window: positions
     # in 0..omega, and no two conflicting rows in one column.
-    dp = NarrowDp(spec, omega)
+    dp = dp_of(spec, omega)
     ws = dp.windows
-    assert list(ws) == sorted(set(ws)) == sorted(ws, key=dp._pack)
+    assert list(ws) == sorted(set(ws)) == sorted(ws, key=lambda w: pack(dp, w))
     rows = normalize_rows(spec)
     for w in ws:
         assert all(0 <= p <= omega for p in w)
@@ -108,11 +111,11 @@ def test_windows_order_by_positions(spec, omega):
 class TestFeasibleWindow:
     def test_rejects_conflicting_rows_in_one_column(self):
         # Rows 1 and 2 conflict at omega=3, so no window puts both in column 2.
-        assert (2, 2) not in NarrowDp((2,), 3).windows
+        assert (2, 2) not in dp_of((2,), 3).windows
         assert (2, 2) not in brute_windows((2,), 3)
 
     def test_key_equality_iff_same_window(self):
-        ws = NarrowDp((2,), 3).windows
+        ws = dp_of((2,), 3).windows
         assert len(set(ws)) == len(ws)
 
     def test_as_grid(self):
@@ -141,16 +144,17 @@ class TestConsistent:
         # chains to it.
         for spec in [(1,), (2,), ((1, 1), (2, 2))]:
             for omega in (2, 3):
-                dp = NarrowDp(spec, omega)
-                full = {r: 1 for r in range(len(dp.rows))}
-                previous = {(0,) * len(dp.rows)}
+                dp = dp_of(spec, omega)
+                nrows = len(normalize_rows(spec))
+                full = {r: 1 for r in range(nrows)}
+                previous = {(0,) * nrows}
                 for layer in range(1, omega + 3):
                     dp.push_column(full)
-                    live = set(dp.table())
+                    live = set(table(dp))
                     if layer >= omega:
                         assert live == set(dp.windows), (spec, omega, layer)
                     for w in live:
-                        pred = dp.pred_at(layer, w)
+                        pred = pred_at(dp, layer, w)
                         assert pred in previous, (spec, omega, pred, w)
                         assert tail_equals_head(pred, w, omega), (spec, omega, pred, w)
                     previous = live
@@ -165,7 +169,7 @@ def reached(previous, array, j):
     tails = {tuple(row[1:] for row in as_grid(w, omega)) for w in previous}
     return {
         w
-        for w in oracle_windows(array.rows, omega)
+        for w in oracle_windows(array.row_extents, omega)
         if tuple(row[:-1] for row in as_grid(w, omega)) in tails
         and all(r in array.column(j - omega + p) for r, p in enumerate(w) if p)
     }
@@ -185,9 +189,9 @@ class TestSuccessors:
     supported windows that chain after one of them."""
 
     def push_one(self, array):
-        dp = NarrowDp(array.rows, array.omega)
+        dp = NarrowDp(array.nrows, array.omega, array.conflicts)
         dp.push_column(array.column(1))
-        return set(dp.table())
+        return set(table(dp))
 
     def test_zero_window_over_empty_range(self):
         array = build_array(cells_inst((2,), 2, 4, {}), 0)
@@ -228,12 +232,12 @@ class TestSuccessors:
                     Fraction(1, 2), "const:1", seed,
                 )
                 array = build_array(generate(cfg), 0)
-                dp = NarrowDp(array.rows, omega)
-                live = {(0,) * len(array.rows)}
+                dp = NarrowDp(array.nrows, omega, array.conflicts)
+                live = {(0,) * array.nrows}
                 for j in range(1, array.n + 1):
                     dp.push_column(array.column(j))
                     expected = reached(live, array, j)
-                    live = set(dp.table())
+                    live = set(table(dp))
                     assert live == expected, (extents, omega, seed, j)
                     most_placed = max([most_placed] + [w.count(omega) for w in live])
         assert most_placed >= 3
@@ -268,4 +272,24 @@ def window_shapes(draw):
 @settings(max_examples=80, deadline=None)
 def test_windows_match_brute_filter(shape):
     spec, omega = shape
-    assert NarrowDp(spec, omega).windows == tuple(sorted(brute_windows(spec, omega)))
+    assert dp_of(spec, omega).windows == tuple(sorted(brute_windows(spec, omega)))
+
+
+@st.composite
+def box_shapes(draw):
+    """Extents of a 1..3-dimensional box of at most 60 rows, and an omega
+    in 2..8."""
+    extents = []
+    for _ in range(draw(st.integers(1, 3))):
+        extents.append(draw(st.integers(1, 60 // math.prod(extents))))
+    return tuple(extents), draw(st.integers(2, 8))
+
+
+@given(box_shapes())
+@settings(max_examples=150, deadline=None)
+def test_box_conflicts_match_pairwise_reference(shape):
+    # The stride arithmetic finds exactly the pairs ``are_adjacent`` finds,
+    # rows taken in ``normalize_rows`` order.
+    extents, omega = shape
+    rows = normalize_rows(extents)
+    assert box_conflicts(extents, omega) == pairwise_conflicts(rows, omega)
