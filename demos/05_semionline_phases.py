@@ -11,9 +11,9 @@ what makes the scheme semi-online rather than offline.
 from fractions import Fraction
 
 from losnet import (
-    ColumnStream,
     GenConfig,
     InstanceParams,
+    build_array,
     generate,
     max_lookahead,
     run_phase,
@@ -27,11 +27,11 @@ eps = Fraction(1, 2)
 
 print("contract look-ahead buffer:", max_lookahead(2, 2, eps, 3), "columns")
 print("\nphase by phase:")
-stream = ColumnStream.from_instance(inst, long_axis=0)
-while True:
-    ph = run_phase(stream, eps)
-    if ph is None:
-        break
+array = build_array(inst, long_axis=0)
+j = 1
+while j <= array.n:
+    ph = run_phase(array, j, eps)
+    j += ph.lookahead_used  # the next phase anchors after the columns read
     kind = "degenerate" if ph.degenerate else ("stopped" if ph.stopped else "exhausted")
     print(
         f"  anchor {ph.j0:>2}: rounds={ph.r}, kept weight={ph.current_weight}, "

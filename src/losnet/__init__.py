@@ -66,7 +66,6 @@ _EXPORTS = {
     ),
     "oracle": ("VerifyReport", "verify", "verify_ads"),
     "semionline": (
-        "ColumnStream",
         "PhaseState",
         "max_lookahead",
         "run_phase",

@@ -32,9 +32,8 @@ Coords = tuple[int, ...]
 class Record:
     """Plain value class over the fields its class annotates: ``_fields``
     lists them in declaration order, ``__init__`` assigns them positionally
-    or by keyword (a trailing field with a class-level value may be left
-    out), and equality and ``repr`` read them.  A class that checks its
-    fields keeps its own ``__init__`` and ends it with ``super().__init__``.
+    or by keyword, and equality and ``repr`` read them.  A class that checks
+    or defaults its fields keeps its own ``__init__``, ending in ``super().__init__``.
 
     Records stand in for ``dataclasses``, whose import (it pulls in
     ``inspect``) would cost every CLI run more than the classes do.  Like a
@@ -66,9 +65,9 @@ class Record:
             if key not in fields:
                 raise TypeError(f"{who}() got an unexpected keyword argument {key!r}")
         for field in fields[n:]:
-            if field not in kwargs and not hasattr(cls, field):
+            if field not in kwargs:
                 raise TypeError(f"{who}() missing argument {field!r}")
-        return [*args, *(kwargs.get(f, getattr(cls, f, None)) for f in fields[n:])]
+        return [*args, *(kwargs[f] for f in fields[n:])]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -195,10 +195,6 @@ class NarrowArray:
         """Occupied row-index -> weight map of column j ({} off the grid)."""
         return dict(self._cols.get(j, {}))
 
-    def weights(self) -> list[Rational]:
-        """Weights of the stored cells."""
-        return [w for col in self._cols.values() for w in col.values()]
-
     def coords_of(self, r: int, j: int) -> Coords:
         """Instance coordinates of cell (row index r, column j)."""
         c = []

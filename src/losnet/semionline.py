@@ -12,11 +12,11 @@ For unit weights the growth test and the per-round gain cap together bound
 the rounds per phase, hence the look-ahead any phase needs; the union of the
 kept sets is within a factor 1+epsilon of the offline optimum.
 
-Columns come from a ``ColumnStream`` over an in-memory ``NarrowArray``,
-which ``build_array`` builds from a ``LosInstance``; its reveal/consume
-accounting records the look-ahead each phase uses.  Each phase runs one
-``NarrowDp`` over the columns it reveals.  A cross-section whose windows
-exceed the budget is refused by the DP's own check before anything else.
+Phases read the columns of the ``NarrowArray`` that ``build_array`` builds
+from a ``LosInstance``: a phase anchored at column j0 runs one ``NarrowDp``
+over columns j0 .. j0 + lookahead_used - 1, and the next phase anchors right
+after them.  A cross-section whose windows exceed the budget is refused by
+the DP's own check before anything else.
 """
 
 from __future__ import annotations
@@ -108,56 +108,12 @@ def _growth_cap(epsilon: Fraction, ratio: Fraction) -> int:
         prec *= 2
 
 
-class ColumnStream:
-    """Columns of a narrow array, revealed in increasing order.
-
-    Columns are consumed in blocks; a consumed column is gone for good.
-    ``lookahead()`` is the span currently held: revealed but not yet
-    consumed.  ``array`` holds the shape and the cells, and its ``coords_of``
-    maps a cell back to instance coordinates.
-    """
-
-    def __init__(self, array: NarrowArray) -> None:
-        self.array = array
-        self.cursor = 1
-        self.max_revealed = 0
-
-    @classmethod
-    def from_instance(
-        cls, inst: LosInstance, long_axis: int | None = None
-    ) -> "ColumnStream":
-        return cls(build_array(inst, long_axis))
-
-    def reveal(self, j: int) -> dict[int, Rational]:
-        """Occupied row-index -> weight map of column j (marks it revealed)."""
-        if j < self.cursor:
-            raise ValidationError(f"column {j} was already consumed")
-        if not 1 <= j <= self.array.n:
-            raise ValidationError(f"column {j} outside 1..{self.array.n}")
-        if j > self.max_revealed:
-            self.max_revealed = j
-        return self.array.column(j)
-
-    def consume_through(self, j: int) -> None:
-        self.cursor = max(self.cursor, min(j, self.array.n) + 1)
-
-    def lookahead(self) -> int:
-        return max(0, self.max_revealed - self.cursor + 1)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.cursor > self.array.n
-
-    def totals(self) -> tuple[Rational, Rational | None, bool]:
-        """(total weight, min weight or None, all-unit?), always known upfront."""
-        weights = self.array.weights()
-        if not weights:
-            return 0, None, True
-        return sum(weights), min(weights), all(w == 1 for w in weights)
-
-
 class PhaseState(Record):
-    """Outcome of one phase: anchor column, stopping round, and kept set."""
+    """Outcome of one phase: anchor column, stopping round, and kept set.
+
+    The phase read columns ``j0 .. j0 + lookahead_used - 1``; the next phase
+    anchors right after them.
+    """
 
     j0: int
     r: int
@@ -165,43 +121,47 @@ class PhaseState(Record):
     best_set: tuple[Coords, ...]
     stopped: bool
     lookahead_used: int
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """The anchor column was empty: weights are positive and every other
+        phase keeps its anchor column, so only this phase keeps weight 0."""
+        return self.current_weight == 0
 
 
 def run_phase(
-    stream: ColumnStream,
+    array: NarrowArray,
+    j0: int,
     epsilon: Fraction,
     budget: int | None = None,
-) -> PhaseState | None:
-    """Run one phase from the stream's cursor; None when exhausted.
+) -> PhaseState:
+    """Run one phase of ``array`` anchored at column ``j0``.
 
     An empty anchor column ends the phase immediately and advances a single
     column: the growth test cannot fire on weight zero, and skipping an
     empty column forfeits nothing.
     """
-    if stream.exhausted:
-        return None
+    n, omega = array.n, array.omega
+    if not 1 <= j0 <= n:
+        raise ValidationError(f"anchor column {j0} outside 1..{n}")
     # The growth test compares cross products, so integer weights stay int.
     grow = 1 + check_epsilon(epsilon)
-    j0 = stream.cursor
-    n, omega = stream.array.n, stream.array.omega
-    dp = NarrowDp(stream.array.nrows, omega, stream.array.conflicts, budget)
+    dp = NarrowDp(array.nrows, omega, array.conflicts, budget)
 
     def push_through(end: int) -> None:
         for j in range(j0 + dp.columns_pushed, end + 1):
-            dp.push_column(stream.reveal(j))
+            dp.push_column(array.column(j))
 
     push_through(j0)
     w_prev = dp.best_weight
-    degenerate = w_prev == 0
-    # The phase keeps the set of its first ``keep`` columns and consumes
+    # The phase keeps the set of its first ``keep`` columns and reads
     # through column ``end``.
     r, keep, end, stopped = 0, 1, j0, True
-    while not degenerate:
+    while w_prev:
         end = j0 + (r + 1) * omega - 1
         if end > n:
-            # Stream ends mid-round: keep the best set over every column the
-            # phase could see; nothing follows, so no separator is needed.
+            # The array ends mid-round: keep the best set over every column
+            # the phase could see; nothing follows, so no separator is needed.
             end, stopped = n, False
             push_through(end)
             keep = dp.columns_pushed
@@ -214,21 +174,19 @@ def run_phase(
         r += 1
     weight, _ = dp.best_at(keep)
     coords = tuple(
-        stream.array.coords_of(ridx, j0 + lj - 1) for ridx, lj in dp.placements(keep)
+        array.coords_of(ridx, j0 + lj - 1) for ridx, lj in dp.placements(keep)
     )
-    lookahead_used = stream.max_revealed - j0 + 1
-    stream.consume_through(end)
-    return PhaseState(j0, r, weight, coords, stopped, lookahead_used, degenerate)
+    return PhaseState(j0, r, weight, coords, stopped, end - j0 + 1)
 
 
 def solve_semionline(
-    source: ColumnStream | LosInstance,
+    inst: LosInstance,
     epsilon: Fraction,
     long_axis: int | None = None,
     budget: int | None = None,
     on_phase: Callable[[PhaseState], None] | None = None,
 ) -> Solution:
-    """Union of all phase outputs over the stream.
+    """Union of all phase outputs, the phases tiling columns 1..n in order.
 
     Phases never overlap and are separated by discarded omega-wide blocks,
     so the union stays independent.  For unit weights the total is within a
@@ -239,31 +197,25 @@ def solve_semionline(
     is computed or any row is built.
     """
     eps = check_epsilon(epsilon)
-    if isinstance(source, LosInstance):
-        stream = ColumnStream.from_instance(source, long_axis)
-    else:
-        stream = source
-
-    row_extents, omega = stream.array.row_extents, stream.array.omega
-    check_window_budget(stream.array.nrows, omega, budget)
-    total, wmin, unit = stream.totals()
-    if total == 0:
+    array = build_array(inst, long_axis)
+    row_extents, omega = array.row_extents, array.omega
+    check_window_budget(array.nrows, omega, budget)
+    weights = inst.vertices.values()
+    if not weights:
         limit = omega
-    elif unit:
+    elif all(w == 1 for w in weights):
         limit = max_lookahead(max(row_extents), len(row_extents) + 1, eps, omega)
     else:
-        assert wmin is not None
-        limit = (_growth_cap(eps, Fraction(total, wmin)) + 1) * omega
+        limit = (_growth_cap(eps, Fraction(sum(weights), min(weights))) + 1) * omega
     check_digits(limit, "epsilon too small: the look-ahead limit")
 
     coords: list[Coords] = []
     total_weight = 0
     phases = 0
     max_used = 0
-    while True:
-        ph = run_phase(stream, eps, budget=budget)
-        if ph is None:
-            break
+    j = 1
+    while j <= array.n:
+        ph = run_phase(array, j, eps, budget)
         if ph.lookahead_used > limit:
             raise RuntimeError(
                 f"phase look-ahead {ph.lookahead_used} exceeded buffer {limit}"
@@ -274,6 +226,7 @@ def solve_semionline(
         total_weight += ph.current_weight
         phases += 1
         max_used = max(max_used, ph.lookahead_used)
+        j += ph.lookahead_used
     meta = {
         "epsilon": str(eps),
         "phases": phases,

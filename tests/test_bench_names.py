@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from losnet import AdsInstance, NarrowDp, build_array
+from losnet import AdsInstance, NarrowDp, build_array, solve_semionline
 from losnet.adssched import count_ads_windows
 from conftest import make_inst
 
@@ -48,3 +48,11 @@ def test_window_count_reads_for_a_box_and_a_schedule(trace_op):
     k = ads.k_clients
     schedule = NarrowDp(k, ads.omega, lambda: (0,) * k, capacity=ads.l)
     assert count((schedule,), {}, None) == count_ads_windows(k, ads.omega, ads.l)
+
+
+def test_phase_hook_finds_on_phase(trace_op):
+    # Without an ``on_phase`` parameter the tracer stamps no phase, and
+    # ``semionline.phases`` is reported absent.
+    recorder = trace_op.Recorder()
+    recorder.phase_hook(solve_semionline)
+    assert "on_phase" not in recorder.absent

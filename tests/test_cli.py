@@ -169,6 +169,14 @@ class TestSolve:
         assert traces
         assert set(traces[0]) == {"j0", "r_star", "weight", "lookahead_used"}
         assert json.loads(out)["solution"]["meta"]["phases"] == len(traces)
+        # The phases tile the long axis: each anchors right after the
+        # columns the previous one read.
+        assert traces[0]["j0"] == 1
+        for prev, nxt in zip(traces, traces[1:]):
+            assert nxt["j0"] == prev["j0"] + prev["lookahead_used"]
+        # ``losn_file`` has extents 40,3 and is solved along axis 0.
+        assert json.loads(out)["params"]["long_axis"] == 0
+        assert sum(t["lookahead_used"] for t in traces) == 40
 
     def test_long_axis_override(self, tmp_path, capsys):
         path = tmp_path / "w.losn"

@@ -17,7 +17,7 @@ from losnet import (
     VerifyReport,
     Vertex,
 )
-from losnet.core import check_epsilon
+from losnet.core import Record, check_epsilon
 from losnet.decomp import Part
 
 P = InstanceParams(2, (4, 3), 3)
@@ -54,7 +54,7 @@ MUTABLE = {
     ),
     "PhaseState": (
         lambda: PhaseState(1, 0, Fraction(1), ((1, 1),), True, 3),
-        lambda: PhaseState(1, 0, Fraction(1), ((1, 1),), True, 3, True),
+        lambda: PhaseState(1, 0, Fraction(1), ((1, 1),), True, 4),
     ),
 }
 ALL = {**FROZEN, **MUTABLE}
@@ -132,11 +132,19 @@ def test_defaults():
     cfg = GenConfig(P, "1/2")
     assert (cfg.density, cfg.weight_dist, cfg.seed) == (Fraction(1, 2), "const:1", 0)
     assert AdsInstance(1, 2, 2, 1, [[1, 1]]).weights == {}
-    assert PhaseState(1, 0, Fraction(0), (), True, 1).degenerate is False
     a = Solution("x", (), Fraction(0))
     b = Solution("x", (), Fraction(0))
     a.meta["k"] = 1
     assert b.meta == {} and Solution("x", (), Fraction(0)).meta == {}
+
+    # Defaults come only from a record's own ``__init__``: a class-level
+    # value is no default.
+    class Point(Record):
+        x: int
+        y: int = 0
+
+    with pytest.raises(TypeError, match=r"Point\(\) missing argument 'y'"):
+        Point(1)
 
 
 def test_fields_are_normalised():
@@ -269,7 +277,6 @@ FIELDS = {
         "best_set",
         "stopped",
         "lookahead_used",
-        "degenerate",
     ),
 }
 
@@ -287,10 +294,10 @@ def test_every_record_is_covered():
 def test_keyword_construction():
     assert Part(lo=1, hi=2, vertices=()) == Part(1, 2, ()) == Part(1, vertices=(), hi=2)
     a = PhaseState(1, 0, Fraction(1), (), stopped=True, lookahead_used=3)
-    assert a == PhaseState(1, 0, Fraction(1), (), True, 3, False)
+    assert a == PhaseState(1, 0, Fraction(1), (), True, 3)
+    assert a.degenerate is False
     assert PhaseState(
-        j0=1, r=0, current_weight=1, best_set=(), stopped=True, lookahead_used=3,
-        degenerate=True,
+        j0=1, r=0, current_weight=0, best_set=(), stopped=True, lookahead_used=1
     ).degenerate is True
     assert VerifyReport(
         independent=True, weight_claimed=1, weight_recomputed=1, violations=[]
@@ -300,8 +307,9 @@ def test_keyword_construction():
 
 
 def test_fields_are_assigned_in_order():
-    a = PhaseState(1, 0, Fraction(1), (), True, 3)
-    assert list(vars(a)) == list(FIELDS["PhaseState"])
+    # ``degenerate`` is read from the weight, never stored.
+    a = PhaseState(1, 0, Fraction(0), (), True, 1)
+    assert list(vars(a)) == list(FIELDS["PhaseState"]) and a.degenerate
     b = Part(vertices=(), hi=2, lo=1)
     assert list(vars(b)) == ["lo", "hi", "vertices"]
 
@@ -315,6 +323,10 @@ def test_fields_are_assigned_in_order():
         (
             lambda: PhaseState(1, 0, Fraction(1), (), True),
             "PhaseState() missing argument 'lookahead_used'",
+        ),
+        (
+            lambda: PhaseState(1, 0, Fraction(1), (), True, 3, degenerate=True),
+            "PhaseState() got an unexpected keyword argument 'degenerate'",
         ),
         (
             lambda: Part(1, 2, verts=()),

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 
 from losnet import (
     CapacityError,
-    ColumnStream,
     GenConfig,
     InstanceParams,
+    NarrowArray,
     ValidationError,
     build_array,
     generate,
@@ -264,29 +264,25 @@ def phase_oracle(array, j0: int, eps: Fraction):
 
 def assert_phases_match_oracle(inst, eps):
     array = build_array(inst, 0)
-    stream = ColumnStream(array)
     j0 = 1
     while j0 <= array.n:
         exp_r, exp_w, exp_next, exp_stopped, exp_degenerate = phase_oracle(
             array, j0, eps
         )
-        ph = run_phase(stream, eps)
-        assert ph is not None
+        ph = run_phase(array, j0, eps)
         assert ph.j0 == j0
         assert ph.r == exp_r
         assert ph.current_weight == exp_w
         assert ph.stopped == exp_stopped
         assert ph.degenerate == exp_degenerate
-        # A phase reveals every column up to the next anchor and no further.
+        # A phase reads every column up to the next anchor and no further.
         assert ph.lookahead_used == exp_next - j0
-        assert stream.cursor == exp_next
         j0 = exp_next
-    assert run_phase(stream, eps) is None
 
 
 def kept_columns(ph, n: int, omega: int) -> tuple[int, int]:
     """First and last column of the set a phase keeps: its anchor alone when
-    degenerate, its last good round when stopped, else the rest of the stream."""
+    degenerate, its last good round when stopped, else the rest of the array."""
     if not ph.stopped:
         return ph.j0, n
     return ph.j0, ph.j0 + max(ph.r * omega, 1) - 1
@@ -297,19 +293,14 @@ class TestRunPhase:
         # One row, omega 2, everything occupied, eps 1: the first extension
         # cannot double a single pick, so every phase stops at r*=0, keeps
         # its anchor column, and discards the examined pair of columns.
-        inst = unit_inst((8, 1), 2, [(j, 1) for j in range(1, 9)])
-        stream = ColumnStream.from_instance(inst, 0)
-        anchors = []
-        while True:
-            ph = run_phase(stream, Fraction(1))
-            if ph is None:
-                break
-            anchors.append(ph.j0)
+        array = build_array(unit_inst((8, 1), 2, [(j, 1) for j in range(1, 9)]), 0)
+        for j0 in (1, 3, 5, 7):
+            ph = run_phase(array, j0, Fraction(1))
+            assert ph.j0 == j0
             assert ph.r == 0
             assert ph.current_weight == 1
-            assert ph.best_set == ((ph.j0, 1),)
+            assert ph.best_set == ((j0, 1),)
             assert ph.lookahead_used == 2
-        assert anchors == [1, 3, 5, 7]
 
     def test_growth_continues_while_ratio_holds(self):
         # Weights shaped so the first extension wins big and the second
@@ -319,25 +310,24 @@ class TestRunPhase:
         eps = Fraction(9, 10)
         exp_r, exp_w, exp_next, exp_stopped, _ = phase_oracle(array, 1, eps)
         assert exp_r >= 1  # the 1 -> 2-or-better jump satisfies the test
-        ph = run_phase(ColumnStream(array), eps)
+        ph = run_phase(array, 1, eps)
         assert (ph.r, ph.current_weight, ph.stopped) == (exp_r, exp_w, exp_stopped)
 
     def test_degenerate_empty_anchor_advances_one(self):
-        inst = unit_inst((6, 1), 2, [(4, 1)])
-        stream = ColumnStream.from_instance(inst, 0)
-        ph = run_phase(stream, Fraction(1))
+        array = build_array(unit_inst((6, 1), 2, [(4, 1)]), 0)
+        ph = run_phase(array, 1, Fraction(1))
         assert ph.degenerate and ph.current_weight == 0 and ph.best_set == ()
-        assert stream.cursor == 2
+        assert ph.lookahead_used == 1
+        assert not run_phase(array, 4, Fraction(1)).degenerate
 
     def test_stream_exhaustion_closes_prefix(self):
         # n < omega: the first extension does not exist; keep the DP best
         # over everything seen.
         inst = unit_inst((2, 1), 3, [(1, 1), (2, 1)])
-        stream = ColumnStream.from_instance(inst, 0)
-        ph = run_phase(stream, Fraction(1))
+        ph = run_phase(build_array(inst, 0), 1, Fraction(1))
         assert not ph.stopped
         assert ph.current_weight == solve_exact_narrow(inst, 0).total_weight
-        assert stream.exhausted
+        assert ph.lookahead_used == 2
 
     def test_matches_oracle_on_random_instances(self):
         for seed in range(12):
@@ -452,24 +442,6 @@ class TestSolveSemionline:
 
 
 class TestStreams:
-    def test_reveal_consumed_column_rejected(self):
-        inst = unit_inst((6, 1), 2, [(j, 1) for j in range(1, 7)])
-        stream = ColumnStream.from_instance(inst, 0)
-        stream.reveal(1)
-        stream.consume_through(2)
-        with pytest.raises(ValidationError, match="consumed"):
-            stream.reveal(2)
-
-    def test_lookahead_meter(self):
-        inst = unit_inst((6, 1), 2, [(j, 1) for j in range(1, 7)])
-        stream = ColumnStream.from_instance(inst, 0)
-        assert stream.lookahead() == 0
-        stream.reveal(1)
-        stream.reveal(3)
-        assert stream.lookahead() == 3
-        stream.consume_through(2)
-        assert stream.lookahead() == 1
-
     def test_refuses_huge_cross_section_before_building_rows(
         self, tmp_path, monkeypatch
     ):
@@ -497,10 +469,10 @@ class TestStreams:
             raise AssertionError(f"conflict masks built for {extents}")
 
         monkeypatch.setattr("losnet.narrow.box_conflicts", no_masks)
-        stream = ColumnStream.from_instance(load_instance(path), 0)
-        assert stream.array.row_extents == (10**6,)
-        assert stream.reveal(1) == {10**6 - 1: 1}
-        assert stream.reveal(2) == {}
+        array = build_array(load_instance(path), 0)
+        assert array.row_extents == (10**6,)
+        assert array.column(1) == {10**6 - 1: 1}
+        assert array.column(2) == {}
 
     def test_saved_instance_matches_memory(self, tmp_path):
         cfg = GenConfig(InstanceParams(2, (30, 2), 3), Fraction(11, 20), "const:1", 11)
@@ -547,6 +519,48 @@ def test_saved_instance_solves_as_memory(tmp_path_factory, case):
     assert fil.vertices == mem.vertices
     assert fil.total_weight == mem.total_weight
     assert fil.meta == mem.meta
+
+
+def spy_columns(monkeypatch) -> list[int]:
+    """The columns ``NarrowArray.column`` is asked for, in call order."""
+    reads = []
+    column = NarrowArray.column
+
+    def spy(self, j):
+        reads.append(j)
+        return column(self, j)
+
+    monkeypatch.setattr(NarrowArray, "column", spy)
+    return reads
+
+
+class TestPhasesTileTheColumns:
+    @given(stream_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_solve_reads_every_column_once_in_order(self, case):
+        # Phase i reads exactly j0_i .. j0_i + lookahead_used_i - 1, and the
+        # next anchors right after: the run reads columns 1..n once each.
+        inst, eps = case
+        phases = []
+        with pytest.MonkeyPatch.context() as mp:
+            reads = spy_columns(mp)
+            solve_semionline(
+                inst, eps, long_axis=0, on_phase=lambda ph: phases.append((ph, len(reads)))
+            )
+        assert reads == list(range(1, inst.params.extents[0] + 1))
+        start = 0
+        for ph, end in phases:
+            assert reads[start:end] == list(range(ph.j0, ph.j0 + ph.lookahead_used))
+            start = end
+
+    def test_anchor_outside_the_columns_refused(self, monkeypatch):
+        array = build_array(unit_inst((6, 1), 2, [(j, 1) for j in range(1, 7)]), 0)
+        reads = spy_columns(monkeypatch)
+        for j0 in (0, array.n + 1):
+            with pytest.raises(ValidationError, match=f"anchor column {j0} outside 1..6"):
+                run_phase(array, j0, Fraction(1))
+        assert reads == []
+        assert run_phase(array, array.n, Fraction(1)).lookahead_used == 1
 
 
 HEAD = "losn v1\nd=2 omega=2 extents=6,2\n"
