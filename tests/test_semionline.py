@@ -442,6 +442,30 @@ class TestSolveSemionline:
 
 
 class TestStreams:
+    def test_reveal_consumed_column_rejected(self, monkeypatch):
+        # No column is read again once a phase has consumed it: each phase
+        # anchors on the column after the last one its predecessor read.
+        inst = unit_inst((6, 1), 2, [(j, 1) for j in range(1, 7)])
+        reads = spy_columns(monkeypatch)
+        phases = []
+        solve_semionline(
+            inst,
+            Fraction(1),
+            long_axis=0,
+            on_phase=lambda ph: phases.append((ph.j0, ph.lookahead_used, len(reads))),
+        )
+        assert reads == [1, 2, 3, 4, 5, 6]
+        assert phases == [(1, 2, 2), (3, 2, 4), (5, 2, 6)]
+
+    def test_lookahead_meter(self, monkeypatch):
+        # lookahead_used counts the columns a phase read, from its anchor on.
+        array = build_array(unit_inst((6, 1), 2, [(j, 1) for j in range(1, 7)]), 0)
+        reads = spy_columns(monkeypatch)
+        for j0, used in ((1, 2), (3, 2), (6, 1)):
+            reads.clear()
+            assert run_phase(array, j0, Fraction(1)).lookahead_used == used
+            assert reads == list(range(j0, j0 + used))
+
     def test_refuses_huge_cross_section_before_building_rows(
         self, tmp_path, monkeypatch
     ):
