@@ -30,13 +30,11 @@ _EXPORTS = {
         "InstanceParams",
         "LosInstance",
         "Solution",
-        "Vertex",
         "are_adjacent",
         "default_long_axis",
         "generate",
         "is_independent",
         "set_weight",
-        "shares_line_of_sight",
     ),
     "decomp": (
         "BlockDecomposition",

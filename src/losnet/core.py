@@ -1,6 +1,7 @@
 """Instance model for line-of-sight networks on d-dimensional integer grids.
 
 Vertices sit on 1-based grid coordinates inside a box of per-axis extents.
+A ``LosInstance`` is built from one input, a coords -> weight mapping.
 Two vertices are adjacent when their coordinates differ in exactly one
 position and the gap there is strictly less than the range parameter omega.
 Edges are never materialized; every solver consumes the adjacency predicate
@@ -10,7 +11,8 @@ Weights are exact rationals (``numbers.Rational``) so optimality claims
 can be checked with equality rather than tolerances.  An integer weight is
 an ``int`` and any other a ``fractions.Fraction``: a ``.losn`` or ``.ads``
 token that is a run of digits loads as an ``int``, every other token as a
-``Fraction``.  Both print, compare and hash alike for equal values, so no
+``Fraction``, and ``generate`` draws ``int`` weights unless ``const:c`` names
+a non-integer c.  Both print, compare and hash alike for equal values, so no
 output depends on which one a weight is.  Sums start from ``0`` and stay
 ``int`` while every term is one.
 """
@@ -219,12 +221,6 @@ class InstanceParams(FrozenRecord):
             1 <= c <= e for c, e in zip(coords, self.extents)
         )
 
-    def is_narrow(self, long_axis: int, bound: int) -> bool:
-        """True when every axis other than ``long_axis`` has extent <= bound."""
-        return all(
-            e <= bound for a, e in enumerate(self.extents) if a != long_axis
-        )
-
 
 def default_long_axis(params: InstanceParams) -> int:
     """Axis of maximum extent (smallest index on ties)."""
@@ -248,48 +244,26 @@ def resolve_long_axis(params: InstanceParams, long_axis: int | None) -> int:
     return long_axis
 
 
-def _valid_cell(coords: Iterable[int], weight) -> tuple[Coords, Rational]:
-    """(coords, weight) normalised and checked as ``Vertex`` does: each
-    coordinate within ``MAX_DIGITS`` digits, so that the refusals can print
-    them, and the weight read by ``as_weight``."""
-    coords = tuple(map(int, coords))
-    check_digits(max(map(abs, coords), default=0), "a coordinate")
-    weight = as_weight(weight)
-    if weight.numerator <= 0:
-        raise ValidationError(
-            f"vertex weight must be positive, got {weight} at {coords}"
-        )
-    return coords, weight
-
-
-class Vertex(FrozenRecord):
-    """A grid point with a positive rational weight."""
-
-    coords: Coords
-    weight: Rational
-
-    def __init__(self, coords: Iterable[int], weight=Fraction(1)) -> None:
-        coords, weight = _valid_cell(coords, weight)
-        super().__init__(coords, weight)
-
-
 class LosInstance:
-    """Immutable weighted vertex set embedded in a grid box."""
+    """Immutable weighted vertex set embedded in a grid box, built from a
+    coords -> weight mapping.  Each cell is checked once: its coordinates by
+    ``int`` and ``MAX_DIGITS`` (the refusals print them), its weight by
+    ``as_weight`` and for sign, then its place in the box, then duplicates."""
 
     __slots__ = ("params", "_cells")
 
     def __init__(
-        self,
-        params: InstanceParams,
-        vertices: Iterable[Vertex] | Mapping[Coords, Rational] = (),
+        self, params: InstanceParams, vertices: Mapping[Coords, Rational] | None = None
     ) -> None:
         cells: dict[Coords, Rational] = {}
-        if isinstance(vertices, Mapping):
-            items: Iterable[tuple[Iterable[int], object]] = vertices.items()
-        else:
-            items = ((v.coords, v.weight) for v in vertices)
-        for coords, w in items:
-            coords, w = _valid_cell(coords, w)
+        for coords, w in (vertices or {}).items():
+            coords = tuple(map(int, coords))
+            check_digits(max(map(abs, coords), default=0), "a coordinate")
+            w = as_weight(w)
+            if w.numerator <= 0:
+                raise ValidationError(
+                    f"vertex weight must be positive, got {w} at {coords}"
+                )
             if not params.in_box(coords):
                 raise ValidationError(
                     f"coordinates {coords} outside box extents={params.extents}"
@@ -381,37 +355,26 @@ class Solution(Record):
 # -- adjacency predicates ---------------------------------------------------
 
 
-def _sole_difference(p: Coords, q: Coords) -> int | None:
-    """The one axis where ``p`` and ``q`` differ; None when they are equal or
-    differ in more than one position."""
-    if len(p) != len(q):
-        raise ValidationError(
-            f"dimension mismatch: {len(p)}-tuple vs {len(q)}-tuple"
-        )
-    axis = None
-    for i, (a, b) in enumerate(zip(p, q)):
-        if a != b:
-            if axis is not None:
-                return None
-            axis = i
-    return axis
-
-
-def shares_line_of_sight(p: Coords, q: Coords) -> bool:
-    """True when the points differ in exactly one coordinate."""
-    return _sole_difference(p, q) is not None
-
-
 def are_adjacent(p: Coords, q: Coords, omega: int) -> bool:
-    """Shared line of sight with coordinate gap strictly below omega.
+    """Shared line of sight (exactly one differing coordinate) with the gap
+    there strictly below omega.
 
     A gap of exactly omega is NOT an edge; strictness matters everywhere
     downstream (window feasibility, strip separation, phase separation).
     """
     if omega < 2:
         raise ValidationError(f"omega must be >= 2, got {omega}")
-    axis = _sole_difference(p, q)
-    return axis is not None and abs(p[axis] - q[axis]) < omega
+    if len(p) != len(q):
+        raise ValidationError(
+            f"dimension mismatch: {len(p)}-tuple vs {len(q)}-tuple"
+        )
+    gap = 0
+    for a, b in zip(p, q):
+        if a != b:
+            if gap:
+                return False
+            gap = abs(a - b)
+    return 0 < gap < omega
 
 
 def adjacent_pairs(known: list[Coords], omega: int) -> list[tuple[int, int]]:
@@ -475,7 +438,7 @@ def _parse_weight_dist(spec: str) -> tuple[str, tuple]:
         c = parse_rational(parts[1], "weight")
         if c <= 0:
             raise ValidationError(f"const weight must be positive: {spec}")
-        return "const", (c,)
+        return "const", (c.numerator if c.denominator == 1 else c,)
     if parts[0] == "uniform" and len(parts) == 3:
         try:
             a, b = int(parts[1]), int(parts[2])
@@ -523,7 +486,7 @@ def generate(cfg: GenConfig) -> LosInstance:
     rng = SplitMix64(cfg.seed)
     threshold = math.ceil(cfg.density * (1 << 64))
     kind, args = _parse_weight_dist(cfg.weight_dist)
-    cells: dict[Coords, Fraction] = {}
+    cells: dict[Coords, Rational] = {}
     ranges = [range(1, e + 1) for e in cfg.params.extents]
     for coords in itertools.product(*ranges):
         if rng.next64() < threshold:
@@ -531,6 +494,6 @@ def generate(cfg: GenConfig) -> LosInstance:
                 w = args[0]
             else:
                 a, b = args
-                w = Fraction(a + rng.below(b - a + 1))
+                w = a + rng.below(b - a + 1)
             cells[coords] = w
     return LosInstance(cfg.params, cells)

@@ -389,36 +389,29 @@ class NarrowDp:
     def best_weight(self) -> Rational:
         return self.best_at()[0]
 
-    def _chain(self, layer: int) -> list[tuple[int, int]]:
-        """(packed window, ``_placed`` of it) of the winning windows W_layer,
-        ..., W_1, newest first: each one's predecessor is the one recorded
-        for its shifted form, the window with its entries at omega cleared."""
-        key = self._bests[layer - 1][2]
-        chain = []
-        for j in range(layer, 0, -1):
-            placed = self._placed(key)
-            chain.append((key, placed))
-            key = self._preds[j - 1][key - placed * self.omega]
-        if key:
-            raise RuntimeError("predecessor chain did not close on the empty window")
-        return chain
-
     def placements(self, layer: int | None = None) -> list[tuple[int, int]]:
         """(row index, 1-based column) placements of the winner through
         ``layer``, by column, then row.
 
-        Unwinds the predecessor chain from the argmax window; each visited
-        window contributes the rows sitting in its last column.
+        Unwinds the predecessor chain from the argmax window W_layer down
+        to W_1, newest first; each visited window contributes the rows
+        sitting in its last column, and its predecessor is the one recorded
+        for its shifted form, the window with its entries at omega cleared.
         """
         if layer is None:
             layer = self.columns_pushed
         if layer == 0:
             return []
+        key = self._bests[layer - 1][2]
         out: list[tuple[int, int]] = []
-        for j, (_, placed) in zip(range(layer, 0, -1), self._chain(layer)):
+        for j in range(layer, 0, -1):
+            placed = self._placed(key)
             for r, at in enumerate(self._at):
                 if placed >> at & 1:
                     out.append((r, j))
+            key = self._preds[j - 1][key - placed * self.omega]
+        if key:
+            raise RuntimeError("predecessor chain did not close on the empty window")
         out.reverse()
         return out
 

@@ -13,32 +13,33 @@ from losnet import (
     LosInstance,
     UnknownCoordinateError,
     ValidationError,
-    Vertex,
     are_adjacent,
     default_long_axis,
     generate,
     is_independent,
     serialize_instance,
     set_weight,
-    shares_line_of_sight,
 )
 from losnet.core import check_digits, check_weight_sums
 from conftest import make_inst, unit_inst
 
 
 class TestSharesLineOfSight:
+    """``are_adjacent``'s line-of-sight test: exactly one coordinate differs."""
+
     def test_single_axis_difference(self):
-        assert shares_line_of_sight((1, 2), (5, 2))
+        assert are_adjacent((1, 2), (5, 2), 5)
 
     def test_two_axes_differ(self):
-        assert not shares_line_of_sight((1, 2), (5, 3))
+        assert not are_adjacent((1, 2), (2, 3), 5)
 
     def test_identical_points(self):
-        assert not shares_line_of_sight((1, 2), (1, 2))
+        assert not are_adjacent((1, 2), (1, 2), 5)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            shares_line_of_sight((1, 2), (1, 2, 3))
+        message = "^dimension mismatch: 2-tuple vs 3-tuple$"
+        with pytest.raises(ValidationError, match=message):
+            are_adjacent((1, 2), (1, 2, 3), 5)
 
 
 class TestAreAdjacent:
@@ -142,17 +143,19 @@ class TestValidation:
             InstanceParams(2, (5, 2), 1)
 
     def test_vertex_weight_positive(self):
+        params = InstanceParams(2, (3, 2), 2)
         with pytest.raises(ValidationError):
-            Vertex((1, 1), 0)
+            LosInstance(params, {(1, 1): 0})
         with pytest.raises(ValidationError):
-            Vertex((1, 1), Fraction(-1, 2))
+            LosInstance(params, {(1, 1): Fraction(-1, 2)})
 
     def test_instance_rejects_out_of_box_and_duplicates(self):
         params = InstanceParams(2, (3, 2), 2)
+        assert len(LosInstance(params)) == 0
         with pytest.raises(ValidationError):
-            LosInstance(params, [Vertex((4, 1))])
+            LosInstance(params, {(4, 1): 1})
         with pytest.raises(ValidationError):
-            LosInstance(params, [Vertex((1, 1)), Vertex((1, 1))])
+            LosInstance(params, {(1, 1): 1, ("1", 1): 1})
 
     # (cells, exception, message): one bad cell per case.  Coordinates go
     # through int(), so a non-integer string fails there, with ValueError.
@@ -201,14 +204,10 @@ class TestValidation:
     ]
 
     @pytest.mark.parametrize("cells, error, message", REFUSALS)
-    @pytest.mark.parametrize("form", ["mapping", "vertices"])
-    def test_instance_refusals(self, cells, error, message, form):
+    def test_instance_refusals(self, cells, error, message):
         params = InstanceParams(2, (3, 2), 2)
         with pytest.raises(error) as info:
-            if form == "mapping":
-                LosInstance(params, cells)
-            else:
-                LosInstance(params, (Vertex(c, w) for c, w in cells.items()))
+            LosInstance(params, cells)
         assert type(info.value) is error
         assert str(info.value) == message
 
@@ -216,7 +215,6 @@ class TestValidation:
         params = InstanceParams(2, (3, 2), 2)
         raw = {("2", 1): "3/6", (True, 2): 2, (3, 2): 1.5, (1, 1): Fraction(7, 3)}
         inst = LosInstance(params, raw)
-        assert inst == LosInstance(params, [Vertex(c, w) for c, w in raw.items()])
         assert dict(inst.vertices) == {
             (2, 1): Fraction(1, 2),
             (1, 2): Fraction(2),
@@ -233,8 +231,6 @@ class TestValidation:
 
     def test_narrowness_is_derived(self):
         params = InstanceParams(3, (9, 2, 3), 2)
-        assert params.is_narrow(0, 3)
-        assert not params.is_narrow(0, 2)
         assert default_long_axis(params) == 0
 
 
@@ -362,6 +358,15 @@ class TestGenerate:
         inst = generate(cfg)
         assert inst.vertices
         assert all(2 <= w <= 4 for w in inst.vertices.values())
+
+    @pytest.mark.parametrize(
+        "dist, kind", [("uniform:1:5", int), ("const:2", int), ("const:5/2", Fraction)]
+    )
+    def test_integer_weights_are_ints(self, dist, kind):
+        cfg = GenConfig(InstanceParams(2, (6, 3), 3), Fraction(1, 2), dist, 1)
+        inst = generate(cfg)
+        assert inst.vertices
+        assert all(type(w) is kind for w in inst.vertices.values())
 
     def test_bad_configs(self):
         params = InstanceParams(2, (4, 2), 2)

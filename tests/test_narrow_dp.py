@@ -257,6 +257,16 @@ class TestDpTableInvariants:
         resum = sum(inst.vertices[a.coords_of(r, j)] for r, j in dp.placements())
         assert resum == dp.best_weight
 
+    def test_unclosed_predecessor_chain_refused(self):
+        _, dp, _ = self.make_dp(unit_inst((4, 1), 2, [(1, 1), (3, 1)]))
+        assert dp.placements() == [(0, 1), (0, 3)]
+        # Column 1's one predecessor is the empty window; point it at a full one.
+        assert dp._preds[0] == {0: 0}
+        dp._preds[0][0] = dp._bests[0][2]
+        message = "^predecessor chain did not close on the empty window$"
+        with pytest.raises(RuntimeError, match=message):
+            dp.placements()
+
     def test_consistency_chain_past_omega_255(self):
         cfg = GenConfig(InstanceParams(2, (300, 1), 256), Fraction(1, 2), "uniform:1:5", 1)
         a, dp, _ = self.make_dp(generate(cfg))

@@ -11,11 +11,11 @@ from losnet import (
     BlockDecomposition,
     GenConfig,
     InstanceParams,
+    LosInstance,
     PhaseState,
     Solution,
     ValidationError,
     VerifyReport,
-    Vertex,
 )
 from losnet.core import Record, check_epsilon
 from losnet.decomp import Part
@@ -28,7 +28,6 @@ FROZEN = {
         lambda: InstanceParams(2, [4, 3], 3),
         lambda: InstanceParams(2, (4, 3), 4),
     ),
-    "Vertex": (lambda: Vertex((1, 2), 3), lambda: Vertex((1, 2), 4)),
     "GenConfig": (
         lambda: GenConfig(P, Fraction(1, 2), "uniform:1:5", 7),
         lambda: GenConfig(P, Fraction(1, 2), "uniform:1:5", 8),
@@ -121,14 +120,12 @@ def test_repr_names_class_and_fields(name):
 
 def test_repr_examples():
     assert repr(P) == "InstanceParams(d=2, extents=(4, 3), omega=3)"
-    assert repr(Vertex((1, 2))) == "Vertex(coords=(1, 2), weight=Fraction(1, 1))"
     assert repr(Solution("x", (), Fraction(0))) == (
         "Solution(algorithm='x', vertices=(), total_weight=Fraction(0, 1), meta={})"
     )
 
 
 def test_defaults():
-    assert Vertex((1, 1)).weight == 1
     cfg = GenConfig(P, "1/2")
     assert (cfg.density, cfg.weight_dist, cfg.seed) == (Fraction(1, 2), "const:1", 0)
     assert AdsInstance(1, 2, 2, 1, [[1, 1]]).weights == {}
@@ -149,9 +146,9 @@ def test_defaults():
 
 def test_fields_are_normalised():
     assert InstanceParams(2, ["4", 3], 3).extents == (4, 3)
-    v = Vertex([1, 2], "5/2")
-    assert v.coords == (1, 2) and v.weight == Fraction(5, 2)
-    assert type(v.weight) is Fraction
+    cells = LosInstance(P, {(1, "2"): "5/2"}).vertices
+    assert cells == {(1, 2): Fraction(5, 2)}
+    assert type(cells[(1, 2)]) is Fraction
     assert GenConfig(P, 0.5, seed="3").seed == 3
     assert AdsInstance(1, 2, 2, 1, [[1, True]], {(1, 2): 3}).available == ((1, 1),)
 
@@ -161,10 +158,13 @@ REFUSALS = [
     (lambda: InstanceParams(2, (4,), 3), "expected 2 extents, got 1"),
     (lambda: InstanceParams(2, (4, 0), 3), "extents must be positive, got (4, 0)"),
     (lambda: InstanceParams(2, (4, 3), 1), "omega must be >= 2, got 1"),
-    (lambda: Vertex((1, 1), 0), "vertex weight must be positive, got 0 at (1, 1)"),
-    (lambda: Vertex((1, 1), "x"), "not a rational weight: 'x'"),
-    (lambda: Vertex((1, 1), "3/0"), "not a rational weight: '3/0'"),
-    (lambda: Vertex((1, 1), "1e5000"), "not a rational weight: '1e5000'"),
+    (
+        lambda: LosInstance(P, {(1, 1): 0}),
+        "vertex weight must be positive, got 0 at (1, 1)",
+    ),
+    (lambda: LosInstance(P, {(1, 1): "x"}), "not a rational weight: 'x'"),
+    (lambda: LosInstance(P, {(1, 1): "3/0"}), "not a rational weight: '3/0'"),
+    (lambda: LosInstance(P, {(1, 1): "1e5000"}), "not a rational weight: '1e5000'"),
     (lambda: GenConfig(P, 1, "const:3/0"), "not a rational weight: '3/0'"),
     (lambda: GenConfig(P, 2), "density must be in [0,1], got 2"),
     (lambda: GenConfig(P, "x"), "not a rational number: 'x'"),
@@ -196,7 +196,7 @@ REFUSALS = [
         lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(1, 2): "3/0"}),
         "not a rational weight: '3/0'",
     ),
-    pytest.param(  # its own id: the id of Vertex's case stays unique
+    pytest.param(  # its own id: the id of LosInstance's case stays unique
         lambda: AdsInstance(1, 2, 2, 1, ((1, 1),), {(1, 2): "x"}),
         "not a rational weight: 'x'",
         id="AdsInstance-not a rational weight: 'x'",
@@ -230,7 +230,10 @@ REFUSALS = [
         id="negative-an extent would have more than 4300 digits",
     ),
     (lambda: InstanceParams(2, (4, 3), 10**5000), "omega would have more than 4300 digits"),
-    (lambda: Vertex((10**5000, 1), 0), "a coordinate would have more than 4300 digits"),
+    (
+        lambda: LosInstance(P, {(10**5000, 1): 0}),
+        "a coordinate would have more than 4300 digits",
+    ),
 ]
 
 
@@ -258,7 +261,6 @@ def test_check_epsilon():
 # Each class's fields, in declaration order.
 FIELDS = {
     "InstanceParams": ("d", "extents", "omega"),
-    "Vertex": ("coords", "weight"),
     "GenConfig": ("params", "density", "weight_dist", "seed"),
     "AdsInstance": ("k_clients", "n_times", "omega", "l", "available", "weights"),
     "Part": ("lo", "hi", "vertices"),
@@ -288,7 +290,7 @@ def test_fields_are_the_annotated_names_in_order(name):
 
 
 def test_every_record_is_covered():
-    assert sorted(FIELDS) == sorted(ALL) and len(ALL) == 9
+    assert sorted(FIELDS) == sorted(ALL) and len(ALL) == 8
 
 
 def test_keyword_construction():
