@@ -26,7 +26,7 @@ opt = brute_mis(inst).total_weight
 print(f"instance: {len(inst)} vertices in a 12x4 box, optimum {opt}")
 
 print("\nblock layout for h=2, shift=1, k=2 on the width axis:")
-dec = make_blocks(inst, h=2, shift=1, axis=1, k=2)
+dec = make_blocks(inst, h=2, shift=1, axis=1)
 for part in dec.blocks:
     print(f"  block rows {part.lo}..{part.hi}: {len(part.vertices)} vertices")
 for part in dec.boundary:

@@ -25,6 +25,16 @@ BRUTE_WINDOWS_GRID_CAP = 2**20
 BRUTE_ADS_CAP = 20
 
 
+def _adjacency(coords: list[Coords], omega: int) -> list[int]:
+    """Per vertex, the bitmask of the vertices ``are_adjacent`` to it."""
+    adj = [0] * len(coords)
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        if are_adjacent(coords[i], coords[j], omega):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
 def brute_mis(inst: LosInstance, cap: int = BRUTE_MIS_CAP) -> Solution:
     """Exact maximum-weight independent set by include/exclude search.
 
@@ -38,13 +48,7 @@ def brute_mis(inst: LosInstance, cap: int = BRUTE_MIS_CAP) -> Solution:
         raise CapacityError(f"brute_mis handles at most {cap} vertices, got {m}")
     coords = inst.coords_sorted()
     weights = [inst.vertices[c] for c in coords]
-    omega = inst.params.omega
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if are_adjacent(coords[i], coords[j], omega):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _adjacency(coords, inst.params.omega)
     suffix = [Fraction(0)] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
@@ -83,13 +87,7 @@ def exhaustive_mis(inst: LosInstance, cap: int = EXHAUSTIVE_MIS_CAP) -> Solution
         )
     coords = inst.coords_sorted()
     weights = [inst.vertices[c] for c in coords]
-    omega = inst.params.omega
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if are_adjacent(coords[i], coords[j], omega):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _adjacency(coords, inst.params.omega)
     indep = bytearray(1 << m)
     indep[0] = 1
     best_weight = Fraction(0)

@@ -31,7 +31,6 @@ from .core import (
     check_digits,
     check_epsilon,
     resolve_long_axis,
-    set_weight,
 )
 from .errors import ValidationError
 from .narrow import solve_exact_narrow
@@ -90,32 +89,27 @@ def solve_strip2(
         index = tuple([(coords[a] - 1) // k for a in cut_axes])
         by_strip.setdefault(index, []).append(coords)
 
-    def solve_one(index: tuple[int, ...]) -> list[Coords]:
+    unions: dict[int, list[Coords]] = {0: [], 1: []}
+    weights: dict[int, Rational] = {0: 0, 1: 0}
+    for index in sorted(by_strip):
         ranges = {}
         for a, i in zip(cut_axes, index):
             ranges[a] = (k * i + 1, min(k * (i + 1), p.extents[a]))
         sub, offsets = _slice(inst, ranges, by_strip[index])
         sol = solve_exact_narrow(sub, long_axis=long_axis, budget=budget)
-        return _translate(sol.vertices, offsets)
-
-    indices = sorted(by_strip)
-    solved = [solve_one(i) for i in indices]
-
-    unions: dict[int, list[Coords]] = {0: [], 1: []}
-    for index, coords in zip(indices, solved):
-        unions[sum(index) % 2].extend(coords)
-    odd_w = set_weight(inst, unions[1])
-    even_w = set_weight(inst, unions[0])
-    parity = 1 if odd_w > even_w else 0
+        side = sum(index) % 2
+        unions[side].extend(_translate(sol.vertices, offsets))
+        weights[side] += sol.total_weight
+    parity = 1 if weights[1] > weights[0] else 0
     meta = {
         "k": k,
         "parity": "odd" if parity else "even",
-        "strips": len(indices),
-        "odd_weight": str(odd_w),
-        "even_weight": str(even_w),
+        "strips": len(by_strip),
+        "odd_weight": str(weights[1]),
+        "even_weight": str(weights[0]),
     }
     chosen = tuple(sorted(unions[parity]))
-    return Solution("strip2", chosen, odd_w if parity else even_w, meta)
+    return Solution("strip2", chosen, weights[parity], meta)
 
 
 # -- shifted block partitions -------------------------------------------------
@@ -145,19 +139,17 @@ class BlockDecomposition(FrozenRecord):
     boundary: tuple[Part, ...]
 
 
-def make_blocks(
-    inst: LosInstance, h: int, shift: int, axis: int, k: int
-) -> BlockDecomposition:
-    """Cut ``axis`` into the shifted block/boundary pattern."""
+def make_blocks(inst: LosInstance, h: int, shift: int, axis: int) -> BlockDecomposition:
+    """Cut ``axis`` into the shifted block/boundary pattern.  The strip width
+    k is omega-1, read from the instance, so no two blocks see each other."""
     if h < 1:
         raise ValidationError(f"h must be >= 1, got {h}")
     if not 0 <= shift <= h:
         raise ValidationError(f"shift must be in 0..{h}, got {shift}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     p = inst.params
     if not 0 <= axis < p.d:
         raise ValidationError(f"axis {axis} outside 0..{p.d - 1}")
+    k = p.omega - 1
     extent = p.extents[axis]
     segments: list[tuple[int, int, bool]] = []  # (lo, hi, is_block)
     pos = 1
@@ -226,9 +218,7 @@ def solve_ptas(
     k = p.omega - 1
     h = check_digits(ptas_shift_count(epsilon, p.d), "epsilon too small: h")
     cut_axes = [a for a in range(p.d) if a != long_axis]
-    coords, shift, block_weights = _ptas_level(
-        inst, cut_axes, long_axis, h, k, budget
-    )
+    coords, shift, block_weights = _ptas_level(inst, cut_axes, long_axis, h, budget)
     meta = {
         "epsilon": str(epsilon),
         "h": h,
@@ -238,7 +228,7 @@ def solve_ptas(
         "block_weights": [str(w) for w in block_weights],
     }
     coords.sort()
-    return Solution("ptas", tuple(coords), set_weight(inst, coords), meta)
+    return Solution("ptas", tuple(coords), sum(block_weights), meta)
 
 
 def _ptas_level(
@@ -246,7 +236,6 @@ def _ptas_level(
     cut_axes: list[int],
     long_axis: int,
     h: int,
-    k: int,
     budget: int | None,
 ) -> tuple[list[Coords], int, list[Rational]]:
     if not cut_axes:
@@ -259,16 +248,17 @@ def _ptas_level(
             return [], 0
         sub, offsets = _slice(inst, {axis: (part.lo, part.hi)}, part.vertices)
         sub_coords, _, sub_weights = _ptas_level(
-            sub, cut_axes[1:], long_axis, h, k, budget
+            sub, cut_axes[1:], long_axis, h, budget
         )
         return _translate(sub_coords, offsets), sum(sub_weights)
 
     # From shift ceil(extent/k) on, the leading block covers the whole axis:
     # later shifts rebuild that same block and cannot win the strict ">".
+    k = inst.params.omega - 1
     last_shift = min(h, -(-inst.params.extents[axis] // k))
     best: tuple[Rational, int, list[Coords], list[Rational]] | None = None
     for shift in range(last_shift + 1):
-        dec = make_blocks(inst, h, shift, axis, k)
+        dec = make_blocks(inst, h, shift, axis)
         coords: list[Coords] = []
         weights: list[Rational] = []
         for block_coords, block_weight in map(solve_block, dec.blocks):

@@ -162,9 +162,10 @@ class NarrowArray:
     """Column-major view of a validated ``LosInstance``, built by
     ``build_array``.
 
-    Columns 1..n run along ``long_axis``; ``omega`` implicit all-zero
-    columns -(omega-1)..0 precede them so the DP can start from the empty
-    window.  The shape is read from the instance's ``InstanceParams``: ``n``
+    Columns 1..n run along ``long_axis``, and ``column(j)`` reads ``{}``
+    outside them.  The DP starts from the empty window by itself, so nothing
+    in the package reads those padding columns; the tests' ``reference_dp``
+    does.  The shape is read from the instance's ``InstanceParams``: ``n``
     is the long extent and ``row_extents`` the others, in axis order, with
     ``nrows`` rows in all.  Only the instance's cells are stored, keyed by
     row index: the rank of the row's coordinates among the other axes',
@@ -293,9 +294,9 @@ class NarrowDp:
         # Bit offset of each row's field, and per field its lowest bit, its
         # highest bit and the bits below the highest.
         self._at = tuple(bits * (nrows - 1 - r) for r in range(nrows))
-        self._low = sum(1 << at for at in self._at)
-        self._high = self._low << (bits - 1)
-        self._below = self._high - self._low
+        low = sum(1 << at for at in self._at)
+        self._high = low << (bits - 1)
+        self._below = self._high - low
         self._scale = 1
         self._cur: dict[int, int] = {0: 0}
         self._preds: list[dict[int, int]] = []
@@ -307,13 +308,6 @@ class NarrowDp:
     def _unpack(self, key: int) -> tuple[int, ...]:
         field = (1 << self._bits) - 1
         return tuple((key >> at) & field for at in self._at)
-
-    def _placed(self, key: int) -> int:
-        """The lowest bit of every field of ``key`` that holds omega."""
-        z = key ^ (self._low * self.omega)
-        below = self._below
-        nonzero = ((((z & below) + below) | z) & self._high) >> (self._bits - 1)
-        return self._low ^ nonzero
 
     # -- column pushing -------------------------------------------------------
 
@@ -340,9 +334,8 @@ class NarrowDp:
         below, high, top = self._below, self._high, self._bits - 1
         # Shift: drop the oldest column, i.e. subtract one from each nonzero
         # field (adding ``below`` carries into a field's highest bit exactly
-        # when a lower bit is set; ``_placed`` uses the same test).  On equal
-        # weights the smallest source wins, so sources are visited in
-        # ascending order.
+        # when a lower bit is set).  On equal weights the smallest source
+        # wins, so sources are visited in ascending order.
         shifted: dict[int, int] = {}
         pred: dict[int, int] = {}
         for key in sorted(cur):
@@ -394,22 +387,26 @@ class NarrowDp:
         ``layer``, by column, then row.
 
         Unwinds the predecessor chain from the argmax window W_layer down
-        to W_1, newest first; each visited window contributes the rows
-        sitting in its last column, and its predecessor is the one recorded
-        for its shifted form, the window with its entries at omega cleared.
+        to W_1, newest first; each visited window contributes the rows whose
+        field holds omega (its last column), last row first so the final
+        reverse sorts them, and its predecessor is the one recorded for its
+        shifted form, the window with those fields cleared.
         """
         if layer is None:
             layer = self.columns_pushed
         if layer == 0:
             return []
         key = self._bests[layer - 1][2]
+        field, omega = (1 << self._bits) - 1, self.omega
+        last_first = list(enumerate(self._at))[::-1]
         out: list[tuple[int, int]] = []
         for j in range(layer, 0, -1):
-            placed = self._placed(key)
-            for r, at in enumerate(self._at):
-                if placed >> at & 1:
+            placed = 0
+            for r, at in last_first:
+                if key >> at & field == omega:
+                    placed |= omega << at
                     out.append((r, j))
-            key = self._preds[j - 1][key - placed * self.omega]
+            key = self._preds[j - 1][key - placed]
         if key:
             raise RuntimeError("predecessor chain did not close on the empty window")
         out.reverse()

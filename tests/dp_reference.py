@@ -50,5 +50,5 @@ def table(dp):
 def pred_at(dp, layer, positions):
     """Predecessor of a window at ``layer``: the one recorded for its
     shifted form, which is the window with its entries at omega cleared."""
-    key = pack(dp, positions)
-    return dp._unpack(dp._preds[layer - 1][key - dp._placed(key) * dp.omega])
+    shifted = [0 if p == dp.omega else p for p in positions]
+    return dp._unpack(dp._preds[layer - 1][pack(dp, shifted)])

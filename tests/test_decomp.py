@@ -154,32 +154,32 @@ class TestStrip2:
 class TestMakeBlocks:
     def test_worked_layout(self):
         inst = make_inst((12, 1), 3, {})
-        dec = make_blocks(inst, h=2, shift=1, axis=0, k=2)
+        dec = make_blocks(inst, h=2, shift=1, axis=0)
         assert [(p.lo, p.hi) for p in dec.blocks] == [(1, 2), (5, 8), (11, 12)]
         assert [(p.lo, p.hi) for p in dec.boundary] == [(3, 4), (9, 10)]
 
     def test_shift_zero_boundary_first(self):
         inst = make_inst((12, 1), 3, {})
-        dec = make_blocks(inst, h=2, shift=0, axis=0, k=2)
+        dec = make_blocks(inst, h=2, shift=0, axis=0)
         assert dec.boundary[0].lo == 1
 
     def test_partition_of_vertices(self):
         cfg = GenConfig(InstanceParams(2, (11, 3), 3), Fraction(3, 5), "const:1", 6)
         inst = generate(cfg)
-        dec = make_blocks(inst, h=3, shift=2, axis=0, k=2)
+        dec = make_blocks(inst, h=3, shift=2, axis=0)
         parts = [v for p in dec.blocks + dec.boundary for v in p.vertices]
         assert sorted(parts) == inst.coords_sorted()
 
     def test_each_strip_boundary_for_exactly_one_shift(self):
         # Exhaustive: every width-k strip lands in the discarded set for
-        # exactly one shift in 0..h.
+        # exactly one shift in 0..h; k = omega-1 comes from the instance.
         for extent in range(1, 61, 7):
             for k in (1, 2, 3):
                 for h in (1, 2, 4):
-                    inst = make_inst((extent, 1), 2, {})
+                    inst = make_inst((extent, 1), k + 1, {})
                     hits = {}
                     for shift in range(h + 1):
-                        dec = make_blocks(inst, h, shift, 0, k)
+                        dec = make_blocks(inst, h, shift, 0)
                         for p in dec.boundary:
                             for c in range(p.lo, p.hi + 1):
                                 strip = (c - 1) // k
@@ -192,9 +192,9 @@ class TestMakeBlocks:
     def test_validation(self):
         inst = make_inst((5, 1), 2, {})
         with pytest.raises(ValidationError):
-            make_blocks(inst, h=0, shift=0, axis=0, k=1)
+            make_blocks(inst, h=0, shift=0, axis=0)
         with pytest.raises(ValidationError):
-            make_blocks(inst, h=2, shift=3, axis=0, k=1)
+            make_blocks(inst, h=2, shift=3, axis=0)
 
 
 class TestPtasShiftCount:
@@ -321,6 +321,34 @@ class TestPtas:
             solve_ptas(inst, Fraction(-1, 2), 0)
 
 
+@st.composite
+def grids_2d(draw):
+    """d=2 instances up to 30x12, omega 2..5, ``Fraction(a, b)`` weights."""
+    extents = (draw(st.integers(1, 30)), draw(st.integers(1, 12)))
+    cell = st.tuples(st.integers(1, extents[0]), st.integers(1, extents[1]))
+    weight = st.builds(Fraction, st.integers(1, 9), st.integers(1, 6))
+    cells = draw(st.dictionaries(cell, weight, max_size=40))
+    return LosInstance(InstanceParams(2, extents, draw(st.integers(2, 5))), cells)
+
+
+class TestStrip2IsPtasAtEpsilonOne:
+    """In 2-D, ``solve_ptas`` at epsilon=1 has h=1: shift 0's blocks are the
+    odd strips and shift 1's the even strips, strip2's two unions."""
+
+    @given(grids_2d())
+    @settings(max_examples=100, deadline=None)
+    def test_same_weight_and_vertices(self, inst):
+        for long_axis in (0, 1):
+            strip2 = solve_strip2(inst, long_axis)
+            ptas = solve_ptas(inst, Fraction(1), long_axis)
+            assert strip2.total_weight == ptas.total_weight
+            if strip2.meta["odd_weight"] == strip2.meta["even_weight"]:
+                # On a tie strip2 keeps the even strips, the PTAS shift 0 (odd).
+                assert (strip2.meta["parity"], ptas.meta["shift"]) == ("even", 0)
+            else:
+                assert strip2.vertices == ptas.vertices
+
+
 # -- reference slicing ---------------------------------------------------------
 
 
@@ -409,14 +437,14 @@ class TestSlicing:
         sliceable_instances(),
         st.integers(1, 4),
         st.integers(0, 4),
-        st.integers(1, 3),
         st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_block_members_equal_segment_scan(self, inst, h, shift, k, data):
+    def test_block_members_equal_segment_scan(self, inst, h, shift, data):
+        # k = omega-1, so the drawn omega of 2..4 gives strips of width 1..3.
         shift = min(shift, h)
         axis = data.draw(st.integers(0, inst.params.d - 1))
-        dec = make_blocks(inst, h, shift, axis, k)
+        dec = make_blocks(inst, h, shift, axis)
         members = reference_block_members(inst, dec)
         for part in dec.blocks + dec.boundary:
             assert list(part.vertices) == members[(part.lo, part.hi)]

@@ -96,7 +96,7 @@ class ReferenceDp:
         _, pos = self.bests[layer - 1]
         out = []
         for j in range(layer, 0, -1):
-            for r, p in enumerate(pos):
+            for r, p in reversed(list(enumerate(pos))):
                 if p == self.omega:
                     out.append((r, j))
             pos = self.preds[j - 1][pos]
@@ -160,3 +160,23 @@ SEVEN_ROWS = (
 @settings(max_examples=150, deadline=None)
 def test_column_step_matches_reference(case):
     assert_same_tables(*case)
+
+
+# Rows 0 and 2 of one 3-row column, both placed: the array of
+# ``LosInstance(InstanceParams(2, (1, 3), 2), {(1, 1): 1, (1, 3): 1})`` along
+# axis 0, whose placements are [(0, 1), (2, 1)].
+TWO_IN_ONE_COLUMN = ((3,), 2, 3, [{0: Fraction(1), 2: Fraction(1)}])
+
+
+@given(dp_cases())
+@example(TWO_IN_ONE_COLUMN)
+@settings(max_examples=100, deadline=None)
+def test_placements_sorted_by_column_then_row(case):
+    row_spec, omega, capacity, columns = case
+    dp = dp_of(row_spec, omega, capacity=capacity)
+    for col in columns:
+        dp.push_column(col)
+    for layer in range(len(columns) + 1):
+        out = dp.placements(layer)  # (row, column) pairs
+        assert out == sorted(out, key=lambda rj: (rj[1], rj[0])), layer
+
