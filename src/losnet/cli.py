@@ -7,6 +7,10 @@ stdout or stderr before the output was written (one line on stderr, no
 traceback).  JSON payloads go to stdout; diagnostics, including wall-clock
 times, go to stderr so identical commands produce byte-identical stdout.
 
+Each input file is opened and read once.  ``solve`` parses it in the
+format its algorithm takes (``.ads`` for ``adssched``, else ``.losn``), whose
+first-line check refuses the other; ``verify`` goes by the first line.
+
 The ``losnet`` command enters through ``run``, which leaves with
 ``os._exit`` once the output is flushed: the answer is written by then, and
 finalizing the modules and objects a solve built would only add to its
@@ -37,12 +41,13 @@ from .core import (
 from .errors import CapacityError, LosError, ValidationError
 from .io import (
     ADS_HEADER,
-    LOSN_HEADER,
     content_lines,
     load_ads,
     load_instance,
     load_solution,
-    read_lines,
+    parse_ads,
+    parse_instance,
+    read_text,
     save_instance,
     serialize_ads,
     serialize_instance,
@@ -169,38 +174,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sniff_header(path: str) -> str:
-    header = next(content_lines(read_lines(path)), None)
-    if header is None:
-        raise ValidationError(f"{path}: empty file")
-    return header
-
-
 def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
     budget = _window_budget()
     epsilon = parse_rational(args.epsilon) if args.epsilon is not None else None
     if args.algo in ("ptas", "semionline") and epsilon is None:
         raise ValidationError(f"--epsilon is required for {args.algo}")
-    header = _sniff_header(args.file)
     started = time.perf_counter()
 
     if args.algo == "adssched":
         from .adssched import solve_adssched
 
-        if header != ADS_HEADER:
-            raise ValidationError(
-                f"adssched needs an .ads file (first line {ADS_HEADER!r})"
-            )
         ads = load_ads(args.file)
         sol = solve_adssched(ads, budget=budget)
         report = oracle.verify_ads(ads, sol)
         digest = _digest(serialize_ads(ads))
         long_axis: int | None = None
     else:
-        if header != LOSN_HEADER:
-            raise ValidationError(
-                f"{args.algo} needs a .losn file (first line {LOSN_HEADER!r})"
-            )
         inst = load_instance(args.file)
         sol, long_axis = _run_algo(args, inst, epsilon, budget)
         report = oracle.verify(inst, sol)
@@ -295,13 +284,11 @@ def _digest(canonical_text: str) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     sol = load_solution(args.solution)
-    header = _sniff_header(args.instance)
-    if header == ADS_HEADER:
-        report = oracle.verify_ads(load_ads(args.instance), sol)
-    elif header == LOSN_HEADER:
-        report = oracle.verify(load_instance(args.instance), sol)
+    text = read_text(args.instance)
+    if next(content_lines(text.splitlines()), None) == ADS_HEADER:
+        report = oracle.verify_ads(parse_ads(text), sol)
     else:
-        raise ValidationError(f"{args.instance}: unrecognized header {header!r}")
+        report = oracle.verify(parse_instance(text), sol)
     out = {
         "independent": report.independent,
         "weight_claimed": str(report.weight_claimed),

@@ -30,9 +30,9 @@ Solution JSON uses the fixed key order (algorithm, weight, vertices, meta);
 meta keys are sorted.  Weights are exact "p/q" strings (denominator 1
 elided) so reports never lose precision.
 
-Every file is read as UTF-8.  Bytes that are not UTF-8, a malformed line
-or header, and JSON that is malformed or nested too deeply are refused with
-``ValidationError`` (the CLI exits 2).
+Every file is opened and read once, as UTF-8 (``read_text``).  Bytes that
+are not UTF-8, a malformed line or header, and JSON that is malformed or
+nested too deeply are refused with ``ValidationError`` (the CLI exits 2).
 """
 
 from __future__ import annotations
@@ -105,37 +105,41 @@ def content_lines(lines: Iterable[str]) -> Iterator[str]:
             yield line
 
 
-def _parse_kv_line(line: str, expected: list[str], what: str) -> dict[str, str]:
+def _read_header(
+    lines: Iterator[str], first: str, keys: tuple[str, ...], what: str
+) -> tuple[str, dict[str, str]]:
+    """The parameter line after the first line ``first``, and its
+    ``key=value`` fields, exactly ``keys``; takes both lines from ``lines``."""
+    if next(lines, None) != first:
+        raise ValidationError(f"expected first line {first!r}")
+    line = next(lines, None)
+    if line is None:
+        raise ValidationError(f"missing {what} parameter line")
     fields = {}
     for part in line.split():
         if "=" not in part:
             raise ValidationError(f"bad {what} header field {part!r}")
         key, _, value = part.partition("=")
         fields[key] = value
-    missing = [k for k in expected if k not in fields]
+    missing = [k for k in keys if k not in fields]
     if missing:
         raise ValidationError(f"{what} header missing {missing}")
-    extra = [k for k in fields if k not in expected]
+    extra = [k for k in fields if k not in keys]
     if extra:
         raise ValidationError(f"{what} header has unknown fields {extra}")
-    return fields
+    return line, fields
 
 
 def read_losn_header(lines: Iterator[str]) -> InstanceParams:
     """Parameters of a .losn file from its first two content lines, which
     it takes from ``lines``; the vertex lines are left to the caller."""
-    if next(lines, None) != LOSN_HEADER:
-        raise ValidationError(f"expected first line {LOSN_HEADER!r}")
-    header_line = next(lines, None)
-    if header_line is None:
-        raise ValidationError("missing losn parameter line")
-    fields = _parse_kv_line(header_line, ["d", "omega", "extents"], "losn")
+    line, fields = _read_header(lines, LOSN_HEADER, ("d", "omega", "extents"), "losn")
     try:
         d = parse_int(fields["d"])
         omega = parse_int(fields["omega"])
         extents = tuple(map(parse_int, fields["extents"].split(",")))
     except ValueError as exc:
-        raise ValidationError(f"bad losn header {header_line!r}") from exc
+        raise ValidationError(f"bad losn header {line!r}") from exc
     return InstanceParams(d, extents, omega)
 
 
@@ -218,23 +222,18 @@ def parse_instance(text: str) -> LosInstance:
     return LosInstance._trusted(params, cells)
 
 
-def read_lines(path: str | PathLike[str]) -> Iterator[str]:
-    """Lines of the UTF-8 file at ``path``, read as they are asked for.  A
-    byte sequence that is not UTF-8 is refused (``ValidationError``) when
-    the reading reaches it."""
+def read_text(path: str | PathLike[str]) -> str:
+    """Text of the UTF-8 file at ``path``, read in one call.  Bytes that are
+    not UTF-8 are refused (``ValidationError``)."""
     with open(path, encoding="utf-8") as fh:
         try:
-            yield from fh
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_text(path: str | PathLike[str]) -> str:
-    return "".join(read_lines(path))
-
-
 def load_instance(path: str | PathLike[str]) -> LosInstance:
-    return parse_instance(_read_text(path))
+    return parse_instance(read_text(path))
 
 
 def save_instance(
@@ -262,22 +261,16 @@ def serialize_ads(ads: AdsInstance) -> str:
 def parse_ads(text: str) -> AdsInstance:
     from .adssched import AdsInstance
 
-    lines = list(content_lines(text.splitlines()))
-    if not lines or lines[0] != ADS_HEADER:
-        raise ValidationError(f"expected first line {ADS_HEADER!r}")
-    if len(lines) < 2:
-        raise ValidationError("missing ads parameter line")
-    fields = _parse_kv_line(lines[1], ["clients", "times", "omega", "l"], "ads")
+    lines = content_lines(text.splitlines())
+    keys = ("clients", "times", "omega", "l")
+    head, fields = _read_header(lines, ADS_HEADER, keys, "ads")
     try:
-        k = parse_int(fields["clients"])
-        n = parse_int(fields["times"])
-        omega = parse_int(fields["omega"])
-        cap = parse_int(fields["l"])
+        k, n, omega, cap = [parse_int(fields[key]) for key in keys]
     except ValueError as exc:
-        raise ValidationError(f"bad ads header {lines[1]!r}") from exc
+        raise ValidationError(f"bad ads header {head!r}") from exc
     rows: list[tuple[int, ...]] = []
     weights: dict[tuple[int, int], Rational] = {}
-    for line in lines[2:]:
+    for line in lines:
         parts = line.split()
         if parts[0] == "a" and len(parts) == 2:
             if any(ch not in "01" for ch in parts[1]):
@@ -301,7 +294,7 @@ def parse_ads(text: str) -> AdsInstance:
 
 
 def load_ads(path: str | PathLike[str]) -> AdsInstance:
-    return parse_ads(_read_text(path))
+    return parse_ads(read_text(path))
 
 
 # -- solution JSON --------------------------------------------------------------
@@ -355,4 +348,4 @@ def parse_solution_json(text: str) -> Solution:
 
 
 def load_solution(path: str | PathLike[str]) -> Solution:
-    return parse_solution_json(_read_text(path))
+    return parse_solution_json(read_text(path))

@@ -52,6 +52,7 @@ from .core import Coords, InstanceParams, LosInstance, Solution, resolve_long_ax
 from .errors import CapacityError
 
 DEFAULT_WINDOW_BUDGET = 10_000_000
+_NO_CELLS: Mapping[int, Rational] = {}  # ``NarrowArray.column`` of every empty column
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,6 +159,37 @@ def _windows(
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _window_count(omega: int, conflicts: tuple[int, ...]) -> int:
+    """``len(_windows(...))`` of a shape whose capacity never binds, counted
+    row by row without listing a window.
+
+    A state is the sorted masks of the held window columns: per column, the
+    later rows that conflict with a row it holds, shifted so that bit 0 is
+    the next row.  A row stays empty, joins a held column whose mask it is
+    not in, or opens one of the omega - (held columns) fresh ones; columns
+    with equal masks merge into one state.
+    """
+    states = {(): 1}
+    for r, blocked in enumerate(conflicts):
+        blocked >>= r
+        nxt: dict[tuple[int, ...], int] = {}
+        for held, ways in states.items():
+            moves = [(held, 1)]
+            moves += [
+                (held[:i] + (m | blocked,) + held[i + 1 :], 1)
+                for i, m in enumerate(held)
+                if not m & 1
+            ]
+            if len(held) < omega:
+                moves.append((held + (blocked,), omega - len(held)))
+            for cols, times in moves:
+                key = tuple(sorted(m >> 1 for m in cols))
+                nxt[key] = nxt.get(key, 0) + ways * times
+        states = nxt
+    return sum(states.values())
+
+
 class NarrowArray:
     """Column-major view of a validated ``LosInstance``, built by
     ``build_array``.
@@ -192,9 +224,10 @@ class NarrowArray:
         """The DP's conflict mask of every row (``box_conflicts``)."""
         return box_conflicts(self.row_extents, self.omega)
 
-    def column(self, j: int) -> dict[int, Rational]:
-        """Occupied row-index -> weight map of column j ({} off the grid)."""
-        return dict(self._cols.get(j, {}))
+    def column(self, j: int) -> Mapping[int, Rational]:
+        """Occupied row-index -> weight map of column j (empty off the grid).
+        It is the array's own mapping: callers must not mutate it."""
+        return self._cols.get(j, _NO_CELLS)
 
     def coords_of(self, r: int, j: int) -> Coords:
         """Instance coordinates of cell (row index r, column j)."""
@@ -441,6 +474,6 @@ def solve_exact_narrow(
         "long_axis": array.long_axis,
         "rows": array.nrows,
         "n": array.n,
-        "windows": len(dp.windows),
+        "windows": _window_count(array.omega, array.conflicts()),
     }
     return Solution("exact-narrow", tuple(coords), weight, meta)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losnet.cli import main
+from losnet.cli import ALGOS, main
 from conftest import child_env
 
 
@@ -278,6 +278,7 @@ class TestUnopenableInput:
 
 
 LOSN_HEAD = "losn v1\nd=2 omega=3 extents=12,2\n"
+ADS_HEAD = "ads v1\nclients=1 times=2 omega=2 l=1\n"
 SOLUTION = '{"algorithm": "x", "weight": "1", "vertices": [[1, 1]]}'
 
 
@@ -326,6 +327,73 @@ class TestMalformedInput:
         path = tmp_path / "bad.json"
         path.write_bytes(content)
         assert_refused(*run(capsys, "verify", str(inst_path), str(path)))
+
+    @pytest.mark.parametrize(
+        "argv, content, header",
+        [
+            (("solve", "adssched", "{f}"), LOSN_HEAD + "v 1 1 1\n", "ads v1"),
+            (("solve", "exact-narrow", "{f}"), ADS_HEAD, "losn v1"),
+            (("solve", "strip2", "{f}"), "", "losn v1"),
+            (("verify", "{f}", "{sol}"), "", "losn v1"),
+        ],
+        ids=["adssched-on-losn", "exact-narrow-on-ads", "solve-empty", "verify-empty"],
+    )
+    def test_wrong_format_or_empty(self, tmp_path, capsys, argv, content, header):
+        # The parser of the format the command reads refuses the first line.
+        path = tmp_path / "in"
+        path.write_text(content)
+        sol_path = tmp_path / "s.json"
+        sol_path.write_text(SOLUTION)
+        argv = [a.format(f=path, sol=sol_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert_refused(code, out, err)
+        assert err == f"error: expected first line {header!r}\n"
+
+
+class TestOneRead:
+    """Each input file is opened once: ``solve`` parses the format its
+    algorithm takes, and ``verify`` reads its instance once in either
+    format."""
+
+    SMALL = LOSN_HEAD + "v 1 1 1\nv 3 2 2\n"
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        """The paths ``losnet.io`` opens, in order."""
+        import losnet.io
+
+        paths = []
+
+        def spy(file, *args, **kwargs):
+            paths.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(losnet.io, "open", spy, raising=False)
+        return paths
+
+    def input_for(self, algo, tmp_path, ads_file):
+        if algo == "adssched":
+            return ads_file
+        path = tmp_path / "small.losn"
+        path.write_text(self.SMALL)
+        return path
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_solve(self, tmp_path, ads_file, capsys, opened, algo):
+        path = self.input_for(algo, tmp_path, ads_file)
+        eps = ["--epsilon", "1"] if algo in ("ptas", "semionline") else []
+        assert run(capsys, "solve", algo, str(path), "--json", *eps)[0] == 0
+        assert opened == [str(path)]
+
+    @pytest.mark.parametrize("algo", ["exact-narrow", "adssched"])
+    def test_verify(self, tmp_path, ads_file, capsys, opened, algo):
+        path = self.input_for(algo, tmp_path, ads_file)
+        _, out, _ = run(capsys, "solve", algo, str(path), "--json")
+        sol_path = tmp_path / "s.json"
+        sol_path.write_text(json.dumps(json.loads(out)["solution"]))
+        opened.clear()
+        assert run(capsys, "verify", str(path), str(sol_path))[0] == 0
+        assert sorted(opened) == sorted([str(path), str(sol_path)])
 
 
 class TestNumbersTooLargeToPrint:

@@ -219,6 +219,22 @@ class TestSolveNarrow:
         b = solve_exact_narrow(inst, 0)
         assert a == b
 
+    def test_counts_windows_without_listing_them(self, monkeypatch):
+        # One row at omega = 10^6 has 10^6 + 1 windows: listing them took
+        # most of a second and over 100 MB just to report their number.
+        cfg = GenConfig(InstanceParams(2, (30, 3), 3), Fraction(1, 2), "uniform:1:5", 2)
+        tall = generate(cfg)
+        listed = len(dp_of((3,), 3).windows)
+
+        def unlisted(*args):
+            raise AssertionError("the solve listed every window")
+
+        monkeypatch.setattr(narrow, "_windows", unlisted)
+        wide = unit_inst((5, 1), 10**6, [(1, 1)])
+        sol = solve_exact_narrow(wide)
+        assert (sol.total_weight, sol.meta["windows"]) == (1, 10**6 + 1)
+        assert solve_exact_narrow(tall, 0).meta["windows"] == listed
+
 
 class TestDpTableInvariants:
     def make_dp(self, inst):

@@ -9,7 +9,7 @@ from itertools import product
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from losnet import (
     CapacityError,
@@ -23,6 +23,7 @@ from losnet import (
     generate,
     normalize_rows,
 )
+from losnet import narrow
 from losnet.narrow import box_conflicts
 from conftest import as_grid, cells_inst, oracle_windows, tail_equals_head
 from dp_reference import dp_of, pack, pairwise_conflicts, pred_at, table
@@ -273,6 +274,38 @@ def window_shapes(draw):
 def test_windows_match_brute_filter(shape):
     spec, omega = shape
     assert dp_of(spec, omega).windows == tuple(sorted(brute_windows(spec, omega)))
+
+
+@st.composite
+def counted_shapes(draw):
+    """An omega in 2..5 and rows: a d=2..4 box or an explicit arrangement,
+    at most (omega+1)^rows <= 10^6 stencils, so listing the windows stays
+    within about a second."""
+    omega = draw(st.integers(2, 5))
+    most = int(math.log(10**6, omega + 1))
+    if draw(st.booleans()):
+        spec = []
+        for _ in range(draw(st.integers(1, 3))):
+            spec.append(draw(st.integers(1, most // math.prod(spec))))
+        return tuple(spec), omega
+    width = draw(st.integers(1, 3))
+    universe = list(product(range(1, 4), repeat=width))
+    rows = draw(st.lists(
+        st.sampled_from(universe), min_size=1, max_size=most, unique=True
+    ))
+    return tuple(rows), omega
+
+
+@given(counted_shapes())
+@settings(max_examples=200, deadline=None)
+def test_window_count_matches_the_listed_windows(shape):
+    # ``solve_exact_narrow`` reports this count instead of listing windows.
+    spec, omega = shape
+    dp = dp_of(spec, omega)
+    count = len(dp.windows)
+    narrow._windows.cache_clear()  # up to 10^6 tuples per shape
+    assume(count <= 10**5)
+    assert narrow._window_count(omega, dp._conflicts) == count
 
 
 @st.composite
